@@ -20,6 +20,15 @@ echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
 
+echo "== workspace tests (every crate's unit tests, incl. the tree-builder oracle) =="
+cargo test -q --release --workspace
+
+echo "== perfbench: unit tests (incl. the perf <-> BENCHMARK.json catalogue guard) =="
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench: smoke run (small lakes, same code paths and output checks) =="
+cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perf -- --quick
+
 echo "== ingestion bench (smoke: parallel scan + shard + .mtc cache asserts) =="
 cargo run --release -q -p metam-bench --bin ingestion -- --quick --out target/bench-smoke
 

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use metam_table::join::first_match_index;
 use metam_table::{Column, Table, TableError, Value};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::candidate::{Candidate, CandidateId};
 
@@ -24,9 +24,9 @@ use crate::candidate::{Candidate, CandidateId};
 /// [`crate::DiscoveryIndex`] that produced the candidates.
 ///
 /// `Send + Sync` because profile evaluation materializes candidates from
-/// worker threads. Fetches may be called more than once per index —
-/// [`Materializer`] memoizes, so implementations need no cache of their
-/// own — but must return the same table every time.
+/// worker threads. [`Materializer`] memoizes and single-flights fetches,
+/// so implementations need no cache of their own; a fetch is repeated
+/// only after an error, and must return the same table every time.
 pub trait TableProvider: Send + Sync {
     /// Number of repository tables.
     fn len(&self) -> usize;
@@ -63,9 +63,10 @@ impl TableProvider for EagerTables {
 /// candidate id. Cheap to clone is not needed; share by reference.
 pub struct Materializer {
     provider: Box<dyn TableProvider>,
-    /// Tables fetched so far (memoized so a lazy provider loads each
-    /// backing table at most once).
-    fetched: RwLock<HashMap<usize, Arc<Table>>>,
+    /// One slot per table, memoizing its fetch. A fetch holds its slot's
+    /// lock, so a lazy provider loads each backing table once even when
+    /// workers race for it.
+    fetched: Vec<Mutex<Option<Arc<Table>>>>,
     cache: RwLock<HashMap<CandidateId, Arc<Column>>>,
 }
 
@@ -73,7 +74,10 @@ impl std::fmt::Debug for Materializer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materializer")
             .field("tables", &self.provider.len())
-            .field("fetched", &self.fetched.read().len())
+            .field(
+                "fetched",
+                &self.fetched.iter().filter(|s| s.lock().is_some()).count(),
+            )
             .field("cached_columns", &self.cache.read().len())
             .finish()
     }
@@ -91,8 +95,8 @@ impl Materializer {
     /// first use and memoized, so only candidate-bearing tables ever load.
     pub fn lazy(provider: Box<dyn TableProvider>) -> Materializer {
         Materializer {
+            fetched: (0..provider.len()).map(|_| Mutex::new(None)).collect(),
             provider,
-            fetched: RwLock::new(HashMap::new()),
             cache: RwLock::new(HashMap::new()),
         }
     }
@@ -103,13 +107,20 @@ impl Materializer {
     }
 
     /// Repository table by index, fetching through the provider on first
-    /// use (memoized; an eager materializer never really "loads").
+    /// use (memoized; an eager materializer never really "loads"). Callers
+    /// racing for the same table wait for one fetch; distinct tables load
+    /// concurrently.
     pub fn table(&self, idx: usize) -> metam_table::Result<Arc<Table>> {
-        if let Some(t) = self.fetched.read().get(&idx) {
+        let Some(slot) = self.fetched.get(idx) else {
+            // Out of range: the provider reports the error.
+            return self.provider.fetch(idx).map_err(TableError::Provider);
+        };
+        let mut slot = slot.lock();
+        if let Some(t) = &*slot {
             return Ok(Arc::clone(t));
         }
         let table = self.provider.fetch(idx).map_err(TableError::Provider)?;
-        self.fetched.write().insert(idx, Arc::clone(&table));
+        *slot = Some(Arc::clone(&table));
         Ok(table)
     }
 
@@ -299,5 +310,75 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "names must be unique: {names:?}");
+    }
+
+    /// Counts fetches per table and dawdles inside each, so racing
+    /// callers overlap.
+    struct CountingTables {
+        tables: Vec<Arc<Table>>,
+        fetches: Vec<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl TableProvider for CountingTables {
+        fn len(&self) -> usize {
+            self.tables.len()
+        }
+
+        fn fetch(&self, idx: usize) -> Result<Arc<Table>, String> {
+            let count = self.fetches.get(idx).ok_or("no such table")?;
+            count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            Ok(Arc::clone(&self.tables[idx]))
+        }
+    }
+
+    #[test]
+    fn racing_workers_fetch_each_table_once() {
+        let n = 6;
+        let tables: Vec<Arc<Table>> = (0..n)
+            .map(|t| {
+                let col = Column::from_floats(Some("x".into()), vec![Some(t as f64)]);
+                Arc::new(Table::from_columns(format!("t{t}"), vec![col]).unwrap())
+            })
+            .collect();
+        let provider = Arc::new(CountingTables {
+            tables,
+            fetches: (0..n).map(|_| 0.into()).collect(),
+        });
+
+        /// Shares the counting provider with the test after the
+        /// materializer takes its box.
+        struct Shared(Arc<CountingTables>);
+        impl TableProvider for Shared {
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn fetch(&self, idx: usize) -> Result<Arc<Table>, String> {
+                self.0.fetch(idx)
+            }
+        }
+
+        let mat = Materializer::lazy(Box::new(Shared(Arc::clone(&provider))));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let (mat, start) = (&mat, &start);
+                scope.spawn(move || {
+                    // All workers ask for the same tables in the same order.
+                    start.wait();
+                    for idx in 0..n {
+                        let table = mat.table(idx).unwrap();
+                        assert_eq!(table.name, format!("t{idx}"));
+                    }
+                });
+            }
+        });
+        let counts: Vec<usize> = provider
+            .fetches
+            .iter()
+            .map(|c| c.load(std::sync::atomic::Ordering::SeqCst))
+            .collect();
+        assert_eq!(counts, vec![1; n], "fetches per table");
+        assert!(mat.table(n).is_err(), "out-of-range index is an error");
     }
 }

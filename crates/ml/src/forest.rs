@@ -1,10 +1,16 @@
 //! Bagged random forests (the paper's default task model).
+//!
+//! [`RandomForest::fit`] ranks the dataset's features once and shares the
+//! ranks with every tree, which then searches splits by rank on its
+//! bootstrap sample (see [`crate::tree`]; ties between equal values break
+//! by bootstrap position, so fits are bit-identical to sorting each node's
+//! values).
 
 use rand::Rng;
 use rand::SeedableRng;
 
 use crate::dataset::MlDataset;
-use crate::tree::{DecisionTree, FeatureSampling, TreeConfig, TreeTask};
+use crate::tree::{DecisionTree, FeatureRanks, FeatureSampling, TreeConfig, TreeTask};
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +45,7 @@ impl RandomForest {
     /// Fit with bootstrap sampling and √-feature subsampling per split.
     pub fn fit(data: &MlDataset, task: TreeTask, config: RandomForestConfig) -> Self {
         let n = data.len();
+        let ranks = FeatureRanks::new(data);
         let mut trees = Vec::with_capacity(config.n_trees);
         for t in 0..config.n_trees {
             let mut rng =
@@ -48,8 +55,9 @@ impl RandomForest {
             } else {
                 (0..n).map(|_| rng.gen_range(0..n)).collect()
             };
-            trees.push(DecisionTree::fit_on(
+            trees.push(DecisionTree::fit_ranked(
                 data,
+                &ranks,
                 &indices,
                 task,
                 config.tree,
@@ -133,6 +141,71 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tree::oracle::{bits, generate, probe_rows};
+    use crate::tree::reference;
+    use proptest::prelude::*;
+
+    /// [`RandomForest::fit`] as it was before ranking: every tree sorts
+    /// its nodes' values itself (the oracle for the rank-keyed fit).
+    fn fit_reference(data: &MlDataset, task: TreeTask, config: RandomForestConfig) -> RandomForest {
+        let n = data.len();
+        let mut trees = Vec::with_capacity(config.n_trees);
+        for t in 0..config.n_trees {
+            let mut rng =
+                rand::rngs::StdRng::seed_from_u64(config.seed.wrapping_add(t as u64 * 0x9E37));
+            let indices: Vec<usize> = if n == 0 {
+                Vec::new()
+            } else {
+                (0..n).map(|_| rng.gen_range(0..n)).collect()
+            };
+            trees.push(reference::fit_on(
+                data,
+                &indices,
+                task,
+                config.tree,
+                FeatureSampling::Sqrt,
+                &mut rng,
+            ));
+        }
+        RandomForest {
+            trees,
+            task,
+            n_features: data.n_features(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn rank_keyed_forest_matches_reference(
+            n_features in 1usize..65,
+            n_classes in 0usize..5,
+            max_thresholds in prop_oneof![Just(1usize), Just(2), Just(16), Just(1000)],
+            min_samples_leaf in prop_oneof![Just(1usize), Just(2), Just(5)],
+            kind in 0usize..4,
+            seed: u64
+        ) {
+            let case = generate(n_features, n_classes, max_thresholds, min_samples_leaf, kind, seed);
+            let config = RandomForestConfig {
+                n_trees: 3,
+                tree: case.config,
+                seed,
+            };
+            let fast = RandomForest::fit(&case.data, case.task, config);
+            let slow = fit_reference(&case.data, case.task, config);
+            prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "forest structure");
+            let rows = probe_rows(&case.data);
+            prop_assert_eq!(
+                bits(&fast.predict_batch(&rows)),
+                bits(&slow.predict_batch(&rows)),
+                "predictions"
+            );
+            prop_assert_eq!(
+                bits(&fast.feature_importances()),
+                bits(&slow.feature_importances()),
+                "importances"
+            );
+        }
+    }
 
     fn linear_dataset(n: usize) -> MlDataset {
         // y = 1 iff 2*x0 + noise-free margin; feature 1 is noise.

@@ -4,6 +4,31 @@
 //! Candidate thresholds are capped per node so that a single utility query
 //! (one model fit) stays cheap even with thousands of queries per
 //! experiment. Feature subsampling per split is injected by the forest.
+//!
+//! # Rank-keyed split search
+//!
+//! Split search never sorts floats. Each feature is ranked once per
+//! dataset (`FeatureRanks`: a dense `u32` rank per row plus the sorted
+//! distinct values, in a total order where `-0.0` ties `0.0` and NaN sorts
+//! after every number). A tree addresses its rows by bootstrap *position*;
+//! every node owns a contiguous range of one position array, kept in
+//! ascending position order, and a split stable-partitions just that range
+//! with the `value <= threshold` predicate. At a node, each sampled
+//! feature's `(rank << 32) | position` keys are sorted once; one pass counts
+//! value boundaries (and sums regression totals), a second accumulates
+//! prefix statistics and evaluates only the boundaries the
+//! `max_thresholds` downsampling keeps. Buffers are reused across nodes.
+//!
+//! **Exactness contract.** The key order is exactly a stable sort of the
+//! node's values in position order: by value, ties broken by bootstrap
+//! position. Cut positions, downsampled thresholds, gains, the regression
+//! summation order and therefore every fitted tree are bit-identical to a
+//! per-node sort (the test-only `reference` builder, checked by the
+//! `oracle` property tests). Only NaN features differ from such a sort,
+//! which has no consistent order for them; they fit deterministically.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -77,14 +102,71 @@ pub enum FeatureSampling {
     Sqrt,
 }
 
-fn gini(counts: &[usize], total: usize) -> f64 {
+/// The total order ranks follow: numbers by value (so `-0.0` ties `0.0`),
+/// then every NaN, all tied.
+fn value_order(a: f64, b: f64) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+        (false, true) => Ordering::Less,
+        (true, false) => Ordering::Greater,
+        (true, true) => Ordering::Equal,
+    }
+}
+
+/// Every feature of a dataset ranked once: dense `u32` ranks per row plus
+/// the sorted distinct values, so trees compare ranks instead of sorting
+/// floats. Built once per forest and shared by all its trees. Rows and
+/// bootstrap positions are `u32`: a dataset fitted here holds fewer than
+/// 2^32 rows (each row is its own heap vector).
+pub(crate) struct FeatureRanks {
+    /// `ranks[f][row]`: dense rank of the row's value of feature `f`.
+    ranks: Vec<Vec<u32>>,
+    /// `values[f][r]`: the value of rank `r` (one representative of a tie,
+    /// e.g. one of `-0.0`/`0.0`; every comparison treats them alike).
+    values: Vec<Vec<f64>>,
+}
+
+impl FeatureRanks {
+    /// Rank every feature column of `data`.
+    pub(crate) fn new(data: &MlDataset) -> FeatureRanks {
+        let n_features = data.n_features();
+        let mut ranks = Vec::with_capacity(n_features);
+        let mut values = Vec::with_capacity(n_features);
+        let mut column: Vec<f64> = Vec::with_capacity(data.len());
+        let mut order: Vec<u32> = Vec::with_capacity(data.len());
+        for f in 0..n_features {
+            column.clear();
+            column.extend(data.features.iter().map(|row| row[f]));
+            order.clear();
+            order.extend(0..column.len() as u32);
+            order.sort_unstable_by(|&a, &b| value_order(column[a as usize], column[b as usize]));
+            let mut rank_of = vec![0u32; column.len()];
+            let mut distinct: Vec<f64> = Vec::new();
+            for &row in &order {
+                let v = column[row as usize];
+                if distinct
+                    .last()
+                    .is_none_or(|&last| value_order(last, v) != Ordering::Equal)
+                {
+                    distinct.push(v);
+                }
+                rank_of[row as usize] = distinct.len() as u32 - 1;
+            }
+            ranks.push(rank_of);
+            values.push(distinct);
+        }
+        FeatureRanks { ranks, values }
+    }
+}
+
+/// Gini impurity of class counts summing to `total`.
+fn gini(counts: impl Iterator<Item = usize>, total: usize) -> f64 {
     if total == 0 {
         return 0.0;
     }
     let t = total as f64;
     1.0 - counts
-        .iter()
-        .map(|&c| {
+        .map(|c| {
             let p = c as f64 / t;
             p * p
         })
@@ -99,11 +181,30 @@ fn variance(sum: f64, sum_sq: f64, n: usize) -> f64 {
     (sum_sq / nf - (sum / nf).powi(2)).max(0.0)
 }
 
-/// `(feature, threshold, left rows, right rows, gain)` of a chosen split.
-type SplitChoice = (usize, f64, Vec<usize>, Vec<usize>, f64);
-
+/// One tree's growth state. Rows are addressed by bootstrap *position*
+/// (`0..indices.len()`); every node owns a contiguous range of `order`,
+/// kept in ascending position order, and all buffers are reused across
+/// nodes.
 struct Builder<'a> {
-    data: &'a MlDataset,
+    /// Distinct values per feature (the dataset's [`FeatureRanks`]).
+    values: &'a [Vec<f64>],
+    /// `cols[f][pos]`: rank of feature `f` at bootstrap position `pos`.
+    cols: Vec<Vec<u32>>,
+    /// Target at each position.
+    ys: Vec<f64>,
+    /// Class index at each position (classification only).
+    classes: Vec<usize>,
+    /// Positions, partitioned in place as the tree splits.
+    order: Vec<u32>,
+    /// Right-hand side of a partition, copied back behind the left.
+    scratch: Vec<u32>,
+    /// `(rank << 32) | position` keys of one node and feature.
+    keys: Vec<u64>,
+    /// Class counts: per node, and the left prefix of a sweep.
+    counts: Vec<usize>,
+    left_counts: Vec<usize>,
+    /// Features sampled at the current node.
+    features: Vec<usize>,
     config: TreeConfig,
     task: TreeTask,
     sampling: FeatureSampling,
@@ -111,46 +212,51 @@ struct Builder<'a> {
     n_total: usize,
 }
 
-impl<'a> Builder<'a> {
-    fn node_impurity(&self, idx: &[usize]) -> f64 {
+impl Builder<'_> {
+    /// Impurity of the node, summed in position order.
+    fn node_impurity(&mut self, range: Range<usize>) -> f64 {
+        let n = range.len();
         match self.task {
             TreeTask::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes];
-                for &i in idx {
-                    let c = self.data.targets[i] as usize;
+                self.counts.clear();
+                self.counts.resize(n_classes, 0);
+                for &p in &self.order[range] {
+                    let c = self.classes[p as usize];
                     if c < n_classes {
-                        counts[c] += 1;
+                        self.counts[c] += 1;
                     }
                 }
-                gini(&counts, idx.len())
+                gini(self.counts.iter().copied(), n)
             }
             TreeTask::Regression => {
                 let (mut s, mut sq) = (0.0, 0.0);
-                for &i in idx {
-                    let y = self.data.targets[i];
+                for &p in &self.order[range] {
+                    let y = self.ys[p as usize];
                     s += y;
                     sq += y * y;
                 }
-                variance(s, sq, idx.len())
+                variance(s, sq, n)
             }
         }
     }
 
-    fn leaf_prediction(&self, idx: &[usize]) -> f64 {
+    fn leaf_prediction(&mut self, range: Range<usize>) -> f64 {
+        let n = range.len();
         match self.task {
             TreeTask::Classification { n_classes } => {
-                let mut counts = vec![0usize; n_classes.max(1)];
-                for &i in idx {
-                    let c = self.data.targets[i] as usize;
-                    if c < counts.len() {
-                        counts[c] += 1;
+                self.counts.clear();
+                self.counts.resize(n_classes.max(1), 0);
+                for &p in &self.order[range] {
+                    let c = self.classes[p as usize];
+                    if c < self.counts.len() {
+                        self.counts[c] += 1;
                     }
                 }
                 // First-max wins so ties (and empty nodes) predict the
                 // smallest class index deterministically.
                 let mut best_cls = 0usize;
                 let mut best_cnt = 0usize;
-                for (cls, &c) in counts.iter().enumerate() {
+                for (cls, &c) in self.counts.iter().enumerate() {
                     if c > best_cnt {
                         best_cnt = c;
                         best_cls = cls;
@@ -159,153 +265,212 @@ impl<'a> Builder<'a> {
                 best_cls as f64
             }
             TreeTask::Regression => {
-                if idx.is_empty() {
+                if n == 0 {
                     0.0
                 } else {
-                    idx.iter().map(|&i| self.data.targets[i]).sum::<f64>() / idx.len() as f64
+                    self.order[range]
+                        .iter()
+                        .map(|&p| self.ys[p as usize])
+                        .sum::<f64>()
+                        / n as f64
                 }
             }
         }
     }
 
-    /// Best split by a single sorted sweep per feature: prefix class counts
-    /// (classification) or prefix sums (regression) evaluate every
-    /// candidate threshold in O(n) after the sort, with no per-threshold
-    /// allocation — this is the hot path of every utility query.
-    fn best_split(&self, idx: &[usize], features: &[usize]) -> Option<SplitChoice> {
-        let n = idx.len();
-        let parent_impurity = self.node_impurity(idx);
+    /// Best `(feature, threshold, gain)` for the node, by one sorted sweep
+    /// per sampled feature — the hot path of every utility query.
+    ///
+    /// Sorting `(rank << 32) | position` keys orders the node by value with
+    /// ties by position, exactly as a stable sort of its values in position
+    /// order would. Pass 1 counts the value boundaries (and sums the
+    /// regression totals in that order); pass 2 accumulates prefix
+    /// statistics and evaluates only the boundaries kept by the
+    /// `max_thresholds` downsampling.
+    fn best_split(
+        &mut self,
+        range: Range<usize>,
+        parent_impurity: f64,
+        features: &[usize],
+    ) -> Option<(usize, f64, f64)> {
+        let n = range.len();
         let n_classes = match self.task {
             TreeTask::Classification { n_classes } => n_classes.max(1),
             TreeTask::Regression => 0,
         };
-        // (feature, threshold, gain) — rows partitioned once at the end.
+        let Builder {
+            values,
+            cols,
+            ys,
+            classes,
+            order,
+            keys,
+            counts,
+            left_counts,
+            config,
+            ..
+        } = self;
+        let node = &order[range];
+        if n_classes > 0 {
+            counts.clear();
+            counts.resize(n_classes, 0);
+            for &p in node {
+                let c = classes[p as usize];
+                if c < n_classes {
+                    counts[c] += 1;
+                }
+            }
+        }
         let mut best: Option<(usize, f64, f64)> = None;
-        let mut sorted: Vec<(f64, f64)> = Vec::with_capacity(n);
 
         for &f in features {
-            sorted.clear();
-            sorted.extend(
-                idx.iter()
-                    .map(|&i| (self.data.features[i][f], self.data.targets[i])),
+            let col = &cols[f];
+            keys.clear();
+            keys.extend(
+                node.iter()
+                    .map(|&p| (u64::from(col[p as usize]) << 32) | u64::from(p)),
             );
-            sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-            if sorted[0].0 == sorted[n - 1].0 {
+            keys.sort_unstable();
+            let rank = |i: usize| (keys[i] >> 32) as usize;
+            let position = |i: usize| keys[i] as u32 as usize;
+
+            // Pass 1: value boundaries, and regression totals.
+            let boundaries = (1..n).filter(|&i| rank(i - 1) != rank(i)).count();
+            if boundaries == 0 {
                 continue; // constant feature
             }
-            // Candidate cut positions: boundaries between distinct values,
-            // evenly downsampled to max_thresholds.
-            let mut cuts: Vec<usize> = (1..n).filter(|&i| sorted[i - 1].0 < sorted[i].0).collect();
-            if cuts.len() > self.config.max_thresholds {
-                let step = cuts.len() as f64 / self.config.max_thresholds as f64;
-                cuts = (0..self.config.max_thresholds)
-                    .map(|k| cuts[(k as f64 * step) as usize])
-                    .collect();
-            }
-
-            // Sweep with incremental statistics.
-            let mut left_counts = vec![0usize; n_classes];
-            let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
-            // Totals.
-            let mut total_counts = vec![0usize; n_classes];
             let (mut total_sum, mut total_sq) = (0.0f64, 0.0f64);
-            if n_classes > 0 {
-                for &(_, y) in &sorted {
-                    let c = y as usize;
-                    if c < n_classes {
-                        total_counts[c] += 1;
-                    }
-                }
-            } else {
-                for &(_, y) in &sorted {
+            if n_classes == 0 {
+                for i in 0..n {
+                    let y = ys[position(i)];
                     total_sum += y;
                     total_sq += y * y;
                 }
             }
+            // Boundary ordinals to evaluate: all of them, or
+            // `max_thresholds` of them evenly downsampled.
+            let (n_cuts, step) = if boundaries > config.max_thresholds {
+                let step = boundaries as f64 / config.max_thresholds as f64;
+                (config.max_thresholds, Some(step))
+            } else {
+                (boundaries, None)
+            };
+            if n_cuts == 0 {
+                continue;
+            }
+            let ordinal = |k: usize| step.map_or(k, |step| (k as f64 * step) as usize);
 
-            let mut pos = 0usize;
-            for &cut in &cuts {
-                // Advance the prefix to `cut`.
-                while pos < cut {
-                    let y = sorted[pos].1;
-                    if n_classes > 0 {
-                        let c = y as usize;
-                        if c < n_classes {
-                            left_counts[c] += 1;
-                        }
-                    } else {
-                        left_sum += y;
-                        left_sq += y * y;
+            // Pass 2: prefix statistics, evaluated at the kept boundaries.
+            left_counts.clear();
+            left_counts.resize(n_classes, 0);
+            let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
+            let mut boundary = 0usize;
+            let mut evaluated = 0usize;
+            let mut next = ordinal(0);
+            for cut in 1..n {
+                let p = position(cut - 1);
+                if n_classes > 0 {
+                    let c = classes[p];
+                    if c < n_classes {
+                        left_counts[c] += 1;
                     }
-                    pos += 1;
+                } else {
+                    let y = ys[p];
+                    left_sum += y;
+                    left_sq += y * y;
+                }
+                if rank(cut - 1) == rank(cut) {
+                    continue;
+                }
+                let this = boundary;
+                boundary += 1;
+                if this != next {
+                    continue;
+                }
+                evaluated += 1;
+                if evaluated < n_cuts {
+                    next = ordinal(evaluated);
                 }
                 let left_n = cut;
                 let right_n = n - cut;
-                if left_n < self.config.min_samples_leaf || right_n < self.config.min_samples_leaf {
-                    continue;
+                if left_n >= config.min_samples_leaf && right_n >= config.min_samples_leaf {
+                    let weighted = if n_classes > 0 {
+                        let right = counts.iter().zip(left_counts.iter()).map(|(&t, &l)| t - l);
+                        (left_n as f64 * gini(left_counts.iter().copied(), left_n)
+                            + right_n as f64 * gini(right, right_n))
+                            / n as f64
+                    } else {
+                        (left_n as f64 * variance(left_sum, left_sq, left_n)
+                            + right_n as f64
+                                * variance(total_sum - left_sum, total_sq - left_sq, right_n))
+                            / n as f64
+                    };
+                    let gain = parent_impurity - weighted;
+                    if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                        let distinct = &values[f];
+                        let threshold = (distinct[rank(cut - 1)] + distinct[rank(cut)]) / 2.0;
+                        best = Some((f, threshold, gain));
+                    }
                 }
-                let weighted = if n_classes > 0 {
-                    let right_counts: Vec<usize> = total_counts
-                        .iter()
-                        .zip(&left_counts)
-                        .map(|(&t, &l)| t - l)
-                        .collect();
-                    (left_n as f64 * gini(&left_counts, left_n)
-                        + right_n as f64 * gini(&right_counts, right_n))
-                        / n as f64
-                } else {
-                    (left_n as f64 * variance(left_sum, left_sq, left_n)
-                        + right_n as f64
-                            * variance(total_sum - left_sum, total_sq - left_sq, right_n))
-                        / n as f64
-                };
-                let gain = parent_impurity - weighted;
-                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                    let threshold = (sorted[cut - 1].0 + sorted[cut].0) / 2.0;
-                    best = Some((f, threshold, gain));
+                if evaluated == n_cuts {
+                    break;
                 }
             }
         }
-
-        let (f, threshold, gain) = best?;
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for &i in idx {
-            if self.data.features[i][f] <= threshold {
-                left.push(i);
-            } else {
-                right.push(i);
-            }
-        }
-        Some((f, threshold, left, right, gain))
+        best
     }
 
-    fn build<R: Rng>(&mut self, idx: &[usize], depth: usize, rng: &mut R) -> Node {
-        if depth >= self.config.max_depth
-            || idx.len() < self.config.min_samples_split
-            || self.node_impurity(idx) < 1e-12
-        {
+    /// Stable-partition the node's positions by `value <= threshold` on
+    /// `feature`; returns the size of the left part.
+    fn partition(&mut self, range: Range<usize>, feature: usize, threshold: f64) -> usize {
+        // Distinct values ascend (NaN last), so the predicate holds for a
+        // prefix of ranks.
+        let bound = self.values[feature].partition_point(|&v| v <= threshold) as u32;
+        let col = &self.cols[feature];
+        self.scratch.clear();
+        let mut left_end = range.start;
+        for i in range.clone() {
+            let p = self.order[i];
+            if col[p as usize] < bound {
+                self.order[left_end] = p;
+                left_end += 1;
+            } else {
+                self.scratch.push(p);
+            }
+        }
+        self.order[left_end..range.end].copy_from_slice(&self.scratch);
+        left_end - range.start
+    }
+
+    fn build<R: Rng>(&mut self, range: Range<usize>, depth: usize, rng: &mut R) -> Node {
+        if depth >= self.config.max_depth || range.len() < self.config.min_samples_split {
             return Node::Leaf {
-                prediction: self.leaf_prediction(idx),
+                prediction: self.leaf_prediction(range),
             };
         }
-        let all: Vec<usize> = (0..self.data.n_features()).collect();
-        let features: Vec<usize> = match self.sampling {
-            FeatureSampling::All => all,
-            FeatureSampling::Sqrt => {
-                let k = ((all.len() as f64).sqrt().ceil() as usize).clamp(1, all.len());
-                let mut pool = all;
-                pool.shuffle(rng);
-                pool.truncate(k);
-                pool.sort_unstable(); // deterministic evaluation order
-                pool
-            }
-        };
-        match self.best_split(idx, &features) {
-            Some((feature, threshold, left, right, gain)) => {
-                self.importances[feature] += gain * idx.len() as f64 / self.n_total as f64;
-                let left_node = self.build(&left, depth + 1, rng);
-                let right_node = self.build(&right, depth + 1, rng);
+        let parent_impurity = self.node_impurity(range.clone());
+        if parent_impurity < 1e-12 {
+            return Node::Leaf {
+                prediction: self.leaf_prediction(range),
+            };
+        }
+        let mut features = std::mem::take(&mut self.features);
+        features.clear();
+        features.extend(0..self.cols.len());
+        if self.sampling == FeatureSampling::Sqrt {
+            let k = ((features.len() as f64).sqrt().ceil() as usize).clamp(1, features.len());
+            features.shuffle(rng);
+            features.truncate(k);
+            features.sort_unstable(); // deterministic evaluation order
+        }
+        let split = self.best_split(range.clone(), parent_impurity, &features);
+        self.features = features;
+        match split {
+            Some((feature, threshold, gain)) => {
+                self.importances[feature] += gain * range.len() as f64 / self.n_total as f64;
+                let mid = range.start + self.partition(range.clone(), feature, threshold);
+                let left_node = self.build(range.start..mid, depth + 1, rng);
+                let right_node = self.build(mid..range.end, depth + 1, rng);
                 Node::Split {
                     feature,
                     threshold,
@@ -314,7 +479,7 @@ impl<'a> Builder<'a> {
                 }
             }
             None => Node::Leaf {
-                prediction: self.leaf_prediction(idx),
+                prediction: self.leaf_prediction(range),
             },
         }
     }
@@ -330,15 +495,47 @@ impl DecisionTree {
         sampling: FeatureSampling,
         rng: &mut R,
     ) -> Self {
+        let ranks = FeatureRanks::new(data);
+        Self::fit_ranked(data, &ranks, indices, task, config, sampling, rng)
+    }
+
+    /// [`DecisionTree::fit_on`] over ranks already computed for `data`
+    /// (a forest ranks its dataset once for all of its trees).
+    pub(crate) fn fit_ranked<R: Rng>(
+        data: &MlDataset,
+        ranks: &FeatureRanks,
+        indices: &[usize],
+        task: TreeTask,
+        config: TreeConfig,
+        sampling: FeatureSampling,
+        rng: &mut R,
+    ) -> Self {
+        let ys: Vec<f64> = indices.iter().map(|&i| data.targets[i]).collect();
         let mut builder = Builder {
-            data,
+            values: &ranks.values,
+            cols: ranks
+                .ranks
+                .iter()
+                .map(|rank_of| indices.iter().map(|&i| rank_of[i]).collect())
+                .collect(),
+            classes: match task {
+                TreeTask::Classification { .. } => ys.iter().map(|&y| y as usize).collect(),
+                TreeTask::Regression => Vec::new(),
+            },
+            ys,
+            order: (0..indices.len() as u32).collect(),
+            scratch: Vec::new(),
+            keys: Vec::with_capacity(indices.len()),
+            counts: Vec::new(),
+            left_counts: Vec::new(),
+            features: Vec::new(),
             config,
             task,
             sampling,
             importances: vec![0.0; data.n_features()],
             n_total: indices.len().max(1),
         };
-        let root = builder.build(indices, 0, rng);
+        let root = builder.build(0..indices.len(), 0, rng);
         DecisionTree {
             root,
             task,
@@ -402,6 +599,11 @@ impl DecisionTree {
         count(&self.root)
     }
 }
+
+#[cfg(test)]
+pub(crate) mod oracle;
+#[cfg(test)]
+pub(crate) mod reference;
 
 #[cfg(test)]
 mod tests {

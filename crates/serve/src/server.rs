@@ -248,6 +248,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
 /// exist so the loop can observe the stop flag.
 fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
@@ -285,7 +286,7 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
         if !complete {
             continue;
         }
-        let reply = if oversized {
+        let mut reply = if oversized {
             oversized = false;
             error_reply(&ServeError::new(
                 ErrorKind::Oversized,
@@ -302,9 +303,11 @@ fn connection_loop(shared: &Arc<Shared>, stream: TcpStream) {
             }
             handle_line(shared, &text)
         };
+        // One write per reply: a separate newline write would sit behind
+        // Nagle until the client's delayed ACK.
+        reply.push('\n');
         if writer
             .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush())
             .is_err()
         {

@@ -481,8 +481,7 @@ fn cmd_request(args: &[String]) -> CliResult<()> {
     }
     let mut stream = std::net::TcpStream::connect(addr)
         .map_err(|e| bad(format!("cannot connect to {addr}: {e}")))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     stream.flush()?;
     let mut reply = String::new();
     BufReader::new(&stream).read_line(&mut reply)?;

@@ -16,8 +16,9 @@ use metam::{
 };
 use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
 
-/// The trace sink is process-global; tests that install one take this lock
-/// so parallel test threads never see each other's lines.
+/// The trace sink is process-global; every test that installs one or runs
+/// pipeline code takes this lock so parallel test threads never see each
+/// other's lines.
 static SINK_LOCK: Mutex<()> = Mutex::new(());
 
 /// An in-memory `Write` sink the test keeps a handle on.
@@ -190,6 +191,8 @@ fn parallel_metam_is_bit_identical_to_sequential() {
 /// bit-identical across thread counts too (including an oversized pool).
 #[test]
 fn parallel_uniform_is_bit_identical_to_sequential() {
+    // Its pipeline spans would land in a sink another test installed.
+    let _guard = SINK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let method = Method::Uniform { seed: 7 };
     let seq = {
         let prepared = howto_prepared(1);
