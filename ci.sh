@@ -9,6 +9,9 @@ cargo fmt --check
 echo "== cargo clippy (workspace) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (workspace, warnings are errors: no dangling intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== metam-analyze: workspace invariants (determinism / passivity / panic-freedom) =="
 cargo run -q -p metam-analyze -- --workspace
 

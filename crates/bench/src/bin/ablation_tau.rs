@@ -4,7 +4,7 @@
 //! improving augmentation — fewer queries per round, larger solutions
 //! (the paper reports ≈9 augmentations relaxed vs 2 minimal).
 
-use metam::{Metam, MetamConfig};
+use metam::{Metam, MetamConfig, NoopObserver};
 use metam_bench::{save_json, Args, TableReport};
 
 fn main() {
@@ -47,7 +47,7 @@ fn main() {
             seed: args.seed,
             ..Default::default()
         };
-        let r = Metam::new(cfg).run(&prepared.inputs());
+        let r = Metam::new(cfg).run(&prepared.inputs(), &mut NoopObserver);
         table.push_row(vec![
             label.to_string(),
             format!("{:.3}", r.utility),

@@ -3,7 +3,7 @@
 //! uses 100; `--quick` shrinks both instances and budgets).
 
 use metam::core::trace::utility_at;
-use metam::{run_method, Method};
+use metam::{run_method, Method, NoopObserver};
 use metam_bench::{query_grid, save_json, Args, Panel, Series};
 
 fn averaged_panel(
@@ -34,7 +34,7 @@ fn averaged_panel(
             Method::Uniform { seed: seed ^ inst },
         ];
         for (mi, m) in methods.iter().enumerate() {
-            let r = run_method(m, &prepared.inputs(), None, budget);
+            let r = run_method(m, &prepared.inputs(), None, budget, &mut NoopObserver);
             for (gi, &q) in grid.iter().enumerate() {
                 sums[mi][gi] += utility_at(&r.trace, q);
             }

@@ -1,5 +1,5 @@
 //! Figure 7: adding informative *task-specific* profiles (ARDA feature
-//! importance [37]) accelerates Metam further; generic-profile Metam is
+//! importance \[37\]) accelerates Metam further; generic-profile Metam is
 //! also plotted for the paper's "fewer queries with specialized profiles"
 //! comparison.
 

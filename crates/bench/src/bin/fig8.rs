@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 
 use metam::core::engine::QueryEngine;
 use metam::datagen::supervised::{build_supervised, SupervisedConfig};
-use metam::{Metam, MetamConfig, StopReason};
+use metam::{Metam, MetamConfig, NoopObserver, StopReason};
 use metam_bench::{save_json, Args, Panel, Series};
 
 /// Queries Metam needs to reach the 70 % ground-truth lift.
@@ -46,7 +46,7 @@ fn queries_to_ground_truth(scenario: metam::datagen::Scenario, seed: u64, budget
         seed,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     if result.stop_reason == StopReason::ThetaReached {
         result.queries
     } else {

@@ -2,7 +2,7 @@
 //! classification and clustering. Reports queries-to-target per method —
 //! the paper's "Metam in 4 queries, MW in 10, others > 40" style numbers.
 
-use metam::{run_method, MetamConfig, Method};
+use metam::{run_method, MetamConfig, Method, NoopObserver};
 use metam_bench::{save_json, Args, TableReport};
 
 fn row_for(prepared: &metam::Prepared, theta: f64, budget: usize, seed: u64) -> Vec<String> {
@@ -18,7 +18,13 @@ fn row_for(prepared: &metam::Prepared, theta: f64, budget: usize, seed: u64) -> 
     methods
         .iter()
         .map(|m| {
-            let r = run_method(m, &prepared.inputs(), Some(theta), budget);
+            let r = run_method(
+                m,
+                &prepared.inputs(),
+                Some(theta),
+                budget,
+                &mut NoopObserver,
+            );
             if r.utility >= theta {
                 format!("{} q (u={:.2})", r.queries, r.utility)
             } else {

@@ -16,7 +16,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use metam::core::task::LinearSyntheticTask;
-use metam::{run_method, Method, Prepared, RunResult, Task};
+use metam::{run_method, Method, NoopObserver, Prepared, RunResult, Task};
 use metam_bench::synthetic::scaled_fixture;
 use metam_bench::{inputs_with_task, save_json, Args, TableReport};
 use metam_table::Table;
@@ -54,7 +54,7 @@ fn timed_run(
     fixture.threads = threads;
     let inputs = inputs_with_task(fixture, task);
     let start = Instant::now();
-    let result = run_method(method, &inputs, None, budget);
+    let result = run_method(method, &inputs, None, budget, &mut NoopObserver);
     (result, start.elapsed().as_secs_f64())
 }
 

@@ -2,7 +2,7 @@
 //! (four causal tasks, two predictive-analytics tasks) for Metam, MW,
 //! Overlap and Uniform.
 
-use metam::{run_method, Method};
+use metam::{run_method, Method, NoopObserver};
 use metam_bench::{save_json, Args, TableReport};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         ];
         let mut row = vec![name.to_string()];
         for m in &methods {
-            let r = run_method(m, &prepared.inputs(), None, budget);
+            let r = run_method(m, &prepared.inputs(), None, budget, &mut NoopObserver);
             row.push(format!("{:.2}", r.utility));
             dump.push((name.to_string(), r.method.clone(), r.utility, r.queries));
         }

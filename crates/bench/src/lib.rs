@@ -15,10 +15,7 @@ use std::path::PathBuf;
 
 use metam::core::engine::SearchInputs;
 use metam::core::trace::{resample, TracePoint};
-use metam::{
-    run_method, run_method_with_observer, Method, Prepared, QueryEvent, RunObserver, RunResult,
-    StopReason,
-};
+use metam::{run_method, Method, Prepared, QueryEvent, RunObserver};
 use serde::Serialize;
 
 /// Command-line arguments shared by all experiment binaries.
@@ -227,15 +224,13 @@ pub fn query_grid(budget: usize, points: usize) -> Vec<usize> {
 }
 
 /// A [`RunObserver`] that rebuilds the utility-vs-queries trajectory from
-/// the per-query event stream — one point per counted task query — plus
-/// the stop reason. Observation is passive, so the recorded points are
-/// bit-identical to the engine's own trace.
+/// the per-query event stream — one point per counted task query.
+/// Observation is passive, so the recorded points are bit-identical to the
+/// engine's own trace.
 #[derive(Debug, Default)]
 pub struct TrajectoryRecorder {
     /// `(queries, best utility so far)` after every counted query.
     pub points: Vec<TracePoint>,
-    /// Why the search stopped, once it has.
-    pub stop_reason: Option<StopReason>,
 }
 
 impl RunObserver for TrajectoryRecorder {
@@ -244,10 +239,6 @@ impl RunObserver for TrajectoryRecorder {
             queries: event.query,
             utility: event.best_utility,
         });
-    }
-
-    fn on_finish(&mut self, stop_reason: StopReason) {
-        self.stop_reason = Some(stop_reason);
     }
 }
 
@@ -266,23 +257,13 @@ pub fn run_methods(
         .iter()
         .map(|m| {
             let mut recorder = TrajectoryRecorder::default();
-            let r = run_method_with_observer(m, &prepared.inputs(), theta, budget, &mut recorder);
+            let r = run_method(m, &prepared.inputs(), theta, budget, &mut recorder);
             Series {
                 label: r.method.clone(),
                 points: resample(&recorder.points, grid),
             }
         })
         .collect()
-}
-
-/// Run a single method and return the raw result (for query-count tables).
-pub fn run_one(
-    prepared: &Prepared,
-    method: &Method,
-    theta: Option<f64>,
-    budget: usize,
-) -> RunResult {
-    run_method(method, &prepared.inputs(), theta, budget)
 }
 
 /// Borrow a `SearchInputs` with a synthetic task override — used by the
@@ -341,7 +322,7 @@ mod tests {
             .prepare()
             .expect("scenario sessions are infallible");
         let mut recorder = TrajectoryRecorder::default();
-        let observed = run_method_with_observer(
+        let observed = run_method(
             &Method::Overlap,
             &prepared.inputs(),
             None,
@@ -350,12 +331,18 @@ mod tests {
         );
         // One point per counted query, bit-identical to the engine's trace.
         assert_eq!(recorder.points, observed.trace);
-        assert!(recorder.stop_reason.is_some());
         // Observation is passive: the unobserved run is identical.
-        let plain = run_method(&Method::Overlap, &prepared.inputs(), None, 40);
+        let plain = run_method(
+            &Method::Overlap,
+            &prepared.inputs(),
+            None,
+            40,
+            &mut metam::NoopObserver,
+        );
         assert_eq!(plain.queries, observed.queries);
         assert_eq!(plain.selected, observed.selected);
         assert_eq!(plain.utility, observed.utility);
+        assert_eq!(plain.stop_reason, observed.stop_reason);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Synthetic large-scale fixtures for the scalability experiments
-//! (Fig. 6 and the criterion benches).
+//! (Fig. 6 and the `search` bench).
 //!
 //! Real model fits would drown the framework costs being measured, so
 //! these fixtures use a cheap [`LinearSyntheticTask`] and candidates that
@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use metam::core::task::LinearSyntheticTask;
 use metam::discovery::{Candidate, JoinPath, Materializer};
+use metam::NoopObserver;
 use metam::Prepared;
 use metam_table::{Column, Table};
 
@@ -105,7 +106,7 @@ pub fn scaled_fixture(
 /// Run one method for a fixed query budget and return wall-clock seconds.
 pub fn time_method(fixture: &Prepared, method: &metam::Method, budget: usize) -> f64 {
     let start = std::time::Instant::now();
-    let r = metam::run_method(method, &fixture.inputs(), None, budget);
+    let r = metam::run_method(method, &fixture.inputs(), None, budget, &mut NoopObserver);
     let elapsed = start.elapsed().as_secs_f64();
     // Touch the result so the run cannot be optimized away.
     assert!(r.utility >= 0.0);

@@ -2,7 +2,7 @@
 //! # metam-causal
 //!
 //! Causal-inference substrate for the Metam reproduction, standing in for
-//! the `causal-learn` library the paper uses ([44]).
+//! the `causal-learn` library the paper uses (\[44\]).
 //!
 //! The paper's prescriptive tasks score utility as *the fraction of
 //! correctly identified causally-related attributes (p-value ≤ 0.05)*

@@ -1,4 +1,4 @@
-//! iARDA: ARDA [37] adapted to the interventional setting (§VI-A).
+//! iARDA: ARDA \[37\] adapted to the interventional setting (§VI-A).
 //!
 //! ARDA joins candidate features and ranks them by random-injection
 //! feature importance. iARDA queries augmentations in decreasing order of
@@ -12,9 +12,9 @@ use metam_ml::importance::injection_scores;
 use metam_ml::tree::TreeTask;
 use metam_table::sample::sample_indices;
 
-use crate::baselines::common::greedy_over_order_with_observer;
+use crate::baselines::common::greedy_over_order;
 use crate::engine::SearchInputs;
-use crate::observer::{NoopObserver, RunObserver};
+use crate::observer::RunObserver;
 use crate::runner::RunResult;
 
 /// Batch size for importance scoring.
@@ -95,27 +95,10 @@ pub fn arda_ranking(inputs: &SearchInputs<'_>, classification: bool, seed: u64) 
     order
 }
 
-/// Run the iARDA baseline: greedy querying in ARDA-importance order.
-pub fn run_iarda(
-    inputs: &SearchInputs<'_>,
-    theta: Option<f64>,
-    max_queries: usize,
-    classification: bool,
-    seed: u64,
-) -> RunResult {
-    run_iarda_with_observer(
-        inputs,
-        theta,
-        max_queries,
-        classification,
-        seed,
-        &mut NoopObserver,
-    )
-}
-
-/// [`run_iarda`] with streaming per-query callbacks (the importance-ranking
-/// phase itself spends no task queries and emits nothing).
-pub fn run_iarda_with_observer(
+/// Run the iARDA baseline: greedy querying in ARDA-importance order (the
+/// importance-ranking phase itself spends no task queries and emits
+/// nothing).
+pub(crate) fn run_iarda(
     inputs: &SearchInputs<'_>,
     theta: Option<f64>,
     max_queries: usize,
@@ -127,16 +110,14 @@ pub fn run_iarda_with_observer(
         let _span = metam_obs::span("baseline.arda_ranking", "iARDA");
         arda_ranking(inputs, classification, seed)
     };
-    let mut result =
-        greedy_over_order_with_observer(inputs, &order, theta, max_queries, "iARDA", observer);
-    result.method = "iARDA".to_string();
-    result
+    greedy_over_order(inputs, &order, theta, max_queries, "iARDA", observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -208,7 +189,7 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let r = run_iarda(&inputs, Some(0.65), 100, false, 0);
+        let r = run_iarda(&inputs, Some(0.65), 100, false, 0, &mut NoopObserver);
         assert!(r.utility >= 0.65, "u={}", r.utility);
         assert_eq!(r.method, "iARDA");
     }

@@ -6,27 +6,15 @@ use metam_discovery::CandidateId;
 
 use crate::engine::{QueryEngine, QueryPlan, SearchInputs, StopSearch};
 use crate::metam::StopReason;
-use crate::observer::{NoopObserver, QueryKind, RunObserver};
+use crate::observer::{QueryKind, RunObserver};
 use crate::runner::RunResult;
 
 /// Greedily query candidates in the given order: each candidate is tried as
 /// an extension of the current solution and kept iff utility strictly
-/// improves. Stops at θ, budget exhaustion, or end of order.
-pub fn greedy_over_order(
-    inputs: &SearchInputs<'_>,
-    order: &[CandidateId],
-    theta: Option<f64>,
-    max_queries: usize,
-    method: &str,
-) -> RunResult {
-    greedy_over_order_with_observer(inputs, order, theta, max_queries, method, &mut NoopObserver)
-}
-
-/// [`greedy_over_order`] with a streaming observer: per-query events flow
-/// from the shared engine, and the run's [`StopReason`] reaches
-/// [`RunObserver::on_finish`]. Observation is passive — the result is
-/// identical to an unobserved run.
-pub fn greedy_over_order_with_observer(
+/// improves. Stops at θ, budget exhaustion, or end of order. Per-query
+/// events flow from the shared engine to `observer`, and the run's
+/// [`StopReason`] reaches [`RunObserver::on_finish`].
+pub(crate) fn greedy_over_order(
     inputs: &SearchInputs<'_>,
     order: &[CandidateId],
     theta: Option<f64>,
@@ -34,7 +22,7 @@ pub fn greedy_over_order_with_observer(
     method: &str,
     observer: &mut dyn RunObserver,
 ) -> RunResult {
-    let mut engine = QueryEngine::with_observer(inputs, max_queries, observer);
+    let mut engine = QueryEngine::observed(inputs, max_queries, observer);
     engine.notify_search_start(inputs.candidates.len(), 0);
     let mut selected: BTreeSet<CandidateId> = BTreeSet::new();
     let mut utility = 0.0;
@@ -72,18 +60,9 @@ pub fn greedy_over_order_with_observer(
         Ok(())
     })();
     // Budget exhaustion just truncates the scan; the reason is still
-    // reported to the observer.
+    // reported.
     let reason = stop_reason_of(outcome, theta, utility);
-    engine.notify_finish(reason);
-
-    RunResult {
-        method: method.to_string(),
-        selected: selected.into_iter().collect(),
-        utility,
-        base_utility,
-        queries: engine.queries(),
-        trace: engine.trace().to_vec(),
-    }
+    engine.finish(method, selected, utility, base_utility, reason)
 }
 
 /// Why a baseline scan ended: θ if it got there, budget if the engine cut
@@ -106,6 +85,7 @@ pub(crate) fn stop_reason_of(
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -128,7 +108,7 @@ mod tests {
             threads: 1,
         };
         let order: Vec<usize> = (0..candidates.len()).collect();
-        let r = greedy_over_order(&inputs, &order, None, 1000, "test");
+        let r = greedy_over_order(&inputs, &order, None, 1000, "test", &mut NoopObserver);
         assert_eq!(r.selected, vec![2, 4]);
         assert!((r.utility - 0.6).abs() < 1e-9);
         assert!((r.base_utility - 0.1).abs() < 1e-9);
@@ -154,7 +134,7 @@ mod tests {
             threads: 1,
         };
         let order: Vec<usize> = (0..candidates.len()).collect();
-        let r = greedy_over_order(&inputs, &order, Some(0.55), 1000, "test");
+        let r = greedy_over_order(&inputs, &order, Some(0.55), 1000, "test", &mut NoopObserver);
         assert_eq!(r.selected.len(), 1, "first candidate already clears θ");
     }
 }

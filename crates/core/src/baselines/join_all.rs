@@ -4,48 +4,37 @@ use std::collections::BTreeSet;
 
 use crate::engine::{QueryEngine, SearchInputs};
 use crate::metam::StopReason;
-use crate::observer::{NoopObserver, RunObserver};
+use crate::observer::RunObserver;
 use crate::runner::RunResult;
 
 /// Augment `Din` with *all* candidates and query once. Cheap in queries,
 /// expensive in width, and vulnerable to irrelevant/erroneous columns —
 /// exactly the failure mode the paper describes.
-pub fn run_join_all(inputs: &SearchInputs<'_>, max_queries: usize) -> RunResult {
-    run_join_all_with_observer(inputs, max_queries, &mut NoopObserver)
-}
-
-/// [`run_join_all`] with streaming per-query callbacks.
-pub fn run_join_all_with_observer(
+pub(crate) fn run_join_all(
     inputs: &SearchInputs<'_>,
     max_queries: usize,
     observer: &mut dyn RunObserver,
 ) -> RunResult {
-    let mut engine = QueryEngine::with_observer(inputs, max_queries, observer);
+    let mut engine = QueryEngine::observed(inputs, max_queries, observer);
     engine.notify_search_start(inputs.candidates.len(), 0);
     let base = engine.base_utility();
     let base_utility = base.unwrap_or(0.0);
     let all: BTreeSet<usize> = (0..inputs.candidates.len()).collect();
     let joined = engine.utility_of(&all);
     let utility = joined.unwrap_or(base_utility);
-    engine.notify_finish(if base.is_err() || joined.is_err() {
+    let reason = if base.is_err() || joined.is_err() {
         StopReason::BudgetExhausted
     } else {
         StopReason::Exhausted
-    });
-    RunResult {
-        method: "JoinAll".to_string(),
-        selected: all.into_iter().collect(),
-        utility,
-        base_utility,
-        queries: engine.queries(),
-        trace: engine.trace().to_vec(),
-    }
+    };
+    engine.finish("JoinAll", all, utility, base_utility, reason)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::{LinearSyntheticTask, NonMonotoneTask};
 
     #[test]
@@ -67,7 +56,7 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let r = run_join_all(&inputs, 10);
+        let r = run_join_all(&inputs, 10, &mut NoopObserver);
         assert_eq!(r.queries, 2);
         assert_eq!(r.selected.len(), candidates.len());
     }
@@ -90,7 +79,7 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let r = run_join_all(&inputs, 10);
+        let r = run_join_all(&inputs, 10, &mut NoopObserver);
         assert!(r.utility < 0.5 + 0.3, "harmful columns drag the blob down");
     }
 }

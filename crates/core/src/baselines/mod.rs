@@ -12,14 +12,8 @@
 //! * [`join_all`] — Join-Everything, a single query with all candidates.
 
 pub mod arda;
-pub mod common;
+mod common;
 pub mod join_all;
 pub mod mw;
 pub mod overlap;
 pub mod uniform;
-
-pub use arda::{run_iarda, run_iarda_with_observer};
-pub use join_all::{run_join_all, run_join_all_with_observer};
-pub use mw::{run_mw, run_mw_with_observer};
-pub use overlap::{run_overlap, run_overlap_with_observer};
-pub use uniform::{run_uniform, run_uniform_with_observer};

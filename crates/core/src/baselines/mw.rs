@@ -1,5 +1,5 @@
 //! Randomized multiplicative-weights baseline (§III-A "Prediction from
-//! expert advice", [28]).
+//! expert advice", \[28\]).
 //!
 //! Each data profile is an *expert* that ranks candidates by its own value.
 //! Every round an expert is drawn with probability proportional to its
@@ -16,24 +16,14 @@ use rand::SeedableRng;
 
 use crate::baselines::common::stop_reason_of;
 use crate::engine::{QueryEngine, SearchInputs, StopSearch};
-use crate::observer::{NoopObserver, RunObserver};
+use crate::observer::RunObserver;
 use crate::runner::RunResult;
 
 /// Multiplicative update factor.
 const ETA: f64 = 0.3;
 
 /// Run the MW baseline.
-pub fn run_mw(
-    inputs: &SearchInputs<'_>,
-    theta: Option<f64>,
-    max_queries: usize,
-    seed: u64,
-) -> RunResult {
-    run_mw_with_observer(inputs, theta, max_queries, seed, &mut NoopObserver)
-}
-
-/// [`run_mw`] with streaming per-query callbacks.
-pub fn run_mw_with_observer(
+pub(crate) fn run_mw(
     inputs: &SearchInputs<'_>,
     theta: Option<f64>,
     max_queries: usize,
@@ -42,7 +32,7 @@ pub fn run_mw_with_observer(
 ) -> RunResult {
     let n = inputs.candidates.len();
     let l = inputs.profile_names.len().max(1);
-    let mut engine = QueryEngine::with_observer(inputs, max_queries, observer);
+    let mut engine = QueryEngine::observed(inputs, max_queries, observer);
     engine.notify_search_start(n, 0);
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
 
@@ -119,22 +109,15 @@ pub fn run_mw_with_observer(
         }
         Ok(())
     })();
-    engine.notify_finish(stop_reason_of(outcome, theta, utility));
-
-    RunResult {
-        method: "MW".to_string(),
-        selected: selected.into_iter().collect(),
-        utility,
-        base_utility,
-        queries: engine.queries(),
-        trace: engine.trace().to_vec(),
-    }
+    let reason = stop_reason_of(outcome, theta, utility);
+    engine.finish("MW", selected, utility, base_utility, reason)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -165,7 +148,7 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let r = run_mw(&inputs, Some(0.65), 100, 1);
+        let r = run_mw(&inputs, Some(0.65), 100, 1, &mut NoopObserver);
         assert!(r.selected.contains(&7), "selected={:?}", r.selected);
         assert!(r.utility >= 0.65);
     }
@@ -189,7 +172,7 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let r = run_mw(&inputs, Some(0.99), 1000, 2);
+        let r = run_mw(&inputs, Some(0.99), 1000, 2, &mut NoopObserver);
         assert_eq!(
             r.queries,
             candidates.len() + 1,

@@ -1,21 +1,16 @@
 //! Overlap-ranking baseline (§II-C "Join Path overlap ranking", as in
-//! S4 [14] and Ver [22]).
+//! S4 \[14\] and Ver \[22\]).
 
-use crate::baselines::common::greedy_over_order_with_observer;
+use crate::baselines::common::greedy_over_order;
 use crate::engine::SearchInputs;
-use crate::observer::{NoopObserver, RunObserver};
+use crate::observer::RunObserver;
 use crate::runner::RunResult;
 
 /// Query candidates in non-increasing order of join overlap with `Din`.
 ///
 /// Uses the `overlap` profile coordinate when the profile set computed one,
 /// otherwise the containment estimated at discovery time.
-pub fn run_overlap(inputs: &SearchInputs<'_>, theta: Option<f64>, max_queries: usize) -> RunResult {
-    run_overlap_with_observer(inputs, theta, max_queries, &mut NoopObserver)
-}
-
-/// [`run_overlap`] with streaming per-query callbacks.
-pub fn run_overlap_with_observer(
+pub(crate) fn run_overlap(
     inputs: &SearchInputs<'_>,
     theta: Option<f64>,
     max_queries: usize,
@@ -35,13 +30,14 @@ pub fn run_overlap_with_observer(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    greedy_over_order_with_observer(inputs, &order, theta, max_queries, "Overlap", observer)
+    greedy_over_order(inputs, &order, theta, max_queries, "Overlap", observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -67,7 +63,7 @@ mod tests {
         };
         // Budget of 1: only the top-overlap candidate gets queried, and it
         // must not be candidate 2.
-        let r = run_overlap(&inputs, None, 2);
+        let r = run_overlap(&inputs, None, 2, &mut NoopObserver);
         assert_eq!(r.queries, 2, "base + one candidate");
         assert!(!r.selected.contains(&2));
     }

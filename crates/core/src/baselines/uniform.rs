@@ -3,23 +3,13 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::baselines::common::greedy_over_order_with_observer;
+use crate::baselines::common::greedy_over_order;
 use crate::engine::SearchInputs;
-use crate::observer::{NoopObserver, RunObserver};
+use crate::observer::RunObserver;
 use crate::runner::RunResult;
 
 /// Query candidates in a seeded uniformly random order.
-pub fn run_uniform(
-    inputs: &SearchInputs<'_>,
-    theta: Option<f64>,
-    max_queries: usize,
-    seed: u64,
-) -> RunResult {
-    run_uniform_with_observer(inputs, theta, max_queries, seed, &mut NoopObserver)
-}
-
-/// [`run_uniform`] with streaming per-query callbacks.
-pub fn run_uniform_with_observer(
+pub(crate) fn run_uniform(
     inputs: &SearchInputs<'_>,
     theta: Option<f64>,
     max_queries: usize,
@@ -29,13 +19,14 @@ pub fn run_uniform_with_observer(
     let mut order: Vec<usize> = (0..inputs.candidates.len()).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     order.shuffle(&mut rng);
-    greedy_over_order_with_observer(inputs, &order, theta, max_queries, "Uniform", observer)
+    greedy_over_order(inputs, &order, theta, max_queries, "Uniform", observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -57,8 +48,8 @@ mod tests {
             task: &task,
             threads: 1,
         };
-        let a = run_uniform(&inputs, None, 50, 3);
-        let b = run_uniform(&inputs, None, 50, 3);
+        let a = run_uniform(&inputs, None, 50, 3, &mut NoopObserver);
+        let b = run_uniform(&inputs, None, 50, 3, &mut NoopObserver);
         assert_eq!(a.selected, b.selected);
         assert_eq!(a.queries, b.queries);
     }

@@ -2,7 +2,7 @@
 //!
 //! Gonzalez's farthest-point heuristic, run until every candidate lies
 //! within L∞ distance ε of its center. Lemma 2 bounds the number of centers
-//! by O(1/ε^l); the benches verify the linear-in-n runtime claim of Fig. 6.
+//! by O(1/ε^l); the `fig6` binary checks the linear-in-n runtime claim of Fig. 6.
 
 use metam_profile::linf_distance;
 

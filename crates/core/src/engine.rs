@@ -31,6 +31,7 @@ use metam_table::Table;
 
 use crate::metam::StopReason;
 use crate::observer::{QueryEvent, QueryKind, RoundEvent, RunObserver};
+use crate::runner::RunResult;
 use crate::task::Task;
 use crate::trace::TracePoint;
 
@@ -155,7 +156,7 @@ impl<'a> QueryEngine<'a> {
     /// counted query (from any method) raises
     /// [`RunObserver::on_query`]; round/start/finish notifications route
     /// through [`notify_round`](Self::notify_round) and friends.
-    pub fn with_observer(
+    pub fn observed(
         inputs: &'a SearchInputs<'a>,
         budget: usize,
         observer: &'a mut dyn RunObserver,
@@ -217,9 +218,18 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Forward "search ended" to the observer and the trace sink, and
-    /// flush this run's engine counters into the metrics registry.
-    pub fn notify_finish(&mut self, stop_reason: StopReason) {
+    /// End the search: forward the stop reason to the observer and the
+    /// trace sink, flush this run's engine counters into the metrics
+    /// registry, and package the outcome as a [`RunResult`] (the
+    /// Metam-only fields left `None`).
+    pub fn finish(
+        mut self,
+        method: &str,
+        selected: BTreeSet<CandidateId>,
+        utility: f64,
+        base_utility: f64,
+        stop_reason: StopReason,
+    ) -> RunResult {
         metam_obs::counter_add("engine.queries", self.queries as u64);
         metam_obs::counter_add("engine.cache_hits", self.cache_hits as u64);
         metam_obs::counter_add(
@@ -235,6 +245,18 @@ impl<'a> QueryEngine<'a> {
                 .int("queries_remaining", self.remaining())
                 .num("best_utility", self.best_utility)
                 .emit();
+        }
+        RunResult {
+            method: method.to_string(),
+            selected: selected.into_iter().collect(),
+            utility,
+            base_utility,
+            queries: self.queries,
+            budget: self.budget,
+            trace: self.trace,
+            stop_reason,
+            n_clusters: None,
+            certification_ignored: None,
         }
     }
 

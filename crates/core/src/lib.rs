@@ -30,7 +30,8 @@
 //!   assembly path every data source (synthetic scenario, CSV lake) uses,
 //! * [`minimal`] — the minimality post-check (Definition 6),
 //! * [`baselines`] — Uniform, Overlap, MW, iARDA and Join-Everything,
-//! * [`runner`] — a uniform interface running any method to a trace,
+//! * [`runner`] — [`run_method`], the one entry point running any method
+//!   (Metam or a baseline) under an observer into one [`RunResult`],
 //! * [`trace`] — trace points and curve resampling shared by the bench
 //!   harness.
 
@@ -52,9 +53,9 @@ pub mod trace;
 
 pub use cluster::{cluster_partition, Clustering};
 pub use engine::{QueryEngine, SearchInputs, StopSearch};
-pub use metam::{Metam, MetamConfig, MetamResult, StopReason};
+pub use metam::{Metam, MetamConfig, StopReason};
 pub use observer::{NoopObserver, QueryEvent, QueryKind, RoundEvent, RunObserver};
 pub use prepared::{assemble, AssembleOptions, Prepared, Repository};
-pub use runner::{run_method, run_method_with_observer, Method, RunResult};
+pub use runner::{run_method, Method, RunResult};
 pub use task::Task;
 pub use trace::{utility_at, TracePoint};

@@ -25,9 +25,9 @@ use crate::cluster::{cluster_partition, Clustering};
 use crate::engine::{QueryEngine, QueryPlan, SearchInputs, StopSearch};
 use crate::group::GroupState;
 use crate::minimal::identify_minimal;
-use crate::observer::{NoopObserver, QueryKind, RoundEvent, RunObserver};
+use crate::observer::{QueryKind, RoundEvent, RunObserver};
 use crate::quality::QualityModel;
-use crate::trace::TracePoint;
+use crate::runner::RunResult;
 
 /// Why the search ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,38 +124,6 @@ impl Default for MetamConfig {
     }
 }
 
-/// Outcome of one Metam run.
-#[derive(Debug, Clone)]
-pub struct MetamResult {
-    /// The selected (minimal) augmentation set, ascending ids.
-    pub selected: Vec<CandidateId>,
-    /// Utility of `Din` augmented with `selected`.
-    pub utility: f64,
-    /// Utility of the bare `Din`.
-    pub base_utility: f64,
-    /// Total task queries issued (including certification and minimality).
-    pub queries: usize,
-    /// The query budget the search ran under (`usize::MAX` = unbounded) —
-    /// kept on the result so callers can report spent/remaining budget
-    /// without re-threading the configuration.
-    pub budget: usize,
-    /// Best-utility-so-far trace.
-    pub trace: Vec<TracePoint>,
-    /// Number of clusters used.
-    pub n_clusters: usize,
-    /// Augmentations the monotonicity wrapper ignored.
-    pub certification_ignored: usize,
-    /// Why the search stopped.
-    pub stop_reason: StopReason,
-}
-
-impl MetamResult {
-    /// Budget left unspent; `usize::MAX` for an unbounded search.
-    pub fn queries_remaining(&self) -> usize {
-        crate::engine::remaining_budget(self.budget, self.queries)
-    }
-}
-
 /// The Metam search (Algorithm 1).
 #[derive(Debug, Clone, Default)]
 pub struct Metam {
@@ -169,21 +137,14 @@ impl Metam {
         Metam { config }
     }
 
-    /// Run goal-oriented discovery over the inputs.
-    pub fn run(&self, inputs: &SearchInputs<'_>) -> MetamResult {
-        self.run_with_observer(inputs, &mut NoopObserver)
-    }
-
-    /// [`run`](Self::run) with per-round streaming callbacks. Observation
-    /// is passive — the result is identical to an unobserved run.
-    pub fn run_with_observer(
-        &self,
-        inputs: &SearchInputs<'_>,
-        observer: &mut dyn RunObserver,
-    ) -> MetamResult {
+    /// Run goal-oriented discovery over the inputs, streaming per-query
+    /// and per-round callbacks to `observer`. Observation is passive —
+    /// pass [`NoopObserver`](crate::observer::NoopObserver) for an
+    /// unobserved run with an identical result.
+    pub fn run(&self, inputs: &SearchInputs<'_>, observer: &mut dyn RunObserver) -> RunResult {
         let cfg = &self.config;
         let n = inputs.candidates.len();
-        let mut engine = QueryEngine::with_observer(inputs, cfg.max_queries, observer);
+        let mut engine = QueryEngine::observed(inputs, cfg.max_queries, observer);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
 
         let mut clustering = if cfg.use_clustering {
@@ -254,18 +215,11 @@ impl Metam {
             }
         }
 
-        engine.notify_finish(reason);
-
-        MetamResult {
-            selected: final_set.into_iter().collect(),
-            utility: final_u,
-            base_utility: search.base_utility,
-            queries: engine.queries(),
-            budget: cfg.max_queries,
-            trace: engine.trace().to_vec(),
-            n_clusters: clustering.len(),
-            certification_ignored: engine.certification_ignored(),
-            stop_reason: reason,
+        let certification_ignored = engine.certification_ignored();
+        RunResult {
+            n_clusters: Some(clustering.len()),
+            certification_ignored: Some(certification_ignored),
+            ..engine.finish("Metam", final_set, final_u, search.base_utility, reason)
         }
     }
 }
@@ -543,13 +497,10 @@ fn homogeneity_ok(
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::{LinearSyntheticTask, NonMonotoneTask};
 
-    fn run_with_task(
-        n_ext: usize,
-        task: &dyn crate::task::Task,
-        config: MetamConfig,
-    ) -> MetamResult {
+    fn run_with_task(n_ext: usize, task: &dyn crate::task::Task, config: MetamConfig) -> RunResult {
         let (din, candidates, mat) = fixture(n_ext);
         // One synthetic profile proportional to candidate weight would be
         // cheating; use a mildly informative one instead.
@@ -567,7 +518,7 @@ mod tests {
             task,
             threads: 1,
         };
-        Metam::new(config).run(&inputs)
+        Metam::new(config).run(&inputs, &mut NoopObserver)
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub struct QueryEvent<'a> {
 /// use metam_core::observer::{RoundEvent, RunObserver};
 /// let mut rounds = 0usize;
 /// let mut observer = |_e: &RoundEvent<'_>| rounds += 1;
-/// // `&mut observer` can now be passed to `Metam::run_with_observer`.
+/// // `&mut observer` can now be passed to `Metam::run` or `run_method`.
 /// let _: &mut dyn RunObserver = &mut observer;
 /// ```
 pub trait RunObserver {
@@ -133,7 +133,8 @@ pub trait RunObserver {
     }
 }
 
-/// The do-nothing observer behind `Metam::run`.
+/// The do-nothing observer: pass `&mut NoopObserver` to run a search
+/// unobserved.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 

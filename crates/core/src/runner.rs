@@ -3,10 +3,14 @@
 
 use metam_discovery::CandidateId;
 
-use crate::baselines;
+use crate::baselines::arda::run_iarda;
+use crate::baselines::join_all::run_join_all;
+use crate::baselines::mw::run_mw;
+use crate::baselines::overlap::run_overlap;
+use crate::baselines::uniform::run_uniform;
 use crate::engine::SearchInputs;
-use crate::metam::{Metam, MetamConfig};
-use crate::observer::{NoopObserver, RunObserver};
+use crate::metam::{Metam, MetamConfig, StopReason};
+use crate::observer::RunObserver;
 use crate::trace::TracePoint;
 
 /// A method the harness can run.
@@ -62,27 +66,39 @@ pub struct RunResult {
     pub utility: f64,
     /// Utility of the bare `Din`.
     pub base_utility: f64,
-    /// Queries spent.
+    /// Task queries spent (for Metam including certification and
+    /// minimality).
     pub queries: usize,
-    /// Best-utility trace.
+    /// The query budget the search ran under (`usize::MAX` = unbounded) —
+    /// kept on the result so callers can report spent/remaining budget
+    /// without re-threading the configuration.
+    pub budget: usize,
+    /// Best-utility-so-far trace.
     pub trace: Vec<TracePoint>,
+    /// Why the search stopped.
+    pub stop_reason: StopReason,
+    /// Clusters Metam searched over (`None` for baselines, which do not
+    /// cluster).
+    pub n_clusters: Option<usize>,
+    /// Augmentations Metam's monotonicity wrapper ignored (`None` for
+    /// baselines, which do not certify).
+    pub certification_ignored: Option<usize>,
 }
 
-/// Run `method` with the given θ and query budget.
+impl RunResult {
+    /// Budget left unspent; `usize::MAX` for an unbounded search.
+    pub fn queries_remaining(&self) -> usize {
+        crate::engine::remaining_budget(self.budget, self.queries)
+    }
+}
+
+/// Run `method` with the given θ and query budget, streaming callbacks to
+/// `observer`: every method (Metam and all baselines) raises per-query
+/// [`QueryEvent`](crate::observer::QueryEvent)s through the shared engine,
+/// plus `on_search_start`/`on_finish`. Observation is passive — pass
+/// [`NoopObserver`](crate::observer::NoopObserver) for an unobserved run
+/// with an identical result.
 pub fn run_method(
-    method: &Method,
-    inputs: &SearchInputs<'_>,
-    theta: Option<f64>,
-    max_queries: usize,
-) -> RunResult {
-    run_method_with_observer(method, inputs, theta, max_queries, &mut NoopObserver)
-}
-
-/// [`run_method`] with streaming callbacks: every method (Metam and all
-/// baselines) raises per-query [`QueryEvent`](crate::observer::QueryEvent)s
-/// through the shared engine, plus `on_search_start`/`on_finish`.
-/// Observation is passive — results are identical to [`run_method`].
-pub fn run_method_with_observer(
     method: &Method,
     inputs: &SearchInputs<'_>,
     theta: Option<f64>,
@@ -94,37 +110,16 @@ pub fn run_method_with_observer(
             let mut cfg = config.clone();
             cfg.theta = theta;
             cfg.max_queries = max_queries;
-            let r = Metam::new(cfg).run_with_observer(inputs, observer);
-            RunResult {
-                method: "Metam".to_string(),
-                selected: r.selected,
-                utility: r.utility,
-                base_utility: r.base_utility,
-                queries: r.queries,
-                trace: r.trace,
-            }
+            Metam::new(cfg).run(inputs, observer)
         }
-        Method::Uniform { seed } => {
-            baselines::run_uniform_with_observer(inputs, theta, max_queries, *seed, observer)
-        }
-        Method::Overlap => {
-            baselines::run_overlap_with_observer(inputs, theta, max_queries, observer)
-        }
-        Method::Mw { seed } => {
-            baselines::run_mw_with_observer(inputs, theta, max_queries, *seed, observer)
-        }
+        Method::Uniform { seed } => run_uniform(inputs, theta, max_queries, *seed, observer),
+        Method::Overlap => run_overlap(inputs, theta, max_queries, observer),
+        Method::Mw { seed } => run_mw(inputs, theta, max_queries, *seed, observer),
         Method::IArda {
             classification,
             seed,
-        } => baselines::run_iarda_with_observer(
-            inputs,
-            theta,
-            max_queries,
-            *classification,
-            *seed,
-            observer,
-        ),
-        Method::JoinAll => baselines::run_join_all_with_observer(inputs, max_queries, observer),
+        } => run_iarda(inputs, theta, max_queries, *classification, *seed, observer),
+        Method::JoinAll => run_join_all(inputs, max_queries, observer),
     }
 }
 
@@ -132,6 +127,7 @@ pub fn run_method_with_observer(
 mod tests {
     use super::*;
     use crate::engine::test_fixtures::fixture;
+    use crate::observer::NoopObserver;
     use crate::task::LinearSyntheticTask;
 
     #[test]
@@ -164,8 +160,11 @@ mod tests {
             Method::JoinAll,
         ];
         for m in &methods {
-            let r = run_method(m, &inputs, Some(0.65), 60);
+            let r = run_method(m, &inputs, Some(0.65), 60, &mut NoopObserver);
             assert!(r.queries <= 60, "{} overspent: {}", r.method, r.queries);
+            assert_eq!(r.budget, 60);
+            assert_eq!(r.queries_remaining(), 60 - r.queries);
+            assert_eq!(r.n_clusters.is_some(), m.name() == "Metam");
             assert!(r.utility >= r.base_utility - 1e-9 || m.name() == "JoinAll");
             assert!(!r.trace.is_empty(), "{} must record a trace", r.method);
         }
@@ -210,8 +209,15 @@ mod tests {
             &inputs,
             Some(0.75),
             200,
+            &mut NoopObserver,
         );
-        let uniform = run_method(&Method::Uniform { seed: 5 }, &inputs, Some(0.75), 200);
+        let uniform = run_method(
+            &Method::Uniform { seed: 5 },
+            &inputs,
+            Some(0.75),
+            200,
+            &mut NoopObserver,
+        );
         assert!(metam.utility >= 0.75);
         assert!(
             metam.queries <= uniform.queries,

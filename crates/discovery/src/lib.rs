@@ -2,7 +2,7 @@
 //! # metam-discovery
 //!
 //! The data-discovery substrate: a join-path index standing in for Aurum
-//! [12], which the paper uses to generate candidate augmentations
+//! \[12\], which the paper uses to generate candidate augmentations
 //! (§II-C "Preliminaries").
 //!
 //! Pipeline:

@@ -101,7 +101,7 @@ impl MinHash {
 
     /// Estimated containment of `self`'s set in `other`'s set
     /// (`|A ∩ B| / |A|`), derived from the Jaccard estimate and exact
-    /// cardinalities — the Lazo-style coupled estimation [17].
+    /// cardinalities — the Lazo-style coupled estimation \[17\].
     pub fn containment_in(&self, other: &MinHash) -> f64 {
         if self.cardinality == 0 {
             return 0.0;

@@ -32,6 +32,7 @@
 //!
 //! ```no_run
 //! use metam_core::prepared::{assemble, AssembleOptions};
+//! use metam_core::{Metam, NoopObserver};
 //! use metam_lake::{parse_task, prepare::repository_tables, LakeCatalog};
 //! use metam_profile::default_profiles;
 //!
@@ -44,7 +45,7 @@
 //!     din, tables, target_column, parsed.task,
 //!     &default_profiles(), &AssembleOptions::default(),
 //! );
-//! let result = metam_core::Metam::default().run(&prepared.inputs());
+//! let result = Metam::default().run(&prepared.inputs(), &mut NoopObserver);
 //! # Ok::<(), metam_lake::LakeError>(())
 //! ```
 

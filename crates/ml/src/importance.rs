@@ -1,6 +1,6 @@
 //! Feature importance, including ARDA-style random injection.
 //!
-//! ARDA [37] ranks candidate features by fitting a model after *injecting*
+//! ARDA \[37\] ranks candidate features by fitting a model after *injecting*
 //! random noise features: a real feature matters only if its importance
 //! beats the best noise feature. The `iARDA` baseline and Fig. 7's
 //! task-specific profiles are built on [`injection_scores`].

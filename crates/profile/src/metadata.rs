@@ -1,5 +1,5 @@
 //! Metadata/attribute profile (§II-C): syntactic similarity of names and
-//! sources, the Ver-style signal [22].
+//! sources, the Ver-style signal \[22\].
 
 use crate::embedding::tokenize;
 use crate::profile::{Profile, ProfileContext};

@@ -1,7 +1,7 @@
 //! Task-specific (ARDA feature-importance) profile for Fig. 7.
 //!
 //! The paper shows Metam accelerates further when given *informative,
-//! task-specific* profiles from ARDA [37]: here, the forest feature
+//! task-specific* profiles from ARDA \[37\]: here, the forest feature
 //! importance of the augmentation when appended to `Din`'s features.
 
 use metam_ml::dataset::{encode_table, TargetKind};

@@ -2,7 +2,7 @@
 //!
 //! A union candidate contributes *rows* instead of columns. Tables are
 //! aligned by column name; columns missing on either side are padded with
-//! nulls so the union is total (union search systems like [15] tolerate
+//! nulls so the union is total (union search systems like \[15\] tolerate
 //! partial schema overlap).
 
 use crate::column::Column;

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example causal_whatif`
 
-use metam::{Metam, MetamConfig, Session};
+use metam::{Metam, MetamConfig, NoopObserver, Session};
 
 fn main() {
     let seed = 3;
@@ -35,7 +35,7 @@ fn main() {
         seed,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
 
     println!(
         "\nrecovered {:.0}% of the affected attributes in {} queries ({:?})",

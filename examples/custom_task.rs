@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example custom_task`
 
-use metam::{Metam, MetamConfig, Session, Task};
+use metam::{Metam, MetamConfig, NoopObserver, Session, Task};
 use metam_table::Table;
 
 /// Utility = average over augmented columns of
@@ -80,7 +80,7 @@ fn main() {
         seed,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
 
     println!(
         "custom utility: {:.3} → {:.3} in {} queries ({:?})",

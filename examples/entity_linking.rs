@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example entity_linking`
 
-use metam::{run_method, MetamConfig, Method, Session};
+use metam::{run_method, MetamConfig, Method, NoopObserver, Session};
 
 fn main() {
     let seed = 11;
@@ -36,7 +36,13 @@ fn main() {
         Method::Uniform { seed },
     ];
     for method in &methods {
-        let r = run_method(method, &prepared.inputs(), Some(0.95), 200);
+        let r = run_method(
+            method,
+            &prepared.inputs(),
+            Some(0.95),
+            200,
+            &mut NoopObserver,
+        );
         println!(
             "{:<10} {:>9.3} {:>9.3} {:>8}",
             r.method, r.base_utility, r.utility, r.queries
@@ -51,6 +57,7 @@ fn main() {
         &prepared.inputs(),
         Some(0.95),
         200,
+        &mut NoopObserver,
     );
     println!("\nMetam's disambiguating augmentation:");
     for &id in &r.selected {

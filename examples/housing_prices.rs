@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example housing_prices`
 
-use metam::{run_method, MetamConfig, Method, Session};
+use metam::{run_method, MetamConfig, Method, NoopObserver, Session};
 
 fn main() {
     let seed = 7;
@@ -37,7 +37,7 @@ fn main() {
         Method::Uniform { seed },
     ];
     for method in &methods {
-        let r = run_method(method, &prepared.inputs(), theta, budget);
+        let r = run_method(method, &prepared.inputs(), theta, budget, &mut NoopObserver);
         let names: Vec<&str> = r
             .selected
             .iter()
@@ -66,6 +66,7 @@ fn main() {
         &prepared.inputs(),
         theta,
         budget,
+        &mut NoopObserver,
     );
     for &id in &r.selected {
         let c = &prepared.candidates[id];

@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example lake_discovery`
 
 use metam::lake::{export_scenario, LakeCatalog};
-use metam::{Metam, MetamConfig, Session};
+use metam::{Metam, MetamConfig, NoopObserver, Session};
 
 fn main() {
     let dir = std::env::temp_dir().join(format!("metam-lake-example-{}", std::process::id()));
@@ -50,7 +50,7 @@ fn main() {
         seed: 7,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
 
     println!(
         "utility {:.3} (base {:.3}) | {} queries used, {} remaining | {:?}",

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use metam::{Metam, MetamConfig, Session};
+use metam::{Metam, MetamConfig, NoopObserver, Session};
 
 fn main() {
     // 1. A scenario: Din = housing table; repository = crime/taxi/Walmart
@@ -36,7 +36,7 @@ fn main() {
         max_queries: 400,
         ..Default::default()
     };
-    let result = Metam::new(config).run(&prepared.inputs());
+    let result = Metam::new(config).run(&prepared.inputs(), &mut NoopObserver);
 
     println!(
         "\nutility: {:.3} → {:.3} in {} task queries ({:?})",

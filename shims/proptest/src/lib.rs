@@ -1,8 +1,8 @@
 //! Minimal stand-in for `proptest` (offline build).
 //!
 //! Implements the subset this workspace's property tests use: the
-//! [`Strategy`] trait with `prop_map`, range/`Just`/pattern/tuple/vec
-//! strategies, weighted `prop_oneof!`, `any::<T>()` via [`Arbitrary`], and
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, range/`Just`/pattern/tuple/vec
+//! strategies, weighted `prop_oneof!`, `any::<T>()` via [`Arbitrary`](arbitrary::Arbitrary), and
 //! the `proptest!`/`prop_assert*` macros. Each property runs a fixed number
 //! of deterministically seeded cases (no shrinking; the failing case's seed
 //! and inputs are reported through the panic message).
@@ -312,7 +312,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,

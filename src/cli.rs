@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `discover` runs the full goal-oriented pipeline over the lake through
-//! [`Session`](crate::session::Session): per-round progress streams to
-//! stderr via a [`RunObserver`](crate::session::RunObserver) while the
+//! [`Session`]: per-round progress streams to
+//! stderr via a [`RunObserver`] while the
 //! search is in flight, and the final [`RunReport`] prints as text or — with
 //! `--json` — as a machine-readable payload for scripting and bench
 //! harnesses.

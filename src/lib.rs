@@ -79,8 +79,8 @@ pub use metam_table as table;
 pub use metam_tasks as tasks;
 
 pub use metam_core::{
-    run_method, run_method_with_observer, Metam, MetamConfig, MetamResult, Method, NoopObserver,
-    Prepared, QueryEvent, QueryKind, RoundEvent, RunObserver, RunResult, StopReason, Task,
+    run_method, Metam, MetamConfig, Method, NoopObserver, Prepared, QueryEvent, QueryKind,
+    RoundEvent, RunObserver, RunResult, StopReason, Task,
 };
 pub use metam_table::Table;
 pub use session::{RunReport, Session, SessionError};

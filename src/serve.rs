@@ -3,7 +3,7 @@
 //!
 //! `metam-serve` is deliberately session-agnostic (it sits below this
 //! crate and cannot depend on [`Session`]); this module closes the loop by
-//! wiring a [`DiscoverFn`] that builds a session over the daemon's shared
+//! wiring a [`DiscoverFn`](metam_serve::server::DiscoverFn) that builds a session over the daemon's shared
 //! hot catalog for every admitted `discover` request. Both the `metam
 //! serve` CLI subcommand and the protocol tests start daemons through
 //! [`start`], so they exercise exactly the same handler.

@@ -47,7 +47,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use metam_core::prepared::{assemble, AssembleOptions};
-use metam_core::{run_method_with_observer, Metam, Method, Task};
+use metam_core::{run_method, MetamConfig, Method, Task};
 use metam_datagen::Scenario;
 use metam_discovery::path::PathConfig;
 use metam_lake::{parse_task, LakeCatalog, LakeError};
@@ -336,45 +336,22 @@ impl Session {
 
         let search_start = Instant::now();
         let search_span = metam_obs::span("session.search", method.name());
-        let mut stop_reason = None;
-        let mut n_clusters = None;
-        let mut certification_ignored = None;
         let mut noop = NoopObserver;
         let obs: &mut dyn RunObserver = match observer.as_deref_mut() {
             Some(o) => o,
             None => &mut noop,
         };
-        let result = match method {
-            Method::Metam(mut config) => {
-                config.theta = theta;
-                config.max_queries = budget;
-                config.seed = seed;
-                let r = Metam::new(config).run_with_observer(&prepared.inputs(), obs);
-                stop_reason = Some(r.stop_reason);
-                n_clusters = Some(r.n_clusters);
-                certification_ignored = Some(r.certification_ignored);
-                metam_core::RunResult {
-                    method: "Metam".to_string(),
-                    selected: r.selected,
-                    utility: r.utility,
-                    base_utility: r.base_utility,
-                    queries: r.queries,
-                    trace: r.trace,
-                }
-            }
-            other => {
-                let reseeded = match other {
-                    Method::Uniform { .. } => Method::Uniform { seed },
-                    Method::Mw { .. } => Method::Mw { seed },
-                    Method::IArda { classification, .. } => Method::IArda {
-                        classification,
-                        seed,
-                    },
-                    m => m,
-                };
-                run_method_with_observer(&reseeded, &prepared.inputs(), theta, budget, obs)
-            }
+        let method = match method {
+            Method::Metam(config) => Method::Metam(MetamConfig { seed, ..config }),
+            Method::Uniform { .. } => Method::Uniform { seed },
+            Method::Mw { .. } => Method::Mw { seed },
+            Method::IArda { classification, .. } => Method::IArda {
+                classification,
+                seed,
+            },
+            m @ (Method::Overlap | Method::JoinAll) => m,
         };
+        let result = run_method(&method, &prepared.inputs(), theta, budget, obs);
         drop(search_span);
         let search_secs = search_start.elapsed().as_secs_f64();
 
@@ -394,10 +371,10 @@ impl Session {
             utility: result.utility,
             base_utility: result.base_utility,
             queries: result.queries,
-            budget,
-            stop_reason,
-            n_clusters,
-            certification_ignored,
+            budget: result.budget,
+            stop_reason: Some(result.stop_reason),
+            n_clusters: result.n_clusters,
+            certification_ignored: result.certification_ignored,
             trace: result.trace,
             threads: prepared.threads,
             prepare_secs,

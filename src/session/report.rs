@@ -33,8 +33,8 @@ pub struct RunReport {
     pub queries: usize,
     /// The query budget the run was given (`usize::MAX` = unbounded).
     pub budget: usize,
-    /// Why the search stopped (`None` for baselines, which do not report
-    /// a structured stop reason).
+    /// Why the search stopped. `Session::run` sets it for every method
+    /// (Metam and the baselines); `None` only on hand-built reports.
     pub stop_reason: Option<StopReason>,
     /// Clusters used by Metam (`None` for baselines).
     pub n_clusters: Option<usize>,
@@ -158,6 +158,7 @@ impl serde::Serialize for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metam_obs::json::{self, Value};
 
     fn report() -> RunReport {
         RunReport {
@@ -194,19 +195,43 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_and_complete() {
-        let json = report().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"method\":\"Metam\""));
-        assert!(json.contains("\"queries\":7"));
-        assert!(json.contains("\"budget\":30"));
-        assert!(json.contains("\"queries_remaining\":23"));
-        assert!(json.contains("\"stop_reason\":\"theta reached (target utility met)\""));
-        assert!(json.contains("\"selected\":[{\"id\":1,\"name\":\"a \\\"q\\\"\"}"));
-        assert!(json.contains("\"trace\":[[1,0.5],[7,0.9]]"));
-        assert!(json.contains("\"threads\":1"));
-        // Must survive the shim's pretty-printer (i.e. be parseable JSON
-        // as far as the shim's tokenizer is concerned).
-        assert!(serde_json::to_string_pretty(&report()).is_ok());
+        let mut r = report();
+        let tricky = "a \"q\" \\ \u{1} café→";
+        r.selected_names[0] = tricky.into();
+        let compact = r.to_json();
+        // The form `metam discover --json` prints.
+        let pretty = serde_json::to_string_pretty(&r).expect("the shim writer is infallible");
+        for text in [&compact, &pretty] {
+            let v = json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            let num = |key: &str| v.get(key).and_then(Value::as_f64);
+            assert_eq!(v.get("method").and_then(Value::as_str), Some("Metam"));
+            assert_eq!(num("queries"), Some(7.0));
+            assert_eq!(num("budget"), Some(30.0));
+            assert_eq!(num("queries_remaining"), Some(23.0));
+            assert_eq!(num("threads"), Some(1.0));
+            assert_eq!(
+                v.get("stop_reason").and_then(Value::as_str),
+                Some("theta reached (target utility met)")
+            );
+            let Some(Value::Arr(selected)) = v.get("selected") else {
+                panic!("selected is an array: {text}");
+            };
+            let decoded: Vec<_> = selected
+                .iter()
+                .map(|s| {
+                    (
+                        s.get("id").and_then(Value::as_f64),
+                        s.get("name").and_then(Value::as_str),
+                    )
+                })
+                .collect();
+            assert_eq!(decoded, [(Some(1.0), Some(tricky)), (Some(3.0), Some("b"))]);
+            let point = |q: f64, u: f64| Value::Arr(vec![Value::Num(q), Value::Num(u)]);
+            assert_eq!(
+                v.get("trace"),
+                Some(&Value::Arr(vec![point(1.0, 0.5), point(7.0, 0.9)]))
+            );
+        }
     }
 
     #[test]

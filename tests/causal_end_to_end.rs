@@ -3,7 +3,7 @@
 //! scale).
 
 use metam::Session;
-use metam::{run_method, Metam, MetamConfig, Method, StopReason};
+use metam::{run_method, Metam, MetamConfig, Method, NoopObserver, StopReason};
 use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
 
 fn whatif_scenario(seed: u64) -> metam::datagen::Scenario {
@@ -28,7 +28,7 @@ fn whatif_recovers_all_affected_attributes() {
         seed: 31,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert_eq!(
         result.stop_reason,
         StopReason::ThetaReached,
@@ -76,12 +76,14 @@ fn howto_beats_uniform_on_queries() {
         &prepared.inputs(),
         Some(1.0),
         budget,
+        &mut NoopObserver,
     );
     let uniform_r = run_method(
         &Method::Uniform { seed: 32 },
         &prepared.inputs(),
         Some(1.0),
         budget,
+        &mut NoopObserver,
     );
     assert!(
         metam_r.utility >= uniform_r.utility,
@@ -106,7 +108,7 @@ fn confounders_are_not_selected() {
         seed: 33,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     for &id in &result.selected {
         let table = &prepared.candidates[id].source_table;
         assert!(

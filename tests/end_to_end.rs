@@ -2,7 +2,7 @@
 //! scenarios, checking the paper's headline claims at test scale.
 
 use metam::Session;
-use metam::{run_method, Metam, MetamConfig, Method, StopReason};
+use metam::{run_method, Metam, MetamConfig, Method, NoopObserver, StopReason};
 use metam_datagen::supervised::{build_supervised, SupervisedConfig};
 
 fn small_classification(seed: u64) -> metam::datagen::Scenario {
@@ -29,7 +29,7 @@ fn metam_improves_utility_end_to_end() {
         seed: 1,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert!(
         result.utility > result.base_utility + 0.05,
         "expected a real lift: {} → {}",
@@ -51,7 +51,7 @@ fn metam_finds_planted_augmentations() {
         seed: 2,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     // At least one selected augmentation must be planted ground truth.
     assert!(
         result.selected.iter().any(|&id| relevance[id] > 0.0),
@@ -78,7 +78,7 @@ fn p1_solutions_are_small() {
         seed: 3,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert!(
         result.selected.len() <= 6,
         "solution should be small (P1): {} of {n}",
@@ -107,7 +107,7 @@ fn all_methods_produce_valid_traces() {
         Method::JoinAll,
     ];
     for m in &methods {
-        let r = run_method(m, &prepared.inputs(), None, 40);
+        let r = run_method(m, &prepared.inputs(), None, 40, &mut NoopObserver);
         assert!(r.queries <= 40, "{}: {}", r.method, r.queries);
         assert!(
             r.trace
@@ -140,8 +140,8 @@ fn runs_are_reproducible() {
         seed: 5,
         ..Default::default()
     };
-    let a = Metam::new(cfg.clone()).run(&prepared_a.inputs());
-    let b = Metam::new(cfg).run(&prepared_b.inputs());
+    let a = Metam::new(cfg.clone()).run(&prepared_a.inputs(), &mut NoopObserver);
+    let b = Metam::new(cfg).run(&prepared_b.inputs(), &mut NoopObserver);
     assert_eq!(a.selected, b.selected);
     assert_eq!(a.queries, b.queries);
     assert_eq!(a.utility, b.utility);
@@ -161,7 +161,7 @@ fn theta_run_is_minimal() {
         seed: 6,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     if result.stop_reason == StopReason::ThetaReached {
         let inputs = prepared.inputs();
         let mut engine = metam::core::engine::QueryEngine::new(&inputs, usize::MAX);

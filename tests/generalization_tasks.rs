@@ -2,7 +2,7 @@
 //! clustering, end to end through the full pipeline.
 
 use metam::Session;
-use metam::{run_method, Metam, MetamConfig, Method, StopReason};
+use metam::{run_method, Metam, MetamConfig, Method, NoopObserver, StopReason};
 
 #[test]
 fn entity_linking_found_in_few_queries() {
@@ -23,7 +23,7 @@ fn entity_linking_found_in_few_queries() {
         seed: 21,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert_eq!(
         result.stop_reason,
         StopReason::ThetaReached,
@@ -57,7 +57,7 @@ fn fair_classification_prefers_fair_useful_feature() {
         seed: 22,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert!(
         result.utility > result.base_utility + 0.04,
         "{} → {}",
@@ -94,7 +94,7 @@ fn clustering_finds_oni_quickly() {
         seed: 23,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert_eq!(
         result.stop_reason,
         StopReason::ThetaReached,
@@ -127,6 +127,7 @@ fn unions_task_improves_with_good_batches() {
         &prepared.inputs(),
         None,
         60,
+        &mut NoopObserver,
     );
     assert!(
         result.utility >= result.base_utility,

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use metam::lake::{export_scenario, LakeCatalog};
-use metam::{Metam, MetamConfig, Session};
+use metam::{Metam, MetamConfig, NoopObserver, Session};
 use metam_datagen::supervised::{build_supervised, SupervisedConfig};
 use metam_datagen::Scenario;
 
@@ -84,7 +84,7 @@ fn exported_lake_rediscovers_planted_candidates() {
         seed: 11,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
 
     assert!(
         result.utility >= result.base_utility,

@@ -11,8 +11,8 @@ use metam::discovery::CandidateId;
 use metam::obs;
 use metam::obs::json::{parse, Value};
 use metam::{
-    run_method, run_method_with_observer, MetamConfig, Method, QueryEvent, QueryKind, RoundEvent,
-    RunObserver, Session, StopReason,
+    run_method, MetamConfig, Method, NoopObserver, QueryEvent, QueryKind, RoundEvent, RunObserver,
+    Session, StopReason,
 };
 use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
 
@@ -115,14 +115,20 @@ fn instrumented_run_is_bit_identical_to_bare_run() {
         ..Default::default()
     });
 
-    // Bare: no observer, no sink — the engine runs untimed.
-    let bare = run_method(&method, &prepared.inputs(), Some(1.0), 250);
+    // Bare: the no-op observer and no trace sink.
+    let bare = run_method(
+        &method,
+        &prepared.inputs(),
+        Some(1.0),
+        250,
+        &mut NoopObserver,
+    );
 
     // Instrumented: every callback live AND a trace sink installed.
     let buf = SharedBuf::default();
     obs::install_writer(Box::new(buf.clone()));
     let mut rec = FullRecorder::default();
-    let observed = run_method_with_observer(&method, &prepared.inputs(), Some(1.0), 250, &mut rec);
+    let observed = run_method(&method, &prepared.inputs(), Some(1.0), 250, &mut rec);
     obs::flush();
     obs::disable();
 

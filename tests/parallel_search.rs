@@ -11,7 +11,7 @@ use metam::core::engine::SearchInputs;
 use metam::discovery::CandidateId;
 use metam::obs;
 use metam::{
-    run_method_with_observer, MetamConfig, Method, Prepared, QueryEvent, QueryKind, RunObserver,
+    run_method, MetamConfig, Method, NoopObserver, Prepared, QueryEvent, QueryKind, RunObserver,
     RunResult, Session, StopReason,
 };
 use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
@@ -160,8 +160,7 @@ fn parallel_metam_is_bit_identical_to_sequential() {
         let buf = SharedBuf::default();
         obs::install_writer(Box::new(buf.clone()));
         let mut rec = EventRecorder::default();
-        let result =
-            run_method_with_observer(&method, &prepared.inputs(), Some(1.0), 250, &mut rec);
+        let result = run_method(&method, &prepared.inputs(), Some(1.0), 250, &mut rec);
         obs::flush();
         obs::disable();
         runs.push((result, rec, scrub_timing(&buf.contents())));
@@ -196,23 +195,11 @@ fn parallel_uniform_is_bit_identical_to_sequential() {
     let method = Method::Uniform { seed: 7 };
     let seq = {
         let prepared = howto_prepared(1);
-        run_method_with_observer(
-            &method,
-            &prepared.inputs(),
-            None,
-            60,
-            &mut metam::NoopObserver,
-        )
+        run_method(&method, &prepared.inputs(), None, 60, &mut NoopObserver)
     };
     for threads in [3, 64] {
         let prepared = howto_prepared(threads);
-        let par = run_method_with_observer(
-            &method,
-            &prepared.inputs(),
-            None,
-            60,
-            &mut metam::NoopObserver,
-        );
+        let par = run_method(&method, &prepared.inputs(), None, 60, &mut NoopObserver);
         assert_bit_identical(&seq, &par, threads);
     }
 }

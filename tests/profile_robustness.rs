@@ -6,7 +6,7 @@ use metam::core::task::LinearSyntheticTask;
 use metam::profile::synthetic::FixedProfile;
 use metam::profile::ProfileSet;
 use metam::Session;
-use metam::{Metam, MetamConfig, StopReason};
+use metam::{Metam, MetamConfig, NoopObserver, StopReason};
 use metam_datagen::supervised::{build_supervised, SupervisedConfig};
 use metam_discovery::path::PathConfig;
 use metam_discovery::{generate_candidates, DiscoveryIndex, Materializer};
@@ -45,7 +45,7 @@ fn all_uninformative_profiles_still_find_solution() {
         seed: 41,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     assert!(
         result.utility > result.base_utility + 0.05,
         "{} → {}",
@@ -126,7 +126,7 @@ fn homogeneity_check_survives_lying_profiles() {
         seed: 9,
         ..Default::default()
     })
-    .run(&inputs);
+    .run(&inputs, &mut NoopObserver);
     assert_eq!(
         result.stop_reason,
         StopReason::ThetaReached,
@@ -159,14 +159,14 @@ fn homogeneity_check_cheap_when_clusters_honest() {
         seed: 43,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     let without_check = Metam::new(MetamConfig {
         max_queries: 200,
         check_homogeneity: false,
         seed: 43,
         ..Default::default()
     })
-    .run(&prepared.inputs());
+    .run(&prepared.inputs(), &mut NoopObserver);
     // Both must reach comparable utility; the probe is an overhead, not a
     // quality change.
     assert!(

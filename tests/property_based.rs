@@ -8,7 +8,7 @@ use metam::core::engine::{QueryEngine, SearchInputs};
 use metam::core::minimal::identify_minimal;
 use metam::core::task::{LinearSyntheticTask, NonMonotoneTask};
 use metam::core::trace::{resample, utility_at, TracePoint};
-use metam::{Metam, MetamConfig};
+use metam::{Metam, MetamConfig, NoopObserver};
 use metam_discovery::path::PathConfig;
 use metam_discovery::{generate_candidates, DiscoveryIndex, Materializer};
 use metam_table::{Column, Table};
@@ -98,7 +98,7 @@ proptest! {
         };
         let result = Metam::new(MetamConfig {
             max_queries: 200, seed, ..Default::default()
-        }).run(&inputs);
+        }).run(&inputs, &mut NoopObserver);
         prop_assert!(result.utility >= result.base_utility - 1e-12);
         let mut engine = QueryEngine::new(&inputs, usize::MAX);
         let set: BTreeSet<usize> = result.selected.iter().copied().collect();

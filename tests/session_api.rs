@@ -5,7 +5,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use metam::session::{RoundEvent, Session, SessionError};
-use metam::{MetamConfig, Method};
+use metam::{MetamConfig, Method, StopReason};
 
 fn tmp_lake(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("metam-session-{tag}-{}", std::process::id()));
@@ -245,10 +245,13 @@ fn baselines_run_without_metam_only_fields() {
         .run(Method::Uniform { seed: 4 })
         .expect("uniform run");
     assert_eq!(report.method, "Uniform");
-    assert!(report.stop_reason.is_none());
+    assert_eq!(report.stop_reason, Some(StopReason::BudgetExhausted));
     assert!(report.n_clusters.is_none());
+    assert!(report.certification_ignored.is_none());
     assert!(report.queries <= 60);
-    assert!(report.to_json().contains("\"stop_reason\":null"));
+    assert!(report
+        .to_json()
+        .contains("\"stop_reason\":\"budget exhausted (query limit hit)\""));
 }
 
 #[test]

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use metam::core::engine::{QueryEngine, SearchInputs};
 use metam::core::task::SetCoverTask;
-use metam::{Metam, MetamConfig, StopReason};
+use metam::{Metam, MetamConfig, NoopObserver, StopReason};
 use metam_discovery::path::PathConfig;
 use metam_discovery::{generate_candidates, DiscoveryIndex, Materializer};
 use metam_table::{Column, Table};
@@ -88,7 +88,7 @@ fn theorem3_reaches_theta_on_set_cover() {
         seed: 0,
         ..Default::default()
     })
-    .run(&inputs);
+    .run(&inputs, &mut NoopObserver);
     assert_eq!(
         result.stop_reason,
         StopReason::ThetaReached,
@@ -137,7 +137,7 @@ fn greedy_matches_submodular_bound() {
         minimality: false,
         ..Default::default()
     })
-    .run(&inputs);
+    .run(&inputs, &mut NoopObserver);
     // OPT = 1.0 (all 60 coverable); greedy bound (1 − 1/e) ≈ 0.632.
     assert!(
         result.utility >= 1.0 - 1.0 / std::f64::consts::E,
