@@ -32,7 +32,7 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== perfbench: smoke run (small lakes, same code paths and output checks) =="
 cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perf -- --quick
 
-echo "== ingestion bench (smoke: parallel scan + shard + .mtc cache asserts) =="
+echo "== ingestion bench (smoke: parallel scan + per-file record + .mtc cache asserts) =="
 cargo run --release -q -p metam-bench --bin ingestion -- --quick --out target/bench-smoke
 
 echo "== search bench (smoke: batched query execution determinism asserts) =="
@@ -49,6 +49,11 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
     --task classification:label --budget 60 --seed 7 --threads 2 \
     --trace "$TRACE_DIR/run.jsonl" >/dev/null
 ./target/release/metam trace-validate "$TRACE_DIR/run.jsonl"
+# The catalog is one record per file: .metam/ holds the columnar cache and
+# the sketch records, nothing else (no catalog*.tsv manifest).
+META_LISTING=$(ls -A "$TRACE_DIR/lake/.metam" | tr '\n' ' ')
+[ "$META_LISTING" = "cache sketches " ] || {
+    echo "trace smoke: unexpected .metam/ contents: $META_LISTING"; exit 1; }
 
 echo "== serve smoke: daemon answers status/discover over TCP, then drains =="
 SERVE_LOG="$TRACE_DIR/serve.log"
@@ -67,6 +72,9 @@ done
     '{"verb":"discover","lake":"lake","din":"din","task":"classification:label","seed":7,"budget":60}' \
     > "$TRACE_DIR/serve-discover.json"
 grep -q '"report":' "$TRACE_DIR/serve-discover.json"
+./target/release/metam request "$ADDR" '{"verb":"scan","lake":"lake"}' \
+    > "$TRACE_DIR/serve-scan.json"
+grep -q '"ok":true' "$TRACE_DIR/serve-scan.json"
 ./target/release/metam request "$ADDR" '{"verb":"shutdown"}' > /dev/null
 wait "$SERVE_PID"
 

@@ -25,9 +25,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use metam::core::prepared::{assemble, AssembleOptions};
-use metam::lake::prepare::{repository_descriptors, repository_tables};
+use metam::lake::prepare::repository_descriptors;
 use metam::lake::{parse_task, LakeCatalog};
 use metam::profile::default_profiles;
+use metam::Table;
 use metam_bench::{save_json, Args, TableReport};
 
 /// Tables that genuinely join the input dataset, whatever the lake size.
@@ -108,7 +109,11 @@ fn main() {
         assert_eq!(catalog.len(), n_tables + 1);
         let eager_start = Instant::now();
         let din = catalog.load_table("din").expect("din");
-        let tables = repository_tables(&catalog, &din, None).expect("repository");
+        let tables: Vec<Arc<Table>> = catalog
+            .repository_names(&[din.name.as_str()])
+            .iter()
+            .map(|name| Arc::new(catalog.load_table(name).expect("repository")))
+            .collect();
         let eager = assemble(
             din,
             tables,
@@ -125,7 +130,7 @@ fn main() {
         // Sketch path: descriptors from persisted records, payloads
         // lazily through the catalog — under fresh load counters.
         let catalog = Arc::new(LakeCatalog::scan(&dir).expect("rescan"));
-        assert_eq!(catalog.sketch_hits(), n_tables + 1, "records are warm");
+        assert_eq!(catalog.cache_hits(), n_tables + 1, "records are warm");
         let counters = catalog.load_counters();
         let sketch_counters = catalog.sketch_load_counters();
         let sketch_start = Instant::now();

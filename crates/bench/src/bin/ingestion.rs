@@ -1,5 +1,5 @@
-//! Lake ingestion benchmark: parallel scan vs sequential, shard rewrite
-//! granularity, and `.mtc` columnar-cache loads vs CSV re-parsing.
+//! Lake ingestion benchmark: parallel scan vs sequential, per-file record
+//! rewrites, and `.mtc` columnar-cache loads vs CSV re-parsing.
 //!
 //! Generates a many-file CSV lake (500 files; 60 with `--quick`), then
 //! measures and **asserts** the ingestion properties the lake layer
@@ -7,17 +7,19 @@
 //!
 //! 1. a cold parallel scan produces byte-identical catalog state to a
 //!    sequential scan (and beats it on wall-clock when >1 core is up),
-//! 2. a warm rescan is all cache hits and rewrites zero manifest shards,
-//! 3. touching one file re-profiles one file and rewrites one shard,
+//! 2. a warm rescan is all cache hits and rewrites no `.mks` record,
+//! 3. touching one file re-profiles one file and rewrites exactly its own
+//!    record,
 //! 4. repository loads deserialize from the columnar cache, not CSV.
 //!
 //! `--quick` is the CI smoke mode (run by `ci.sh`): small lake, all
 //! structural assertions, no timing assertions.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
+use std::time::{Instant, SystemTime};
 
-use metam::lake::{manifest, LakeCatalog, ScanOptions};
+use metam::lake::{sketch, LakeCatalog, ScanOptions};
+use metam::Table;
 use metam_bench::{save_json, Args, TableReport};
 
 /// Deterministic row data (tiny splitmix; no rand dependency needed).
@@ -48,6 +50,32 @@ fn generate_lake(dir: &Path, n_files: usize, n_rows: usize, seed: u64) {
 
 fn wipe_meta(dir: &Path) {
     let _ = std::fs::remove_dir_all(LakeCatalog::meta_dir(dir));
+}
+
+/// Every file's `.mks` record as (modification time, bytes), in catalog
+/// order: a record that was rewritten, or rewritten differently, shows up
+/// as a changed pair.
+fn records(catalog: &LakeCatalog) -> Vec<(SystemTime, Vec<u8>)> {
+    catalog
+        .entries()
+        .iter()
+        .map(|e| {
+            let path = sketch::sketch_path(catalog.root(), &e.file_name);
+            let mtime = std::fs::metadata(&path)
+                .and_then(|m| m.modified())
+                .expect("record mtime");
+            (mtime, std::fs::read(&path).expect("read record"))
+        })
+        .collect()
+}
+
+/// Every table of the catalog, loaded through the catalog.
+fn load_all(catalog: &LakeCatalog) -> Vec<Table> {
+    catalog
+        .repository_names(&[])
+        .iter()
+        .map(|name| catalog.load_table(name).expect("load"))
+        .collect()
 }
 
 fn timed_scan(dir: &Path, options: &ScanOptions) -> (LakeCatalog, f64) {
@@ -103,19 +131,23 @@ fn main() {
         );
     }
 
-    // 2. Warm rescan: all hits, no shard rewritten.
+    // 2. Warm rescan: all hits, no record rewritten.
+    let cold_records = records(&par_catalog);
     let (warm, warm_secs) = timed_scan(&dir, &ScanOptions::default());
     assert_eq!(warm.cache_hits(), n_files, "warm rescan is all cache hits");
     assert_eq!(warm.cache_misses(), 0);
-    assert_eq!(warm.shards_written(), 0, "unchanged lake rewrites nothing");
+    let warm_records = records(&warm);
+    assert!(
+        warm_records == cold_records,
+        "unchanged lake rewrites no record"
+    );
     println!(
-        "warm rescan: {warm_secs:.3}s, {}/{} hits, {} shard(s) rewritten",
+        "warm rescan: {warm_secs:.3}s, {}/{} hits",
         warm.cache_hits(),
         n_files,
-        warm.shards_written()
     );
 
-    // 3. Touch one file: one re-profile, one shard rewritten.
+    // 3. Touch one file: one re-profile, exactly its record rewritten.
     let touched = dir.join("t0000.csv");
     let mut text = std::fs::read_to_string(&touched).expect("read");
     text.push_str("z9999,1.0,1,extra\n");
@@ -123,28 +155,34 @@ fn main() {
     let (after_touch, _) = timed_scan(&dir, &ScanOptions::default());
     assert_eq!(after_touch.cache_misses(), 1, "only the touched file");
     assert_eq!(after_touch.cache_hits(), n_files - 1);
+    let rewritten: Vec<&str> = after_touch
+        .entries()
+        .iter()
+        .zip(records(&after_touch).iter().zip(&warm_records))
+        .filter(|(_, (now, before))| now != before)
+        .map(|(e, _)| e.file_name.as_str())
+        .collect();
     assert_eq!(
-        after_touch.shards_written(),
-        1,
-        "touching one file rewrites exactly its shard (of {})",
-        manifest::SHARD_COUNT
+        rewritten,
+        ["t0000.csv"],
+        "touching one file rewrites exactly its own record"
     );
 
     // 4. Repository loads: CSV re-parse (cache wiped) vs `.mtc` columns.
     let _ = std::fs::remove_dir_all(metam::lake::cache::cache_dir(&dir));
     let counters = after_touch.load_counters();
     let start = Instant::now();
-    let from_csv = after_touch.load_all_except(&[]).expect("load via CSV");
+    let from_csv = load_all(&after_touch);
     let csv_secs = start.elapsed().as_secs_f64();
     assert_eq!(counters.misses(), n_files, "wiped cache forces CSV parsing");
     // That pass healed the cache; the next load is columnar end to end.
     let start = Instant::now();
-    let from_mtc = after_touch.load_all_except(&[]).expect("load via .mtc");
+    let from_mtc = load_all(&after_touch);
     let mtc_secs = start.elapsed().as_secs_f64();
     assert_eq!(counters.hits(), n_files, "healed cache serves every load");
     assert_eq!(from_mtc.len(), from_csv.len());
     for (a, b) in from_mtc.iter().zip(&from_csv) {
-        assert_eq!(a.as_ref(), b.as_ref(), "cache must be value-identical");
+        assert_eq!(a, b, "cache must be value-identical");
     }
     println!(
         "load {} tables: csv {csv_secs:.3}s | .mtc {mtc_secs:.3}s | speedup {:.2}x",

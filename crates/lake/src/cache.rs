@@ -2,10 +2,10 @@
 //!
 //! Every profiled file's parsed [`Table`] is persisted as
 //! `<file name>.mtc` — a fingerprint prefix (file size + mtime, the same
-//! invalidation key the catalog manifest uses) followed by a
-//! [`metam_table::colbin`] payload. `LakeCatalog::load_table` /
-//! `load_all_except` deserialize columns straight from this cache instead
-//! of re-parsing CSV text on every discover run; a missing, stale,
+//! invalidation key the file's `.mks` catalog record uses) followed by a
+//! [`metam_table::colbin`] payload. `LakeCatalog::load_table`
+//! deserializes columns straight from this cache instead of re-parsing
+//! CSV text on every discover run; a missing, stale,
 //! truncated or corrupt cache file silently falls back to the CSV source
 //! (and is healed by the next write).
 

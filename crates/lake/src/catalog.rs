@@ -1,33 +1,32 @@
 //! [`LakeCatalog`]: scan a directory of CSVs into a persistent catalog.
 //!
 //! A scan walks `<root>` for `*.csv` files (sorted, deterministic) and
-//! profiles each one ([`ColumnStats`] per column). Changed files are
-//! profiled **in parallel** across scoped worker threads (worker count =
-//! available parallelism, overridable via `METAM_SCAN_THREADS` or
-//! [`ScanOptions`]); results merge back in file-name order, so manifests
-//! and cache counters are byte-identical with a sequential scan.
+//! fingerprints each one (size + mtime). A file whose `.mks` record
+//! ([`crate::sketch`]) carries the same fingerprint is a hit: its
+//! [`TableMeta`] is built from the record. Every other file is profiled
+//! ([`ColumnStats`] per column) **in parallel** across scoped worker
+//! threads (worker count = available parallelism, overridable via
+//! `METAM_SCAN_THREADS` or [`ScanOptions`]); results merge back in
+//! file-name order, so catalogs, records and cache counters are
+//! byte-identical with a sequential scan.
 //!
-//! Persistence lives under `<root>/.metam/`:
+//! Persistence lives under `<root>/.metam/`, one pair of files per lake
+//! file:
 //!
-//! * `catalog-<k>.tsv` — the manifest, sharded by file-name hash
-//!   ([`crate::manifest`]); a touched file rewrites one shard, not the
-//!   whole catalog. A legacy single-file `catalog.tsv` migrates
-//!   transparently on the next scan.
-//! * `cache/<file>.mtc` — each profiled table serialized in the binary
-//!   columnar format ([`crate::cache`]); [`LakeCatalog::load_table`] and
-//!   [`load_all_except`](LakeCatalog::load_all_except) deserialize columns
-//!   directly instead of re-parsing CSV text.
-//! * `sketches/<file>.mks` — one discovery-sketch record per table
-//!   ([`crate::sketch`]): per-column MinHash + exact distinct count, null
-//!   count, dtype and value range.
+//! * `sketches/<file>.mks` — the catalog record ([`crate::sketch`]):
+//!   per-column statistics plus MinHash signatures. A touched file
+//!   rewrites exactly its own record.
 //!   [`sketch_descriptors`](LakeCatalog::sketch_descriptors) rebuilds a
 //!   payload-free [`TableDescriptor`] set from these, so candidate
 //!   generation never loads table data.
+//! * `cache/<file>.mtc` — the profiled table serialized in the binary
+//!   columnar format ([`crate::cache`]); [`LakeCatalog::load_table`]
+//!   deserializes columns directly instead of re-parsing CSV text.
 //!
-//! All layers invalidate on the same fingerprint (file size + mtime); a
-//! manifest hit whose sketch record is missing or damaged is demoted to a
-//! miss so the record heals by re-profiling just that file.
-//! [`LakeCatalog::cache_hits`] counts profile reuse across scans;
+//! Both layers invalidate on the same fingerprint. A missing, stale or
+//! damaged record re-profiles just its file; a missing or damaged `.mtc`
+//! falls back to the CSV source and heals on load.
+//! [`LakeCatalog::cache_hits`] counts record reuse across scans;
 //! [`LakeCatalog::load_counters`] counts `.mtc` hits vs CSV fallbacks;
 //! [`LakeCatalog::sketch_load_counters`] counts prepare-time sketch reads
 //! vs table-load fallbacks.
@@ -41,8 +40,9 @@ use metam_discovery::TableDescriptor;
 use metam_table::csv::read_csv;
 use metam_table::Table;
 
+use crate::sketch::TableSketch;
 use crate::stats::ColumnStats;
-use crate::{cache, manifest, sketch};
+use crate::{cache, sketch};
 use crate::{LakeError, Result};
 
 /// Catalog record of one lake table.
@@ -67,9 +67,26 @@ pub struct TableMeta {
 }
 
 impl TableMeta {
-    /// The invalidation key shared by the manifest and the table cache.
+    /// The invalidation key shared by the sketch record and the table
+    /// cache.
     pub fn fingerprint(&self) -> Fingerprint {
         (self.file_size, self.mtime_s, self.mtime_ns)
+    }
+
+    /// The catalog entry of `file_name` at fingerprint `fp`, described by
+    /// its record (the record's MinHash signatures are dropped: hot
+    /// catalogs hold statistics only).
+    fn from_record(file_name: String, fp: Fingerprint, record: TableSketch) -> TableMeta {
+        TableMeta {
+            name: record.name,
+            file_name,
+            file_size: fp.0,
+            mtime_s: fp.1,
+            mtime_ns: fp.2,
+            nrows: record.nrows,
+            ncols: record.columns.len(),
+            columns: record.columns,
+        }
     }
 }
 
@@ -168,9 +185,6 @@ pub struct LakeCatalog {
     by_name: HashMap<String, usize>,
     cache_hits: usize,
     cache_misses: usize,
-    shards_written: usize,
-    sketch_hits: usize,
-    sketch_misses: usize,
     load_counters: Arc<LoadCounters>,
     sketch_counters: Arc<LoadCounters>,
 }
@@ -188,68 +202,59 @@ fn fingerprint(path: &Path) -> Result<Fingerprint> {
     Ok((meta.len(), s, ns))
 }
 
+/// The lake's `*.csv` files as `(file name, path)`, sorted by file name.
+fn csv_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root)? {
+        let entry = entry?;
+        let path = entry.path();
+        let is_csv = path
+            .extension()
+            .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
+        if is_csv && path.is_file() {
+            files.push((entry.file_name().to_string_lossy().into_owned(), path));
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// One changed file queued for (re-)profiling.
 struct MissJob {
     file_name: String,
     path: PathBuf,
     fp: Fingerprint,
-    /// Whether the sketch record needs (re-)writing. `false` when only
-    /// the manifest shard was lost (e.g. corruption) but the sketch is
-    /// still fresh — profiling then leaves the valid record alone.
-    write_sketch: bool,
 }
 
-/// Profile one file: parse the CSV, compute per-column statistics, and
-/// persist the parsed table into the columnar cache plus (when stale) its
-/// discovery-sketch record (both best-effort — a read-only `.metam`
-/// degrades loads to CSV, it must not fail the scan).
+/// Profile one file: parse the CSV, compute per-column statistics and
+/// signatures, and persist the parsed table into the columnar cache plus
+/// its catalog record (both best-effort — a read-only `.metam` degrades
+/// loads to CSV, it must not fail the scan).
 fn profile_one(root: &Path, job: &MissJob) -> Result<TableMeta> {
     let _span = metam_obs::span("scan.profile", &job.file_name);
     let table = read_table_file(&job.path)?;
     let _ = cache::store(root, &job.file_name, job.fp, &table);
-    if job.write_sketch {
-        let _ = sketch::store(
-            root,
-            &job.file_name,
-            job.fp,
-            &sketch::TableSketch::from_table(&table),
-        );
-    }
-    Ok(TableMeta {
-        name: table.name.clone(),
-        file_name: job.file_name.clone(),
-        file_size: job.fp.0,
-        mtime_s: job.fp.1,
-        mtime_ns: job.fp.2,
-        nrows: table.nrows(),
-        ncols: table.ncols(),
-        columns: table
-            .columns()
-            .iter()
-            .map(ColumnStats::from_column)
-            .collect(),
-    })
+    let record = TableSketch::from_table(&table);
+    let _ = sketch::store(root, &job.file_name, job.fp, &record);
+    Ok(TableMeta::from_record(
+        job.file_name.clone(),
+        job.fp,
+        record,
+    ))
 }
 
 /// Profile every queued file over the shared worker pool
 /// ([`metam_pool::try_map`]). Results come back in job (file-name) order,
-/// so the merged manifest is position-stable regardless of scheduling.
+/// so the merged catalog is position-stable regardless of scheduling.
 fn profile_all(root: &Path, jobs: &[MissJob], threads: usize) -> Vec<Result<TableMeta>> {
     metam_pool::try_map(jobs, threads, |job| profile_one(root, job))
 }
 
 impl LakeCatalog {
-    /// The `.metam` metadata directory under a lake root (manifest shards
+    /// The `.metam` metadata directory under a lake root (sketch records
     /// + columnar cache).
     pub fn meta_dir(root: &Path) -> PathBuf {
         root.join(".metam")
-    }
-
-    /// Path of the **legacy** single-file manifest under a lake root.
-    /// Current catalogs are sharded (`catalog-<k>.tsv`); this path is
-    /// read for migration only.
-    pub fn manifest_path(root: &Path) -> PathBuf {
-        manifest::legacy_path(&Self::meta_dir(root))
     }
 
     /// [`scan_with`](Self::scan_with) under default options (worker count
@@ -258,43 +263,18 @@ impl LakeCatalog {
         Self::scan_with(root, &ScanOptions::default())
     }
 
-    /// Scan `root` for CSV files, profiling new/changed files (in
-    /// parallel) and reusing the persisted profile cache for unchanged
-    /// ones; the refreshed manifest is written back (only shards that
-    /// changed) before returning.
+    /// Scan `root` for CSV files: a file whose record matches its current
+    /// fingerprint is reused as-is; new and changed files are profiled
+    /// (in parallel), each writing its own `.mtc` and `.mks`.
     pub fn scan_with(root: impl AsRef<Path>, options: &ScanOptions) -> Result<LakeCatalog> {
         let root = root.as_ref().to_path_buf();
         let mut scan_span = metam_obs::span("scan", root.display().to_string());
-        let meta_dir = Self::meta_dir(&root);
-        // A corrupt shard must not brick the lake: its entries are simply
-        // absent from the cached view (the rewrite below heals it).
-        let cached = manifest::load_cached(&meta_dir);
-
-        let mut files: Vec<(String, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&root)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let is_csv = path
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if !is_csv {
-                continue;
-            }
-            let file_name = entry.file_name().to_string_lossy().into_owned();
-            files.push((file_name, path));
-        }
-        files.sort();
+        let files = csv_files(&root)?;
 
         // Table names are file stems; two files must not collapse onto one
         // name (e.g. `trips.csv` + `trips.CSV`) or lookups and the
         // din-exclusion logic would silently pick one of them.
-        let mut stems: Vec<&str> = files
-            .iter()
-            .map(|(f, _)| f.rsplit_once('.').map_or(f.as_str(), |(stem, _)| stem))
-            .collect();
+        let mut stems: Vec<String> = files.iter().map(|(_, path)| table_name(path)).collect();
         stems.sort_unstable();
         if let Some(dup) = stems.windows(2).find(|w| w[0] == w[1]) {
             return Err(LakeError::BadArgument(format!(
@@ -303,44 +283,30 @@ impl LakeCatalog {
             )));
         }
 
-        let cached_by_file: HashMap<&str, &TableMeta> =
-            cached.iter().map(|e| (e.file_name.as_str(), e)).collect();
-
-        /// A scan slot: an unchanged entry reused as-is, or the index of
-        /// a queued profiling job.
+        /// A scan slot: an unchanged entry rebuilt from its record, or the
+        /// index of a queued profiling job.
         enum Planned {
             Hit(TableMeta),
             Miss(usize),
         }
         let mut plan = Vec::with_capacity(files.len());
         let mut jobs: Vec<MissJob> = Vec::new();
-        let mut sketch_hits = 0usize;
         for (file_name, path) in files {
             let fp = fingerprint(&path)?;
-            // A manifest hit only counts when the sketch record is fresh
-            // too: a missing/stale/corrupt record demotes the file to a
-            // miss, so sketches heal by re-profiling exactly their file.
-            let sketch_fresh = sketch::is_fresh(&root, &file_name, fp);
-            if sketch_fresh {
-                sketch_hits += 1;
-            }
-            match cached_by_file
-                .get(file_name.as_str())
-                .filter(|e| e.fingerprint() == fp && sketch_fresh)
-            {
-                Some(&hit) => plan.push(Planned::Hit(hit.clone())),
+            match sketch::load(&root, &file_name, fp) {
+                Some(record) => {
+                    plan.push(Planned::Hit(TableMeta::from_record(file_name, fp, record)))
+                }
                 None => {
                     plan.push(Planned::Miss(jobs.len()));
                     jobs.push(MissJob {
                         file_name,
                         path,
                         fp,
-                        write_sketch: !sketch_fresh,
                     });
                 }
             }
         }
-        let sketch_misses = plan.len() - sketch_hits;
 
         let cache_misses = jobs.len();
         let cache_hits = plan.len() - cache_misses;
@@ -360,17 +326,11 @@ impl LakeCatalog {
             }
         }
 
-        let shards_written = manifest::store_sharded(&meta_dir, &entries)?;
         metam_obs::counter_add("lake.scan.profile_hits", cache_hits as u64);
         metam_obs::counter_add("lake.scan.profile_misses", cache_misses as u64);
-        metam_obs::counter_add("lake.scan.shards_written", shards_written as u64);
-        metam_obs::counter_add("lake.scan.sketch_hits", sketch_hits as u64);
-        metam_obs::counter_add("lake.scan.sketch_misses", sketch_misses as u64);
         scan_span.field("files", entries.len() as f64);
         scan_span.field("profile_hits", cache_hits as f64);
         scan_span.field("profile_misses", cache_misses as f64);
-        scan_span.field("sketch_hits", sketch_hits as f64);
-        scan_span.field("sketch_misses", sketch_misses as f64);
         let by_name = entries
             .iter()
             .enumerate()
@@ -382,9 +342,6 @@ impl LakeCatalog {
             by_name,
             cache_hits,
             cache_misses,
-            shards_written,
-            sketch_hits,
-            sketch_misses,
             load_counters: Arc::new(LoadCounters::default()),
             sketch_counters: Arc::new(LoadCounters::default()),
         })
@@ -410,36 +367,15 @@ impl LakeCatalog {
         self.entries.is_empty()
     }
 
-    /// Files whose cached profile was reused by the last scan.
+    /// Files whose record the last scan reused.
     pub fn cache_hits(&self) -> usize {
         self.cache_hits
     }
 
-    /// Files the last scan had to (re-)profile.
+    /// Files the last scan had to (re-)profile, rewriting their records:
+    /// new and changed files, plus missing, stale or damaged records.
     pub fn cache_misses(&self) -> usize {
         self.cache_misses
-    }
-
-    /// Manifest shards the last scan rewrote (0 on a fully-cached rescan;
-    /// touching one file rewrites exactly its shard).
-    pub fn shards_written(&self) -> usize {
-        self.shards_written
-    }
-
-    /// Total number of manifest shards in the on-disk layout.
-    pub fn shard_count(&self) -> usize {
-        manifest::SHARD_COUNT
-    }
-
-    /// Files whose sketch record was fresh at the last scan.
-    pub fn sketch_hits(&self) -> usize {
-        self.sketch_hits
-    }
-
-    /// Files whose sketch record the last scan had to (re-)write (new or
-    /// changed files, plus healed missing/stale/corrupt records).
-    pub fn sketch_misses(&self) -> usize {
-        self.sketch_misses
     }
 
     /// The `.mtc`-vs-CSV load counters, shared: the returned handle keeps
@@ -490,23 +426,10 @@ impl LakeCatalog {
         Ok(table)
     }
 
-    /// Load every table except those named in `exclude` (typically the
-    /// input dataset, which must not join with itself).
-    pub fn load_all_except(&self, exclude: &[&str]) -> Result<Vec<Arc<Table>>> {
-        let mut tables = Vec::with_capacity(self.entries.len());
-        for entry in &self.entries {
-            if exclude.contains(&entry.name.as_str()) {
-                continue;
-            }
-            tables.push(Arc::new(self.load_entry(entry)?));
-        }
-        Ok(tables)
-    }
-
-    /// Names of every table except those in `exclude`, in catalog
+    /// Names of every table except those in `exclude` (typically the
+    /// input dataset, which must not join with itself), in catalog
     /// (file-name) order — the repository indexing shared by
-    /// [`sketch_descriptors`](Self::sketch_descriptors),
-    /// [`load_all_except`](Self::load_all_except) and the lazy table
+    /// [`sketch_descriptors`](Self::sketch_descriptors) and the lazy table
     /// provider built over this catalog.
     pub fn repository_names(&self, exclude: &[&str]) -> Vec<String> {
         self.entries
@@ -532,7 +455,7 @@ impl LakeCatalog {
             if exclude.contains(&entry.name.as_str()) {
                 continue;
             }
-            let loaded = match sketch::load(&self.root, entry) {
+            let loaded = match sketch::load(&self.root, &entry.file_name, entry.fingerprint()) {
                 Some(record) => {
                     record_hits += 1;
                     self.sketch_counters.add_hit();
@@ -541,7 +464,7 @@ impl LakeCatalog {
                 None => {
                     self.sketch_counters.add_miss();
                     let table = self.load_entry(entry)?;
-                    let record = sketch::TableSketch::from_table(&table);
+                    let record = TableSketch::from_table(&table);
                     let _ =
                         sketch::store(&self.root, &entry.file_name, entry.fingerprint(), &record);
                     record
@@ -574,25 +497,9 @@ impl LakeCatalog {
     /// (the `metam serve` registry) errs toward a [`rescan`](Self::rescan)
     /// rather than serving answers about files it can no longer see.
     pub fn is_stale(&self) -> bool {
-        let mut current: Vec<(String, PathBuf)> = Vec::new();
-        let Ok(dir) = std::fs::read_dir(&self.root) else {
+        let Ok(current) = csv_files(&self.root) else {
             return true;
         };
-        for entry in dir {
-            let Ok(entry) = entry else { return true };
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let is_csv = path
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if !is_csv {
-                continue;
-            }
-            current.push((entry.file_name().to_string_lossy().into_owned(), path));
-        }
-        current.sort();
         if current.len() != self.entries.len() {
             return true;
         }
@@ -611,8 +518,8 @@ impl LakeCatalog {
     /// keeps observing on **this** catalog's [`LoadCounters`] handles —
     /// the refresh hook for long-lived holders (`metam serve`), whose
     /// server-lifetime hit/miss totals must survive catalog swaps.
-    /// Unchanged files reuse the persisted profile cache exactly like any
-    /// other scan; only drifted files re-profile.
+    /// Unchanged files reuse their records exactly like any other scan;
+    /// only drifted files re-profile.
     pub fn rescan(&self, options: &ScanOptions) -> Result<LakeCatalog> {
         let mut fresh = Self::scan_with(&self.root, options)?;
         fresh.load_counters = Arc::clone(&self.load_counters);
@@ -621,13 +528,17 @@ impl LakeCatalog {
     }
 }
 
+/// The table name of a lake file: its file stem.
+pub(crate) fn table_name(path: &Path) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "table".to_string())
+}
+
 /// Read one CSV file as a [`Table`] named by its file stem, tagged with the
 /// lake directory name as its provenance source.
 pub fn read_table_file(path: &Path) -> Result<Table> {
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "table".to_string());
+    let stem = table_name(path);
     let file =
         std::fs::File::open(path).map_err(|e| LakeError::Io(format!("{}: {e}", path.display())))?;
     let reader = std::io::BufReader::new(file);
@@ -665,23 +576,30 @@ mod tests {
         assert_eq!(cat.get("a").unwrap().nrows, 2);
         assert_eq!(cat.total_rows(), 3);
         assert_eq!(cat.total_columns(), 4);
-        assert!(cat.shards_written() >= 1, "cold scan writes shards");
 
-        // Second scan: everything unchanged ⇒ all hits, nothing rewritten.
+        // Second scan: everything unchanged ⇒ all hits.
         let cat2 = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat2.cache_hits(), 2);
         assert_eq!(cat2.cache_misses(), 0);
         assert_eq!(cat2.entries(), cat.entries());
-        assert_eq!(cat2.shards_written(), 0, "unchanged lake rewrites nothing");
 
         // Touch one file with different content size ⇒ one miss, and only
-        // that file's shard is rewritten.
+        // that file's record is rewritten.
+        let record_a = fs::read(sketch::sketch_path(&dir, "a.csv")).unwrap();
+        let record_b = fs::read(sketch::sketch_path(&dir, "b.csv")).unwrap();
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\nz9,6\n").unwrap();
         let cat3 = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat3.cache_misses(), 1);
         assert_eq!(cat3.cache_hits(), 1);
         assert_eq!(cat3.get("b").unwrap().nrows, 2);
-        assert_eq!(cat3.shards_written(), 1, "only the touched shard");
+        assert_eq!(
+            fs::read(sketch::sketch_path(&dir, "a.csv")).unwrap(),
+            record_a
+        );
+        assert_ne!(
+            fs::read(sketch::sketch_path(&dir, "b.csv")).unwrap(),
+            record_b
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -769,53 +687,72 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_shard_heals() {
-        let dir = tmp_dir("heal");
-        fs::write(dir.join("a.csv"), "x\n1\n").unwrap();
-        LakeCatalog::scan(&dir).unwrap();
-        let shard = manifest::shard_path(&LakeCatalog::meta_dir(&dir), manifest::shard_of("a.csv"));
-        assert!(shard.exists(), "cold scan wrote the shard");
-        fs::write(&shard, "garbage\nmore garbage").unwrap();
-        let cat = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cat.len(), 1);
-        assert_eq!(cat.cache_misses(), 1, "corrupt shard forces re-profiling");
-        // And the shard is valid again.
-        let cat2 = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cat2.cache_hits(), 1);
+    fn warm_scan_rebuilds_the_cold_catalog_exactly() {
+        // Names with a tab, a backslash and non-ASCII text, an all-null
+        // column and negative/fractional floats all round-trip through
+        // the binary record bit for bit.
+        let dir = tmp_dir("exact");
+        let header = "zip,ta\tb\\c ü名,empty,rate";
+        let rows = "z1,x,,-1.5\nz2,y,,0.125\nz3,x,,-3.75\nz4,w,,1e-7\n";
+        fs::write(dir.join("odd.csv"), format!("{header}\n{rows}")).unwrap();
+        fs::write(dir.join("plain.csv"), "zip,v\nz1,1\nz2,2\n").unwrap();
+
+        let cold = LakeCatalog::scan(&dir).unwrap();
+        let odd = &cold.get("odd").unwrap().columns;
+        assert_eq!(odd[1].name.as_deref(), Some("ta\tb\\c ü名"));
+        assert_eq!((odd[2].null_count, odd[2].distinct_count), (4, 0));
+        assert_eq!((odd[3].min, odd[3].max), (Some(-3.75), Some(0.125)));
+
+        let warm = LakeCatalog::scan(&dir).unwrap();
+        assert_eq!(warm.cache_misses(), 0);
+        assert_eq!(warm.entries(), cold.entries());
+        let bits = |v: Option<f64>| v.map(f64::to_bits);
+        for (w, c) in warm.entries().iter().zip(cold.entries()) {
+            for (wc, cc) in w.columns.iter().zip(&c.columns) {
+                for (a, b) in [
+                    (wc.min, cc.min),
+                    (wc.max, cc.max),
+                    (wc.mean, cc.mean),
+                    (wc.std, cc.std),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{}: {:?}", w.name, wc.name);
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn legacy_single_file_catalog_migrates_to_shards() {
-        let dir = tmp_dir("migrate");
+    fn records_alone_restore_the_catalog() {
+        let dir = tmp_dir("records-only");
         fs::write(dir.join("a.csv"), "zip,v\nz1,1\nz2,2\n").unwrap();
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\n").unwrap();
-        let cat = LakeCatalog::scan(&dir).unwrap();
+        let cold = LakeCatalog::scan(&dir).unwrap();
 
-        // Rebuild the old layout by hand: one catalog.tsv, no shards.
-        let meta_dir = LakeCatalog::meta_dir(&dir);
-        let legacy = manifest::legacy_path(&meta_dir);
-        manifest::store(&legacy, cat.entries()).unwrap();
-        for k in 0..manifest::SHARD_COUNT {
-            let _ = fs::remove_file(manifest::shard_path(&meta_dir, k));
+        // Delete everything under .metam/ except the records.
+        for entry in fs::read_dir(LakeCatalog::meta_dir(&dir)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.file_name().is_some_and(|n| n == "sketches") {
+                continue;
+            }
+            if path.is_dir() {
+                fs::remove_dir_all(&path).unwrap();
+            } else {
+                fs::remove_file(&path).unwrap();
+            }
         }
+        let warm = LakeCatalog::scan(&dir).unwrap();
+        assert_eq!(warm.cache_misses(), 0, "records alone restore the catalog");
+        assert_eq!(warm.cache_hits(), 2);
+        assert_eq!(warm.entries(), cold.entries());
 
-        // The next scan reads the legacy manifest (all hits — nothing
-        // re-profiles), writes shards, and removes the old file.
-        let migrated = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(migrated.cache_hits(), 2, "migration must not re-profile");
-        assert_eq!(migrated.cache_misses(), 0);
-        assert_eq!(migrated.entries(), cat.entries());
-        assert!(!legacy.exists(), "legacy manifest removed after migration");
-        let occupied = manifest::occupied_shards(migrated.entries());
-        for &k in &occupied {
-            assert!(manifest::shard_path(&meta_dir, k).exists());
-        }
-
-        // And the sharded layout is now authoritative.
-        let again = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(again.cache_hits(), 2);
-        assert_eq!(again.shards_written(), 0);
+        // Loads fall back to CSV and heal the columnar cache.
+        let counters = warm.load_counters();
+        let from_csv = warm.load_table("a").unwrap();
+        assert_eq!((counters.hits(), counters.misses()), (0, 1));
+        assert!(cache::cache_path(&dir, "a.csv").exists(), "cache healed");
+        assert_eq!(warm.load_table("a").unwrap(), from_csv);
+        assert_eq!((counters.hits(), counters.misses()), (1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -831,14 +768,13 @@ mod tests {
             .unwrap();
         }
         let sequential = LakeCatalog::scan_with(&dir, &ScanOptions::sequential()).unwrap();
-        let shard_texts = |d: &Path| -> Vec<Option<String>> {
-            (0..manifest::SHARD_COUNT)
-                .map(|k| {
-                    fs::read_to_string(manifest::shard_path(&LakeCatalog::meta_dir(d), k)).ok()
-                })
+        let records = |cat: &LakeCatalog| -> Vec<Vec<u8>> {
+            cat.entries()
+                .iter()
+                .map(|e| fs::read(sketch::sketch_path(&dir, &e.file_name)).unwrap())
                 .collect()
         };
-        let seq_shards = shard_texts(&dir);
+        let seq_records = records(&sequential);
 
         // Wipe all persisted state and rescan with many workers.
         fs::remove_dir_all(LakeCatalog::meta_dir(&dir)).unwrap();
@@ -847,9 +783,9 @@ mod tests {
         assert_eq!(parallel.cache_hits(), sequential.cache_hits());
         assert_eq!(parallel.cache_misses(), sequential.cache_misses());
         assert_eq!(
-            shard_texts(&dir),
-            seq_shards,
-            "manifest shards are byte-identical regardless of thread count"
+            records(&parallel),
+            seq_records,
+            "records are byte-identical regardless of thread count"
         );
 
         // A warm parallel rescan hits everywhere, exactly like sequential.
@@ -919,19 +855,18 @@ mod tests {
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\n").unwrap();
 
         let cold = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cold.sketch_hits(), 0);
-        assert_eq!(cold.sketch_misses(), 2, "cold scan writes every record");
+        assert_eq!(cold.cache_hits(), 0);
+        assert_eq!(cold.cache_misses(), 2, "cold scan writes every record");
         assert!(sketch::sketch_path(&dir, "a.csv").exists());
 
         let warm = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(warm.sketch_hits(), 2, "unchanged lake reuses records");
-        assert_eq!(warm.sketch_misses(), 0);
+        assert_eq!(warm.cache_hits(), 2, "unchanged lake reuses records");
+        assert_eq!(warm.cache_misses(), 0);
 
-        // Deleting one record demotes that file to a profile miss: the
-        // scan re-profiles exactly it and rewrites the record.
+        // Deleting one record makes that file a profile miss: the scan
+        // re-profiles exactly it and rewrites the record.
         fs::remove_file(sketch::sketch_path(&dir, "b.csv")).unwrap();
         let healed = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(healed.sketch_misses(), 1);
         assert_eq!(
             healed.cache_misses(),
             1,
@@ -947,9 +882,9 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         let reheal = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(reheal.sketch_misses(), 1, "corrupt record re-profiles");
+        assert_eq!(reheal.cache_misses(), 1, "corrupt record re-profiles");
         let last = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(last.sketch_hits(), 2, "healed records hit again");
+        assert_eq!(last.cache_hits(), 2, "healed records hit again");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -969,10 +904,9 @@ mod tests {
 
         // Byte-identical to descriptors computed from the loaded tables.
         let eager: Vec<TableDescriptor> = cat
-            .load_all_except(&["din"])
-            .unwrap()
+            .repository_names(&["din"])
             .iter()
-            .map(|t| TableDescriptor::from_table(t))
+            .map(|name| TableDescriptor::from_table(&cat.load_table(name).unwrap()))
             .collect();
         assert_eq!(descriptors, eager);
 
@@ -986,12 +920,16 @@ mod tests {
     }
 
     #[test]
-    fn load_all_except_skips_din() {
+    fn repository_names_skip_din() {
         let dir = tmp_dir("except");
         fs::write(dir.join("din.csv"), "k,y\na,1\n").unwrap();
         fs::write(dir.join("ext.csv"), "k,v\na,2\n").unwrap();
         let cat = LakeCatalog::scan(&dir).unwrap();
-        let tables = cat.load_all_except(&["din"]).unwrap();
+        let tables: Vec<Table> = cat
+            .repository_names(&["din"])
+            .iter()
+            .map(|name| cat.load_table(name).unwrap())
+            .collect();
         assert_eq!(tables.len(), 1);
         assert_eq!(tables[0].name, "ext");
         assert_eq!(

@@ -7,42 +7,45 @@
 //! Pieces:
 //!
 //! * [`catalog`] — a [`LakeCatalog`] that scans a directory (profiling
-//!   changed files **in parallel**), registers every CSV with schema
-//!   metadata and per-column summary statistics ([`stats::ColumnStats`]),
-//!   and persists a sharded manifest ([`manifest`]) plus a binary
-//!   columnar table cache ([`cache`]) under `<lake>/.metam/` so repeated
-//!   scans skip re-profiling — and repeated loads skip re-parsing — files
-//!   whose size and mtime are unchanged,
-//! * [`sketch`] — one versioned, checksummed discovery-sketch record per
-//!   table (`sketches/<file>.mks`): per-column MinHash + exact distinct
-//!   count, null count, dtype and value range, written at scan time so
-//!   candidate generation runs off the catalog without loading payloads,
+//!   changed files **in parallel**) and registers every CSV with schema
+//!   metadata and per-column summary statistics ([`stats::ColumnStats`]).
+//!   Each file's catalog entry persists under `<lake>/.metam/` as one
+//!   record, so repeated scans skip re-profiling — and repeated loads skip
+//!   re-parsing — files whose size and mtime are unchanged,
+//! * [`sketch`] — that record: one versioned, checksummed file per table
+//!   (`sketches/<file>.mks`) holding per-column statistics plus MinHash
+//!   signatures, so a scan rebuilds the catalog and candidate generation
+//!   runs off it without loading payloads,
+//! * [`cache`] — the binary columnar table cache (`cache/<file>.mtc`)
+//!   table loads deserialize from,
 //! * [`prepare`] — [`parse_task`] (the single authority on CLI task
-//!   specs), [`prepare::repository_tables`] (which catalog tables a
-//!   discovery run searches over) and its sketch-backed twin
-//!   [`prepare::repository_descriptors`] (payload-free descriptors plus a
-//!   lazy [`prepare::CatalogTableProvider`]),
+//!   specs) and [`prepare::repository_descriptors`] (which catalog tables
+//!   a discovery run searches over: payload-free descriptors plus a lazy
+//!   [`prepare::CatalogTableProvider`]),
 //! * [`export`] — write a `metam-datagen` scenario out *as* a CSV lake
 //!   (the `datagen → lake → rediscover` round trip is the subsystem's
 //!   self-validating integration test).
 //!
 //! The user-facing front door — `Session::from_lake` / `from_catalog`, the
 //! `metam` CLI binary — lives in the umbrella `metam` crate (this crate
-//! cannot depend on it):
+//! cannot depend on it). Underneath, a run is the same few steps:
 //!
 //! ```no_run
-//! use metam_core::prepared::{assemble, AssembleOptions};
+//! use std::sync::Arc;
+//!
+//! use metam_core::prepared::{assemble, AssembleOptions, Repository};
 //! use metam_core::{Metam, NoopObserver};
-//! use metam_lake::{parse_task, prepare::repository_tables, LakeCatalog};
+//! use metam_lake::{parse_task, prepare::repository_descriptors, LakeCatalog};
 //! use metam_profile::default_profiles;
 //!
-//! let catalog = LakeCatalog::scan("./lake")?;
+//! let catalog = Arc::new(LakeCatalog::scan("./lake")?);
 //! let din = catalog.load_table("din")?;
 //! let parsed = parse_task("classification:label", 7)?;
 //! let target_column = parsed.target.as_deref().and_then(|t| din.column_index(t).ok());
-//! let tables = repository_tables(&catalog, &din, None)?;
+//! let (descriptors, provider) = repository_descriptors(&catalog, &din, None)?;
+//! let repository = Repository::Deferred { descriptors, provider: Box::new(provider) };
 //! let prepared = assemble(
-//!     din, tables, target_column, parsed.task,
+//!     din, repository, target_column, parsed.task,
 //!     &default_profiles(), &AssembleOptions::default(),
 //! );
 //! let result = Metam::default().run(&prepared.inputs(), &mut NoopObserver);
@@ -54,7 +57,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod export;
-pub mod manifest;
 pub mod prepare;
 pub mod sketch;
 pub mod stats;
@@ -74,8 +76,6 @@ pub enum LakeError {
     Io(String),
     /// A CSV file failed to parse.
     Table(metam_table::TableError),
-    /// The persisted manifest is malformed.
-    Manifest(String),
     /// A referenced table is not in the catalog.
     UnknownTable(String),
     /// A user-facing argument (task spec, flag) is invalid.
@@ -87,7 +87,6 @@ impl fmt::Display for LakeError {
         match self {
             LakeError::Io(m) => write!(f, "io error: {m}"),
             LakeError::Table(e) => write!(f, "table error: {e}"),
-            LakeError::Manifest(m) => write!(f, "manifest error: {m}"),
             LakeError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             LakeError::BadArgument(m) => write!(f, "bad argument: {m}"),
         }

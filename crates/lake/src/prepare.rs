@@ -5,17 +5,12 @@
 //! task and the target, then assembles one `Prepared` bundle through
 //! `metam_core::prepared::assemble`. This module contributes the two
 //! lake-specific pieces: [`parse_task`], the single authority on CLI task
-//! specs, and [`repository_tables`] / [`repository_descriptors`], which
-//! decide what a prepare run searches over. (The deprecated
-//! `prepare_from_catalog*` wrappers that used to live here were removed
-//! after their one-release grace period.)
-//!
-//! [`repository_tables`] is the eager path: every repository table loads
-//! up front. [`repository_descriptors`] is the sketch-backed path: it
-//! returns payload-free descriptors (from persisted sketch records) plus
-//! a [`CatalogTableProvider`] that loads a table through the catalog only
-//! when the materializer first needs it — so a discover run touches the
-//! input dataset plus only candidate-winning tables.
+//! specs, and [`repository_descriptors`], which decides what a prepare run
+//! searches over. It returns payload-free descriptors (from persisted
+//! sketch records) plus a [`CatalogTableProvider`] that loads a table
+//! through the catalog only when the materializer first needs it — so a
+//! discover run touches the input dataset plus only candidate-winning
+//! tables.
 
 use std::sync::Arc;
 
@@ -27,24 +22,6 @@ use metam_tasks::clustering::ClusteringFitTask;
 use metam_tasks::regression::RegressionTask;
 
 use crate::{LakeCatalog, LakeError, Result};
-
-/// Resolve the repository tables a prepare run should search over:
-/// everything in the catalog except the withheld names. `None` (the
-/// default) withholds the table named like the input dataset — right when
-/// `din` was loaded *from* the catalog, which must not join with itself.
-/// Pass `Some(&[])` when `din` is external to the lake, so a lake table
-/// that merely shares its name still participates in discovery.
-pub fn repository_tables(
-    catalog: &LakeCatalog,
-    din: &Table,
-    exclude_tables: Option<&[String]>,
-) -> Result<Vec<Arc<Table>>> {
-    let excluded: Vec<&str> = match exclude_tables {
-        Some(names) => names.iter().map(String::as_str).collect(),
-        None => vec![din.name.as_str()],
-    };
-    catalog.load_all_except(&excluded)
-}
 
 /// A deferred [`TableProvider`] over a [`LakeCatalog`]: table `idx` is the
 /// `idx`-th repository name, loaded through the catalog (columnar cache
@@ -74,12 +51,17 @@ impl TableProvider for CatalogTableProvider {
     }
 }
 
-/// The sketch-backed twin of [`repository_tables`]: resolve the same
-/// repository (same exclusion semantics, same order) as payload-free
-/// descriptors read from the catalog's persisted sketch records, plus a
-/// lazy [`CatalogTableProvider`] aligned index-for-index with them.
-/// Candidate generation over the descriptors is byte-identical to the
-/// eager path; table payloads load only at materialization time.
+/// Resolve the repository a prepare run should search over — everything
+/// in the catalog except the withheld names, in catalog order — as
+/// payload-free descriptors read from the catalog's persisted sketch
+/// records, plus a lazy [`CatalogTableProvider`] aligned index-for-index
+/// with them. `None` (the default) withholds the table named like the
+/// input dataset — right when `din` was loaded *from* the catalog, which
+/// must not join with itself. Pass `Some(&[])` when `din` is external to
+/// the lake, so a lake table that merely shares its name still
+/// participates in discovery. Candidate generation over the descriptors
+/// is byte-identical to generation over the loaded tables; payloads load
+/// only at materialization time.
 pub fn repository_descriptors(
     catalog: &Arc<LakeCatalog>,
     din: &Table,
@@ -195,7 +177,7 @@ mod tests {
     }
 
     #[test]
-    fn repository_tables_feed_a_full_assembly() {
+    fn catalog_repository_feeds_a_full_assembly() {
         let dir = tmp_lake("ok");
         let din_rows: String = (0..40)
             .map(|i| format!("z{i},{}\n", if i % 2 == 0 { "a" } else { "b" }))
@@ -211,7 +193,11 @@ mod tests {
             .target
             .as_deref()
             .and_then(|t| din.column_index(t).ok());
-        let tables = repository_tables(&catalog, &din, None).unwrap();
+        let tables: Vec<Arc<Table>> = catalog
+            .repository_names(&[din.name.as_str()])
+            .iter()
+            .map(|name| Arc::new(catalog.load_table(name).unwrap()))
+            .collect();
         assert_eq!(tables.len(), 1, "din itself is withheld");
         let prepared = assemble(
             din,
@@ -252,12 +238,12 @@ mod tests {
             .collect();
         fs::write(&ext, format!("zip,label\n{din_rows}")).unwrap();
 
-        let catalog = LakeCatalog::scan(&dir).unwrap();
+        let catalog = Arc::new(LakeCatalog::scan(&dir).unwrap());
         let din = crate::catalog::read_table_file(&ext).unwrap();
         assert_eq!(din.name, "din", "stems collide by construction");
-        let withheld = repository_tables(&catalog, &din, None).unwrap();
+        let (withheld, _) = repository_descriptors(&catalog, &din, None).unwrap();
         assert!(withheld.is_empty(), "default withholds the name collision");
-        let kept = repository_tables(&catalog, &din, Some(&[])).unwrap();
+        let (kept, _) = repository_descriptors(&catalog, &din, Some(&[])).unwrap();
         assert_eq!(kept.len(), 1, "empty exclusion keeps the lake's own din");
         assert_eq!(kept[0].name, "din");
         let _ = fs::remove_dir_all(&dir);

@@ -1,13 +1,15 @@
-//! Persisted per-column discovery sketches under `<lake>/.metam/sketches/`.
+//! Per-file catalog records under `<lake>/.metam/sketches/`.
 //!
-//! Every profiled file gets one binary record, `<file name>.mks`, holding
-//! what candidate generation needs and nothing else: per column, the
-//! MinHash signature with its exact distinct count, the null count, a
-//! dtype tag and the numeric value range. `LakeCatalog::sketch_descriptors`
-//! rebuilds [`TableDescriptor`]s straight from these records, so a
-//! discover run constructs its [`metam_discovery::DiscoveryIndex`] without
-//! touching `.mtc` or CSV payloads — prepare cost scales with catalog
-//! metadata, not lake bytes.
+//! Every profiled file gets one binary record, `<file name>.mks` — the
+//! lake's only persisted catalog entry. Per column it holds the summary
+//! statistics ([`ColumnStats`]: name, dtype, null and exact distinct
+//! counts, numeric min/max/mean/std) plus the MinHash signature over the
+//! column's normalized distinct values. A scan builds each file's
+//! [`TableMeta`](crate::TableMeta) from its record, and
+//! `LakeCatalog::sketch_descriptors` rebuilds [`TableDescriptor`]s from
+//! the same records, so a discover run constructs its
+//! [`metam_discovery::DiscoveryIndex`] without touching `.mtc` or CSV
+//! payloads — prepare cost scales with catalog metadata, not lake bytes.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -21,33 +23,35 @@
 //!   named: u8 (0|1) [+ name: u32 len + utf8]
 //!   dtype: u8 (0=int 1=float 2=str 3=bool)
 //!   null_count: u64            distinct: u64
-//!   min: u8 presence [+ f64 bits]   max: u8 presence [+ f64 bits]
+//!   min, max, mean, std: each u8 presence [+ f64 bits]
 //!   sketch slots: SKETCH_SLOTS × u64
 //! fnv1a-64 checksum of everything above: u64
 //! ```
 //!
-//! Invalidation mirrors the manifest and the `.mtc` cache: the embedded
-//! fingerprint must match the file's current size + mtime. A version
-//! bump, a stale fingerprint, truncation or a checksum mismatch all read
-//! as "no record" — the scan then re-profiles just that file and rewrites
-//! its record, and a prepare-time miss degrades to loading that one table
-//! (healing the record on the way). Records never fail a scan: writes are
-//! best-effort, reads are `Option`.
+//! Invalidation uses the same key as the `.mtc` cache: the embedded
+//! fingerprint must match the file's current size + mtime. A record from
+//! another format version, a stale fingerprint, truncation or a checksum
+//! mismatch all read as "no record" — the scan then re-profiles just that
+//! file and rewrites its record, and a prepare-time miss degrades to
+//! loading that one table (healing the record on the way). Records never
+//! fail a scan: writes are best-effort, reads are `Option`.
 
 use std::path::{Path, PathBuf};
 
 use metam_discovery::{ColumnDescriptor, MinHash, TableDescriptor, SKETCH_SLOTS};
+use metam_table::colbin::fnv1a;
 use metam_table::{DataType, Table};
 
-use crate::catalog::Fingerprint;
-use crate::TableMeta;
+use crate::catalog::{table_name, Fingerprint};
+use crate::stats::ColumnStats;
 
 /// First four bytes of every sketch record.
 pub const SKETCH_MAGIC: &[u8; 4] = b"MSKS";
 
 /// Record-format version; bump on breaking layout changes. A version
 /// mismatch invalidates the record exactly like a stale fingerprint.
-pub const SKETCH_VERSION: u32 = 1;
+/// Version 2 added each column's mean and standard deviation.
+pub const SKETCH_VERSION: u32 = 2;
 
 /// Directory holding `.mks` sketch records under a lake root.
 pub fn sketch_dir(root: &Path) -> PathBuf {
@@ -59,37 +63,8 @@ pub fn sketch_path(root: &Path, file_name: &str) -> PathBuf {
     sketch_dir(root).join(format!("{file_name}.mks"))
 }
 
-/// The trailing-checksum function of the record format (FNV-1a 64),
-/// public so tools and tests can craft or re-seal records.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Everything persisted about one column: the coupled sketch/cardinality
-/// pair plus the cheap summary facts discovery may filter on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnSketch {
-    /// Column name (`None` for anonymous columns).
-    pub name: Option<String>,
-    /// Inferred logical type.
-    pub dtype: DataType,
-    /// Number of rows with a missing value.
-    pub null_count: usize,
-    /// Minimum of the numeric view, when one exists.
-    pub min: Option<f64>,
-    /// Maximum of the numeric view.
-    pub max: Option<f64>,
-    /// MinHash signature over the column's normalized distinct values;
-    /// its `cardinality` is the exact distinct count.
-    pub sketch: MinHash,
-}
-
-/// One table's persisted sketch record.
+/// One table's persisted record: everything the catalog knows about a
+/// file version, and everything candidate generation needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableSketch {
     /// Table name (the file stem).
@@ -100,31 +75,24 @@ pub struct TableSketch {
     pub approx_bytes: usize,
     /// Row count.
     pub nrows: usize,
-    /// Per-column sketches, in column order.
-    pub columns: Vec<ColumnSketch>,
+    /// Per-column summary statistics, in column order.
+    pub columns: Vec<ColumnStats>,
+    /// Per-column MinHash signatures, aligned with `columns`; each one's
+    /// `cardinality` is its column's exact `distinct_count`.
+    pub minhashes: Vec<MinHash>,
 }
 
 impl TableSketch {
-    /// Sketch a materialized table (the profile-time computation).
+    /// Profile a materialized table (the scan-time computation).
     pub fn from_table(table: &Table) -> TableSketch {
-        let columns = table
-            .columns()
-            .iter()
-            .map(|col| ColumnSketch {
-                name: col.name.clone(),
-                dtype: col.dtype(),
-                null_count: col.null_count(),
-                min: col.min(),
-                max: col.max(),
-                sketch: MinHash::from_keys(&col.distinct_keys()),
-            })
-            .collect();
+        let (columns, minhashes) = table.columns().iter().map(ColumnStats::profile).unzip();
         TableSketch {
             name: table.name.clone(),
             source: table.source.clone(),
             approx_bytes: table.approx_bytes(),
             nrows: table.nrows(),
             columns,
+            minhashes,
         }
     }
 
@@ -136,12 +104,13 @@ impl TableSketch {
         let columns = self
             .columns
             .iter()
-            .map(|c| {
+            .zip(&self.minhashes)
+            .map(|(c, minhash)| {
                 let non_null = self.nrows.saturating_sub(c.null_count);
                 ColumnDescriptor {
                     name: c.name.clone(),
-                    keyish: non_null > 0 && c.sketch.cardinality * 2 >= non_null,
-                    sketch: c.sketch.clone(),
+                    keyish: non_null > 0 && c.distinct_count * 2 >= non_null,
+                    sketch: minhash.clone(),
                 }
             })
             .collect();
@@ -202,7 +171,7 @@ pub fn encode(fp: Fingerprint, sketch: &TableSketch) -> Vec<u8> {
     out.extend_from_slice(&(sketch.approx_bytes as u64).to_le_bytes());
     out.extend_from_slice(&(sketch.nrows as u64).to_le_bytes());
     out.extend_from_slice(&(sketch.columns.len() as u32).to_le_bytes());
-    for col in &sketch.columns {
+    for (col, minhash) in sketch.columns.iter().zip(&sketch.minhashes) {
         match &col.name {
             Some(name) => {
                 out.push(1);
@@ -212,14 +181,15 @@ pub fn encode(fp: Fingerprint, sketch: &TableSketch) -> Vec<u8> {
         }
         out.push(dtype_tag(col.dtype));
         out.extend_from_slice(&(col.null_count as u64).to_le_bytes());
-        out.extend_from_slice(&(col.sketch.cardinality as u64).to_le_bytes());
-        put_opt_f64(&mut out, col.min);
-        put_opt_f64(&mut out, col.max);
-        for slot in col.sketch.slots() {
+        out.extend_from_slice(&(col.distinct_count as u64).to_le_bytes());
+        for v in [col.min, col.max, col.mean, col.std] {
+            put_opt_f64(&mut out, v);
+        }
+        for slot in minhash.slots() {
             out.extend_from_slice(&slot.to_le_bytes());
         }
     }
-    let sum = checksum(&out);
+    let sum = fnv1a(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -272,7 +242,7 @@ pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
     }
     let (body, tail) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if checksum(body) != stored {
+    if fnv1a(body) != stored {
         return None;
     }
     let mut cur = Cursor {
@@ -298,6 +268,7 @@ pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
         return None;
     }
     let mut columns = Vec::with_capacity(ncols);
+    let mut minhashes = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let col_name = if cur.u8()? != 0 {
             Some(cur.str()?)
@@ -306,21 +277,22 @@ pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
         };
         let dtype = dtype_from_tag(cur.u8()?)?;
         let null_count = cur.u64()? as usize;
-        let cardinality = cur.u64()? as usize;
-        let min = cur.opt_f64()?;
-        let max = cur.opt_f64()?;
+        let distinct_count = cur.u64()? as usize;
         let mut slots = [0u64; SKETCH_SLOTS];
-        for slot in slots.iter_mut() {
-            *slot = cur.u64()?;
-        }
-        columns.push(ColumnSketch {
+        columns.push(ColumnStats {
             name: col_name,
             dtype,
             null_count,
-            min,
-            max,
-            sketch: MinHash::from_parts(slots, cardinality),
+            distinct_count,
+            min: cur.opt_f64()?,
+            max: cur.opt_f64()?,
+            mean: cur.opt_f64()?,
+            std: cur.opt_f64()?,
         });
+        for slot in slots.iter_mut() {
+            *slot = cur.u64()?;
+        }
+        minhashes.push(MinHash::from_parts(slots, distinct_count));
     }
     if cur.pos != body.len() {
         return None;
@@ -333,6 +305,7 @@ pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
             approx_bytes,
             nrows,
             columns,
+            minhashes,
         },
     ))
 }
@@ -350,34 +323,23 @@ pub fn store(
     std::fs::write(sketch_path(root, file_name), encode(fp, sketch))
 }
 
-/// Load the sketch record for a catalog entry, validating version,
-/// checksum and the embedded fingerprint against the entry's recorded
-/// size + mtime. `None` on any mismatch or damage — never an error.
-pub fn load(root: &Path, entry: &TableMeta) -> Option<TableSketch> {
-    let bytes = std::fs::read(sketch_path(root, &entry.file_name)).ok()?;
-    let (fp, mut sketch) = decode(&bytes)?;
-    if fp != entry.fingerprint() {
+/// Load the record of `file_name`, validating version, checksum and the
+/// embedded fingerprint against `fp` (the file's size + mtime as the
+/// caller last saw it). `None` on any mismatch or damage — never an error.
+pub fn load(root: &Path, file_name: &str, fp: Fingerprint) -> Option<TableSketch> {
+    let bytes = std::fs::read(sketch_path(root, file_name)).ok()?;
+    let (stored, mut sketch) = decode(&bytes)?;
+    if stored != fp {
         return None;
     }
-    // Pin identity to the *current* catalog view, exactly like the `.mtc`
-    // cache does: the stem is authoritative for the name and a renamed
+    // Pin identity to the *current* lake, exactly like the `.mtc` cache
+    // does: the file stem is authoritative for the name and a renamed
     // lake directory changes the provenance tag.
-    sketch.name = entry.name.clone();
+    sketch.name = table_name(Path::new(file_name));
     if let Some(dir) = root.file_name() {
         sketch.source = dir.to_string_lossy().into_owned();
     }
     Some(sketch)
-}
-
-/// `true` when `file_name` has a fully valid sketch record at `fp`
-/// (magic, version, checksum and fingerprint all check out). The scan
-/// planner uses this to demote manifest hits whose sketch is missing or
-/// damaged, so stale records heal by re-profiling just their file.
-pub fn is_fresh(root: &Path, file_name: &str, fp: Fingerprint) -> bool {
-    let Ok(bytes) = std::fs::read(sketch_path(root, file_name)) else {
-        return false;
-    };
-    matches!(decode(&bytes), Some((stored_fp, _)) if stored_fp == fp)
 }
 
 #[cfg(test)]
@@ -415,19 +377,6 @@ mod tests {
         t
     }
 
-    fn entry(fp: Fingerprint) -> TableMeta {
-        TableMeta {
-            name: "t".into(),
-            file_name: "t.csv".into(),
-            file_size: fp.0,
-            mtime_s: fp.1,
-            mtime_ns: fp.2,
-            nrows: 40,
-            ncols: 3,
-            columns: Vec::new(),
-        }
-    }
-
     #[test]
     fn encode_decode_roundtrips_bit_identically() {
         let sketch = TableSketch::from_table(&table());
@@ -453,12 +402,11 @@ mod tests {
         let root = tmp_root("fp");
         let sketch = TableSketch::from_table(&table());
         store(&root, "t.csv", (10, 20, 30), &sketch).unwrap();
-        assert!(load(&root, &entry((10, 20, 30))).is_some());
-        assert!(load(&root, &entry((11, 20, 30))).is_none(), "stale size");
-        assert!(load(&root, &entry((10, 21, 30))).is_none(), "stale mtime");
-        assert!(is_fresh(&root, "t.csv", (10, 20, 30)));
-        assert!(!is_fresh(&root, "t.csv", (10, 20, 31)));
-        assert!(!is_fresh(&root, "missing.csv", (10, 20, 30)));
+        assert!(load(&root, "t.csv", (10, 20, 30)).is_some());
+        assert!(load(&root, "t.csv", (11, 20, 30)).is_none(), "stale size");
+        assert!(load(&root, "t.csv", (10, 21, 30)).is_none(), "stale mtime");
+        assert!(load(&root, "t.csv", (10, 20, 31)).is_none(), "stale ns");
+        assert!(load(&root, "missing.csv", (10, 20, 30)).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -469,8 +417,8 @@ mod tests {
         sketch.name = "old-name".into();
         sketch.source = "old-source".into();
         store(&root, "t.csv", (1, 2, 3), &sketch).unwrap();
-        let loaded = load(&root, &entry((1, 2, 3))).unwrap();
-        assert_eq!(loaded.name, "t", "entry stem is authoritative");
+        let loaded = load(&root, "t.csv", (1, 2, 3)).unwrap();
+        assert_eq!(loaded.name, "t", "file stem is authoritative");
         assert_eq!(
             loaded.source,
             root.file_name().unwrap().to_string_lossy(),
@@ -487,7 +435,7 @@ mod tests {
         // valid, so only the version gate can reject it.
         let body_len = bytes.len() - 8;
         bytes[4..8].copy_from_slice(&(SKETCH_VERSION + 1).to_le_bytes());
-        let sum = checksum(&bytes[..body_len]);
+        let sum = fnv1a(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         assert!(decode(&bytes).is_none(), "future version must not parse");
     }
@@ -517,7 +465,7 @@ mod tests {
         bytes.extend_from_slice(&0u64.to_le_bytes()); // approx_bytes
         bytes.extend_from_slice(&0u64.to_le_bytes()); // nrows
         bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // ncols: absurd
-        let sum = checksum(&bytes);
+        let sum = fnv1a(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         assert!(decode(&bytes).is_none());
     }

@@ -1,10 +1,12 @@
 //! Per-column summary statistics stored in the catalog.
 //!
 //! These are the lake's *profile cache*: cheap table-level statistics
-//! computed once per file version and reused until the file changes. They
-//! back the `profile` CLI view and give discovery a first look at a table
-//! without re-reading it.
+//! computed once per file version, persisted in the file's `.mks` record
+//! ([`crate::sketch`]) and reused until the file changes. They back the
+//! `profile` CLI view and give discovery a first look at a table without
+//! re-reading it.
 
+use metam_discovery::MinHash;
 use metam_table::{Column, DataType};
 
 /// Summary statistics of one column.
@@ -29,18 +31,22 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Profile one column.
-    pub fn from_column(column: &Column) -> ColumnStats {
-        ColumnStats {
+    /// Profile one column: its statistics plus the MinHash signature of
+    /// its distinct keys, computed from one pass over those keys (the
+    /// signature's cardinality is the statistics' `distinct_count`).
+    pub fn profile(column: &Column) -> (ColumnStats, MinHash) {
+        let keys = column.distinct_keys();
+        let stats = ColumnStats {
             name: column.name.clone(),
             dtype: column.dtype(),
             null_count: column.null_count(),
-            distinct_count: column.distinct_count(),
+            distinct_count: keys.len(),
             min: column.min(),
             max: column.max(),
             mean: column.mean(),
             std: column.std(),
-        }
+        };
+        (stats, MinHash::from_keys(&keys))
     }
 
     /// Display name (anonymous columns render as `_colN`).
@@ -49,24 +55,13 @@ impl ColumnStats {
     }
 }
 
-/// Stable string form of a [`DataType`] for the manifest.
+/// Stable string form of a [`DataType`] for reports (`profile`).
 pub fn dtype_to_str(dtype: DataType) -> &'static str {
     match dtype {
         DataType::Int => "int",
         DataType::Float => "float",
         DataType::Str => "str",
         DataType::Bool => "bool",
-    }
-}
-
-/// Parse a manifest dtype token.
-pub fn dtype_from_str(s: &str) -> Option<DataType> {
-    match s {
-        "int" => Some(DataType::Int),
-        "float" => Some(DataType::Float),
-        "str" => Some(DataType::Str),
-        "bool" => Some(DataType::Bool),
-        _ => None,
     }
 }
 
@@ -80,10 +75,12 @@ mod tests {
             Some("x".into()),
             vec![Some(1.0), None, Some(3.0), Some(3.0)],
         );
-        let s = ColumnStats::from_column(&c);
+        let (s, minhash) = ColumnStats::profile(&c);
         assert_eq!(s.dtype, DataType::Float);
         assert_eq!(s.null_count, 1);
         assert_eq!(s.distinct_count, 2);
+        assert_eq!(s.distinct_count, c.distinct_count());
+        assert_eq!(minhash.cardinality, s.distinct_count);
         assert_eq!(s.min, Some(1.0));
         assert_eq!(s.max, Some(3.0));
         assert!((s.mean.unwrap() - 7.0 / 3.0).abs() < 1e-12);
@@ -93,20 +90,7 @@ mod tests {
     #[test]
     fn anonymous_column_displays_positionally() {
         let c = Column::from_ints(None, vec![Some(1)]);
-        let s = ColumnStats::from_column(&c);
+        let (s, _) = ColumnStats::profile(&c);
         assert_eq!(s.display_name(2), "_col2");
-    }
-
-    #[test]
-    fn dtype_roundtrip() {
-        for d in [
-            DataType::Int,
-            DataType::Float,
-            DataType::Str,
-            DataType::Bool,
-        ] {
-            assert_eq!(dtype_from_str(dtype_to_str(d)), Some(d));
-        }
-        assert_eq!(dtype_from_str("blob"), None);
     }
 }

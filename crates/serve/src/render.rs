@@ -5,19 +5,17 @@
 use metam_lake::LakeCatalog;
 use metam_obs::json::{write_f64, write_string};
 
-/// Per-table column stats plus the scan's profile-cache, `.mtc`-vs-CSV
-/// load and sketch-record counters, as a single-line JSON object.
+/// Per-table column stats plus the scan's profile-cache and `.mtc`-vs-CSV
+/// load counters, as a single-line JSON object.
 pub fn profile_json(catalog: &LakeCatalog, only: Option<&str>) -> String {
     let counters = catalog.load_counters();
     let mut out = String::from("{\"cache\":{");
     out.push_str(&format!(
-        "\"profile_hits\":{},\"profile_misses\":{},\"mtc_loads\":{},\"csv_fallbacks\":{},\"sketch_hits\":{},\"sketch_misses\":{}}}",
+        "\"profile_hits\":{},\"profile_misses\":{},\"mtc_loads\":{},\"csv_fallbacks\":{}}}",
         catalog.cache_hits(),
         catalog.cache_misses(),
         counters.hits(),
         counters.misses(),
-        catalog.sketch_hits(),
-        catalog.sketch_misses(),
     ));
     out.push_str(",\"tables\":[");
     let mut first_table = true;

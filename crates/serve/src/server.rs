@@ -443,7 +443,6 @@ fn run_request(shared: &Arc<Shared>, request: &Request) -> Result<String, ServeE
                 .int_field("columns", catalog.total_columns() as u64)
                 .int_field("profile_hits", catalog.cache_hits() as u64)
                 .int_field("profile_misses", catalog.cache_misses() as u64)
-                .int_field("shards_written", catalog.shards_written() as u64)
                 .finish())
         }
         Request::Lakes | Request::Status | Request::Shutdown => Err(ServeError::internal(

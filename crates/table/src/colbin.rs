@@ -34,7 +34,10 @@ use crate::Result;
 /// First four bytes of every `.mtc` payload.
 pub const MAGIC: &[u8; 4] = b"MTC1";
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64 over `bytes`: the trailing checksum of `.mtc` payloads and
+/// of the lake's `.mks` sketch records (public so the lake, tools and
+/// tests can seal or re-seal records).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -220,20 +220,16 @@ fn cmd_scan(args: &[String]) -> CliResult<()> {
         println!("{:<24} {:>8} {:>6}", entry.name, entry.nrows, entry.ncols);
     }
     println!(
-        "{} tables, {} rows, {} columns | profile cache: {} hit(s), {} miss(es) | sketches: {} fresh, {} written",
+        "{} tables, {} rows, {} columns | profile cache: {} hit(s), {} miss(es)",
         catalog.len(),
         catalog.total_rows(),
         catalog.total_columns(),
         catalog.cache_hits(),
         catalog.cache_misses(),
-        catalog.sketch_hits(),
-        catalog.sketch_misses(),
     );
     println!(
-        "catalog: {} ({} shards, {} rewritten) | table cache: {}",
-        LakeCatalog::meta_dir(catalog.root()).display(),
-        catalog.shard_count(),
-        catalog.shards_written(),
+        "catalog records: {} | table cache: {}",
+        metam_lake::sketch::sketch_dir(catalog.root()).display(),
         metam_lake::cache::cache_dir(catalog.root()).display(),
     );
     Ok(())
@@ -366,12 +362,10 @@ fn cmd_discover(args: &[String]) -> CliResult<()> {
 
     let catalog = LakeCatalog::scan(dir)?;
     eprintln!(
-        "lake {dir}: {} tables ({} cache hits, {} misses, {} shard(s) rewritten, {} sketch(es) written)",
+        "lake {dir}: {} tables ({} cache hits, {} misses)",
         catalog.len(),
         catalog.cache_hits(),
         catalog.cache_misses(),
-        catalog.shards_written(),
-        catalog.sketch_misses(),
     );
     warn_string_regression_target(&catalog, &din_arg, &task_spec, seed);
     // The counter handles outlive the catalog's move into the session, so
@@ -659,9 +653,9 @@ mod tests {
         let catalog = LakeCatalog::scan(&dir).unwrap();
         let json = profile_json(&catalog, None);
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"cache\":{\"profile_hits\":0,\"profile_misses\":1"));
-        assert!(json.contains("\"mtc_loads\":0,\"csv_fallbacks\":0"));
-        assert!(json.contains("\"sketch_hits\":0,\"sketch_misses\":1"));
+        assert!(json.contains(
+            "\"cache\":{\"profile_hits\":0,\"profile_misses\":1,\"mtc_loads\":0,\"csv_fallbacks\":0}"
+        ));
         assert!(json.contains("\"tables\":[{\"table\":\"a\""));
         assert!(json.contains("\"name\":\"v\""));
         assert!(json.contains("\"nulls\":1"));

@@ -4,7 +4,7 @@
 //! and check that the search still recovers the planted augmentations.
 //!
 //! This exercises every lake layer at once: CSV writer → reader, catalog
-//! scan, manifest persistence + cache invalidation, candidate generation
+//! scan, catalog-record persistence + cache invalidation, candidate generation
 //! over file-backed tables, and the search itself.
 
 use std::path::PathBuf;

@@ -4,19 +4,23 @@
 //! The contract under test — candidate generation from persisted catalog
 //! sketches is **indistinguishable** from candidate generation over loaded
 //! tables: byte-identical record round trips, version bumps and corruption
-//! demote to re-profiling (which heals the record in place), and the
-//! candidate set on a real fixture matches the in-memory path exactly.
+//! turn into re-profiling (which heals the record in place), the decoder
+//! rejects damaged bytes without panicking, and the candidate set on a
+//! real fixture matches the in-memory path exactly.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use metam::core::{assemble, AssembleOptions, Repository};
-use metam::lake::prepare::{repository_descriptors, repository_tables};
+use metam::lake::prepare::repository_descriptors;
 use metam::lake::{export_scenario, parse_task, sketch, LakeCatalog};
 use metam::profile::default_profiles;
-use metam::Session;
+use metam::table::colbin::fnv1a;
+use metam::table::Column;
+use metam::{Session, Table};
 use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
 use metam_datagen::Scenario;
+use proptest::prelude::*;
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("metam-sketch-{tag}-{}", std::process::id()));
@@ -49,7 +53,8 @@ fn persisted_records_roundtrip_bit_identically_through_disk() {
     let catalog = LakeCatalog::scan(&dir).expect("scan");
 
     for entry in catalog.entries() {
-        let from_disk = sketch::load(&dir, entry).expect("record exists and validates");
+        let from_disk = sketch::load(&dir, &entry.file_name, entry.fingerprint())
+            .expect("record exists and validates");
         let table = catalog.load_table(&entry.name).expect("load");
         let from_table = sketch::TableSketch::from_table(&table);
         assert_eq!(
@@ -74,7 +79,7 @@ fn version_bump_invalidates_and_rescan_heals() {
     let scenario = howto_scenario();
     export_scenario(&scenario, &dir).expect("export");
     let first = LakeCatalog::scan(&dir).expect("scan");
-    assert_eq!(first.sketch_misses(), first.len(), "cold lake writes all");
+    assert_eq!(first.cache_misses(), first.len(), "cold lake writes all");
 
     // Forge a future-version record with a *valid* checksum: bump the
     // version field, then re-seal. Freshness must reject it on version
@@ -85,19 +90,19 @@ fn version_bump_invalidates_and_rescan_heals() {
     let bumped = (sketch::SKETCH_VERSION + 1).to_le_bytes();
     bytes[4..8].copy_from_slice(&bumped);
     let body_len = bytes.len() - 8;
-    let seal = sketch::checksum(&bytes[..body_len]).to_le_bytes();
+    let seal = fnv1a(&bytes[..body_len]).to_le_bytes();
     bytes[body_len..].copy_from_slice(&seal);
     std::fs::write(&path, &bytes).expect("write forged record");
     assert!(
-        sketch::load(&dir, entry).is_none(),
+        sketch::load(&dir, &entry.file_name, entry.fingerprint()).is_none(),
         "future version rejected"
     );
 
-    // Re-scan: the one demoted file re-profiles and heals its record back
-    // to the current version; everything else stays a sketch hit.
+    // Re-scan: the one rejected file re-profiles and heals its record back
+    // to the current version; everything else stays a hit.
     let second = LakeCatalog::scan(&dir).expect("rescan");
-    assert_eq!(second.sketch_misses(), 1, "only the forged record demotes");
-    assert_eq!(second.sketch_hits(), second.len() - 1);
+    assert_eq!(second.cache_misses(), 1, "only the forged record demotes");
+    assert_eq!(second.cache_hits(), second.len() - 1);
     let healed = std::fs::read(&path).expect("read healed record");
     assert_eq!(
         u32::from_le_bytes(healed[4..8].try_into().expect("4 bytes")),
@@ -105,7 +110,7 @@ fn version_bump_invalidates_and_rescan_heals() {
         "healed record is written at the current version"
     );
     assert!(
-        sketch::load(&dir, entry).is_some(),
+        sketch::load(&dir, &entry.file_name, entry.fingerprint()).is_some(),
         "record validates again"
     );
 
@@ -114,7 +119,7 @@ fn version_bump_invalidates_and_rescan_heals() {
 
 #[test]
 fn corrupt_record_self_heals_during_prepare() {
-    // A record that rots *after* scan (so the manifest still trusts it)
+    // A record that rots *after* scan (so the catalog still trusts it)
     // must not poison prepare: `sketch_descriptors` falls back to the
     // table payload for that one file, produces the same descriptor, and
     // rewrites the record in place.
@@ -154,9 +159,10 @@ fn corrupt_record_self_heals_during_prepare() {
 
     // The fallback healed the record on disk: it validates again and
     // matches the sketch of the table it summarizes.
-    let healed = sketch::load(&dir, &victim).expect("healed record validates");
+    let healed = sketch::load(&dir, &victim.file_name, victim.fingerprint())
+        .expect("healed record validates");
     let catalog = LakeCatalog::scan(&dir).expect("rescan");
-    assert_eq!(catalog.sketch_hits(), catalog.len(), "no demotions left");
+    assert_eq!(catalog.cache_hits(), catalog.len(), "no demotions left");
     let table = catalog.load_table(&victim.name).expect("load");
     assert_eq!(healed, sketch::TableSketch::from_table(&table));
 
@@ -182,7 +188,11 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
 
     let din = catalog.load_table("din").expect("din");
     let target_column = din.column_index("critical_reading").ok();
-    let tables = repository_tables(&catalog, &din, None).expect("tables");
+    let tables: Vec<Arc<Table>> = catalog
+        .repository_names(&[din.name.as_str()])
+        .iter()
+        .map(|name| Arc::new(catalog.load_table(name).expect("tables")))
+        .collect();
     let eager = assemble(
         din,
         tables,
@@ -220,4 +230,106 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A small table whose layout and content follow `seed`: `ncols` columns
+/// of mixed dtypes (named or anonymous, with nulls) over `nrows` rows.
+fn fuzz_table(ncols: usize, nrows: usize, seed: u64) -> Table {
+    let mut state = seed;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        state >> 33
+    };
+    let columns = (0..ncols)
+        .map(|c| {
+            let name = (next() % 4 != 0).then(|| format!("c{c}\t\\é"));
+            let kind = next() % 4;
+            let mut present = || next() % 5 != 0;
+            match kind {
+                0 => {
+                    let data = (0..nrows)
+                        .map(|r| present().then_some(r as i64 - 3))
+                        .collect();
+                    Column::from_ints(name, data)
+                }
+                1 => {
+                    let data = (0..nrows)
+                        .map(|r| present().then_some(r as f64 * -0.375))
+                        .collect();
+                    Column::from_floats(name, data)
+                }
+                2 => {
+                    let data = (0..nrows)
+                        .map(|r| present().then(|| format!("k{}", r % 3)))
+                        .collect();
+                    Column::from_strings(name, data)
+                }
+                _ => {
+                    let data = (0..nrows)
+                        .map(|r| present().then_some(r % 2 == 0))
+                        .collect();
+                    Column::from_bools(name, data)
+                }
+            }
+        })
+        .collect();
+    Table::from_columns("fuzz", columns).expect("equal-length columns")
+}
+
+fn fuzz_record(ncols: usize, nrows: usize, seed: u64) -> Vec<u8> {
+    let table = fuzz_table(ncols, nrows, seed);
+    sketch::encode(
+        (seed, seed >> 7, 3),
+        &sketch::TableSketch::from_table(&table),
+    )
+}
+
+proptest! {
+    /// Arbitrary bytes never panic the decoder — neither raw, nor sealed
+    /// behind a valid magic, version and checksum so the column parser
+    /// itself sees the garbage.
+    #[test]
+    fn decoder_survives_arbitrary_bytes(
+        bytes in prop::collection::vec((0u32..256).prop_map(|b| b as u8), 0..4097),
+    ) {
+        assert!(sketch::decode(&bytes).is_none());
+        let mut sealed = sketch::SKETCH_MAGIC.to_vec();
+        sealed.extend_from_slice(&sketch::SKETCH_VERSION.to_le_bytes());
+        sealed.extend_from_slice(&bytes);
+        let sum = fnv1a(&sealed);
+        sealed.extend_from_slice(&sum.to_le_bytes());
+        let _ = sketch::decode(&sealed);
+    }
+
+    /// Every strict prefix of a valid record decodes to `None`.
+    #[test]
+    fn every_strict_prefix_of_a_record_is_rejected(
+        ncols in 0usize..3,
+        nrows in 0usize..9,
+        seed: u64,
+    ) {
+        let bytes = fuzz_record(ncols, nrows, seed);
+        assert!(sketch::decode(&bytes).is_some(), "the record itself is valid");
+        for cut in 0..bytes.len() {
+            assert!(sketch::decode(&bytes[..cut]).is_none(), "prefix of {cut} bytes");
+        }
+    }
+
+    /// Every single-byte change of a valid record decodes to `None`.
+    #[test]
+    fn every_single_byte_flip_of_a_record_is_rejected(
+        ncols in 0usize..3,
+        nrows in 0usize..9,
+        seed: u64,
+    ) {
+        let mut bytes = fuzz_record(ncols, nrows, seed);
+        for i in 0..bytes.len() {
+            let mask = 1 + (seed.rotate_left(i as u32 % 64) % 255) as u8;
+            bytes[i] ^= mask;
+            assert!(sketch::decode(&bytes).is_none(), "byte {i} ^ {mask:#04x}");
+            bytes[i] ^= mask;
+        }
+    }
 }
