@@ -32,15 +32,6 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== perfbench: smoke run (small lakes, same code paths and output checks) =="
 cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perf -- --quick
 
-echo "== ingestion bench (smoke: parallel scan + per-file record + .mtc cache asserts) =="
-cargo run --release -q -p metam-bench --bin ingestion -- --quick --out target/bench-smoke
-
-echo "== search bench (smoke: batched query execution determinism asserts) =="
-cargo run --release -q -p metam-bench --bin search -- --quick --out target/bench-smoke
-
-echo "== candidates bench (smoke: sketch-backed prepare parity + bounded-load asserts) =="
-cargo run --release -q -p metam-bench --bin candidates -- --quick --out target/bench-smoke
-
 echo "== trace smoke: discover --trace emits a validatable JSONL trace =="
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
@@ -75,6 +66,22 @@ grep -q '"report":' "$TRACE_DIR/serve-discover.json"
 ./target/release/metam request "$ADDR" '{"verb":"scan","lake":"lake"}' \
     > "$TRACE_DIR/serve-scan.json"
 grep -q '"ok":true' "$TRACE_DIR/serve-scan.json"
+# Hostile lines under the 1 MiB line cap: 100,000 nested arrays (used to
+# overflow the connection thread's stack and abort the daemon) and a
+# 512 KiB string value (used to take quadratic time to parse). Each gets a
+# typed "ok":false reply (`metam request` exits 2), and the daemon still
+# answers status afterwards.
+head -c 100000 /dev/zero | tr '\0' '[' > "$TRACE_DIR/nested.line"
+PAD=$(head -c 524288 /dev/zero | tr '\0' 'x')
+printf '{"verb":"discover","lake":"%s"}' "$PAD" > "$TRACE_DIR/long.line"
+for LINE in nested long; do
+    if ./target/release/metam request "$ADDR" - < "$TRACE_DIR/$LINE.line" \
+        > "$TRACE_DIR/serve-$LINE.json" 2>/dev/null; then
+        echo "serve smoke: the $LINE line was accepted"; exit 1
+    fi
+    grep -q '"ok":false' "$TRACE_DIR/serve-$LINE.json"
+done
+./target/release/metam request "$ADDR" '{"verb":"status"}' > /dev/null
 ./target/release/metam request "$ADDR" '{"verb":"shutdown"}' > /dev/null
 wait "$SERVE_PID"
 

@@ -58,5 +58,5 @@ fn main() {
         eprintln!("[tau] {label} done");
     }
     table.print();
-    save_json(&args.out, "ablation_tau", &table);
+    save_json(&args.out, "ablation_tau", &table.to_json());
 }

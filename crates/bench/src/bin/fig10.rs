@@ -10,7 +10,7 @@ use metam::profile::overlap::OverlapProfile;
 use metam::profile::synthetic::FixedProfile;
 use metam::profile::ProfileSet;
 use metam::{MetamConfig, Method};
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel};
 
 /// Build a profile set with `informative ∈ {3, 5}` real profiles and
 /// `uninformative` noise profiles.
@@ -82,5 +82,5 @@ fn main() {
         panel.print();
         reports.push(panel);
     }
-    save_json(&args.out, "fig10", &reports);
+    save_json(&args.out, "fig10", &panels_json(&reports));
 }

@@ -3,7 +3,7 @@
 //! sampling) and NcEq (neither).
 
 use metam::{MetamConfig, Method};
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel};
 
 fn main() {
     let args = Args::parse();
@@ -62,5 +62,5 @@ fn main() {
     panel_b.print();
     reports.push(panel_b);
 
-    save_json(&args.out, "fig11", &reports);
+    save_json(&args.out, "fig11", &panels_json(&reports));
 }

@@ -2,7 +2,7 @@
 //! regression, what-if, how-to) — Metam vs MW / Overlap / Uniform, plus
 //! iARDA on the supervised tasks.
 
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel};
 
 fn main() {
     let args = Args::parse();
@@ -54,5 +54,5 @@ fn main() {
         panel.print();
         reports.push(panel);
     }
-    save_json(&args.out, "fig3", &reports);
+    save_json(&args.out, "fig3", &panels_json(&reports));
 }

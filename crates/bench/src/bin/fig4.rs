@@ -1,7 +1,7 @@
 //! Figure 4: (a) classification with AutoML as the task implementation;
 //! (b) unions — augmentation by adding records.
 
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel};
 use metam_datagen::scenario::TaskSpec;
 
 fn main() {
@@ -54,5 +54,5 @@ fn main() {
         reports.push(panel);
     }
 
-    save_json(&args.out, "fig4", &reports);
+    save_json(&args.out, "fig4", &panels_json(&reports));
 }

@@ -4,7 +4,7 @@
 
 use metam::core::trace::utility_at;
 use metam::{run_method, Method, NoopObserver};
-use metam_bench::{query_grid, save_json, Args, Panel, Series};
+use metam_bench::{panels_json, query_grid, save_json, Args, Panel, Series};
 
 fn averaged_panel(
     id: &str,
@@ -127,5 +127,5 @@ fn main() {
     p.print();
     reports.push(p);
 
-    save_json(&args.out, "fig5", &reports);
+    save_json(&args.out, "fig5", &panels_json(&reports));
 }

@@ -8,7 +8,7 @@
 
 use metam::{MetamConfig, Method};
 use metam_bench::synthetic::{scaled_fixture, time_method};
-use metam_bench::{save_json, Args, Panel, Series};
+use metam_bench::{panels_json, save_json, Args, Panel, Series};
 
 fn main() {
     let args = Args::parse();
@@ -79,5 +79,5 @@ fn main() {
     }
     panel_b.print();
 
-    save_json(&args.out, "fig6", &vec![panel_a, panel_b]);
+    save_json(&args.out, "fig6", &panels_json(&[panel_a, panel_b]));
 }

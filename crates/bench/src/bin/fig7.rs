@@ -6,7 +6,7 @@
 use metam::profile::task_specific::TaskSpecificProfile;
 use metam::profile::{default_profiles, ProfileSet};
 use metam::{MetamConfig, Method};
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel, Series};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel, Series};
 
 fn arda_profiles(classification: bool, seed: u64) -> ProfileSet {
     let mut set = default_profiles();
@@ -90,5 +90,5 @@ fn main() {
         panel.print();
         reports.push(panel);
     }
-    save_json(&args.out, "fig7", &reports);
+    save_json(&args.out, "fig7", &panels_json(&reports));
 }

@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use metam::core::engine::QueryEngine;
 use metam::datagen::supervised::{build_supervised, SupervisedConfig};
 use metam::{Metam, MetamConfig, NoopObserver, StopReason};
-use metam_bench::{save_json, Args, Panel, Series};
+use metam_bench::{panels_json, save_json, Args, Panel, Series};
 
 /// Queries Metam needs to reach the 70 % ground-truth lift.
 fn queries_to_ground_truth(scenario: metam::datagen::Scenario, seed: u64, budget: usize) -> usize {
@@ -122,5 +122,5 @@ fn main() {
     });
     panel_b.print();
 
-    save_json(&args.out, "fig8", &vec![panel_a, panel_b]);
+    save_json(&args.out, "fig8", &panels_json(&[panel_a, panel_b]));
 }

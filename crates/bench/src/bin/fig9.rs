@@ -5,7 +5,7 @@
 use metam::profile::synthetic::FixedProfile;
 use metam::profile::{default_profiles, ProfileSet};
 use metam::{MetamConfig, Method};
-use metam_bench::{query_grid, run_methods, save_json, Args, Panel};
+use metam_bench::{panels_json, query_grid, run_methods, save_json, Args, Panel};
 
 fn profiles_with_noise(n_uninformative: usize, n_candidates_hint: usize, seed: u64) -> ProfileSet {
     let mut set = default_profiles();
@@ -68,5 +68,5 @@ fn main() {
         panel.print();
         reports.push(panel);
     }
-    save_json(&args.out, "fig9", &reports);
+    save_json(&args.out, "fig9", &panels_json(&reports));
 }

@@ -109,5 +109,5 @@ fn main() {
     table.print();
     println!("\n(paper: linking Metam 4 / MW 10 / rest >40; fairness Metam <10 / rest >50;");
     println!("        clustering all ≈4 queries)");
-    save_json(&args.out, "generalization", &table);
+    save_json(&args.out, "generalization", &table.to_json());
 }

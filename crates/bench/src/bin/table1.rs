@@ -41,5 +41,5 @@ fn main() {
     table.print();
     println!("\n(paper: Open-Data 69K tables / 29.5M cols / 28.6M joinable / 119G;");
     println!("        Kaggle 1950 tables / 91231 cols / 6.7M joinable / 18G)");
-    save_json(&args.out, "table1", &table);
+    save_json(&args.out, "table1", &table.to_json());
 }

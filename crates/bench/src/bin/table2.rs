@@ -2,6 +2,7 @@
 //! (four causal tasks, two predictive-analytics tasks) for Metam, MW,
 //! Overlap and Uniform.
 
+use metam::obs::json;
 use metam::{run_method, Method, NoopObserver};
 use metam_bench::{save_json, Args, TableReport};
 
@@ -15,7 +16,7 @@ fn main() {
         vec!["Dataset", "Metam", "MW", "Overlap", "Uniform"],
     );
 
-    let mut dump = Vec::new();
+    let mut dump = json::array();
     for (name, scenario) in metam::datagen::repo::table2_scenarios(args.seed) {
         let prepared = metam::Session::from_scenario(scenario)
             .seed(args.seed)
@@ -35,12 +36,13 @@ fn main() {
         for m in &methods {
             let r = run_method(m, &prepared.inputs(), None, budget, &mut NoopObserver);
             row.push(format!("{:.2}", r.utility));
-            dump.push((name.to_string(), r.method.clone(), r.utility, r.queries));
+            let run = json::array().str(name).str(&r.method).f64(r.utility);
+            dump = dump.raw(&run.int(r.queries).finish());
         }
         table.push_row(row);
     }
     table.print();
     println!("\n(paper Table II: Metam 0.75–1.0, MW 0.20–0.50, Overlap 0.0–0.5, Uniform 0.1–0.5)");
-    save_json(&args.out, "table2", &table);
-    save_json(&args.out, "table2_raw", &dump);
+    save_json(&args.out, "table2", &table.to_json());
+    save_json(&args.out, "table2_raw", &dump.finish());
 }

@@ -13,10 +13,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use metam::core::engine::SearchInputs;
 use metam::core::trace::{resample, TracePoint};
+use metam::obs::json;
 use metam::{run_method, Method, Prepared, QueryEvent, RunObserver};
-use serde::Serialize;
 
 /// Command-line arguments shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -64,7 +63,7 @@ fn usage(msg: &str) -> ! {
 }
 
 /// One plotted series: method label + (queries, utility) points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -73,7 +72,7 @@ pub struct Series {
 }
 
 /// One figure panel (e.g. Fig. 3a).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Panel {
     /// Panel id, e.g. `fig3a`.
     pub id: String,
@@ -97,6 +96,27 @@ impl Panel {
             y_label: "utility".into(),
             series: Vec::new(),
         }
+    }
+
+    /// The panel as a JSON object (fields in declaration order, each
+    /// point a `[queries, utility]` pair).
+    pub fn to_json(&self) -> String {
+        let series = self.series.iter().fold(json::array(), |a, s| {
+            let points = s.points.iter().fold(json::array(), |p, &(x, y)| {
+                p.raw(&json::array().int(x).f64(y).finish())
+            });
+            let series = json::object()
+                .str("label", &s.label)
+                .raw("points", &points.finish());
+            a.raw(&series.finish())
+        });
+        json::object()
+            .str("id", &self.id)
+            .str("title", &self.title)
+            .str("x_label", &self.x_label)
+            .str("y_label", &self.y_label)
+            .raw("series", &series.finish())
+            .finish()
     }
 
     /// Pretty-print the panel as an aligned text table.
@@ -134,7 +154,7 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 /// A tabular report (Tables I/II style).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TableReport {
     /// Table id, e.g. `table2`.
     pub id: String,
@@ -160,6 +180,22 @@ impl TableReport {
     /// Append a row.
     pub fn push_row(&mut self, row: Vec<String>) {
         self.rows.push(row);
+    }
+
+    /// The table as a JSON object: `id`, `title`, `headers` and `rows`
+    /// (an array of string arrays).
+    pub fn to_json(&self) -> String {
+        let strings = |cells: &[String]| cells.iter().fold(json::array(), |a, c| a.str(c)).finish();
+        let rows = self
+            .rows
+            .iter()
+            .fold(json::array(), |a, r| a.raw(&strings(r)));
+        json::object()
+            .str("id", &self.id)
+            .str("title", &self.title)
+            .raw("headers", &strings(&self.headers))
+            .raw("rows", &rows.finish())
+            .finish()
     }
 
     /// Pretty-print.
@@ -192,22 +228,25 @@ impl TableReport {
     }
 }
 
-/// Dump any serializable artifact as `out/<name>.json`.
-pub fn save_json<T: Serialize>(out: &PathBuf, name: &str, value: &T) {
+/// Several panels as one JSON array (the figure binaries' dump shape).
+pub fn panels_json(panels: &[Panel]) -> String {
+    panels
+        .iter()
+        .fold(json::array(), |a, p| a.raw(&p.to_json()))
+        .finish()
+}
+
+/// Write a rendered JSON document, indented, as `out/<name>.json`.
+pub fn save_json(out: &PathBuf, name: &str, doc: &str) {
     if fs::create_dir_all(out).is_err() {
         eprintln!("warning: cannot create {out:?}; skipping JSON dump");
         return;
     }
     let path = out.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {path:?}: {e}");
-            } else {
-                println!("saved {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialization failed: {e}"),
+    if let Err(e) = fs::write(&path, json::pretty(doc)) {
+        eprintln!("warning: cannot write {path:?}: {e}");
+    } else {
+        println!("saved {}", path.display());
     }
 }
 
@@ -264,21 +303,6 @@ pub fn run_methods(
             }
         })
         .collect()
-}
-
-/// Borrow a `SearchInputs` with a synthetic task override — used by the
-/// scalability experiments where the model fit would drown the measurement.
-pub fn inputs_with_task<'a>(prepared: &'a Prepared, task: &'a dyn metam::Task) -> SearchInputs<'a> {
-    SearchInputs {
-        din: &prepared.din,
-        target_column: prepared.target_column,
-        candidates: &prepared.candidates,
-        profiles: &prepared.profiles,
-        profile_names: &prepared.profile_names,
-        materializer: &prepared.materializer,
-        task,
-        threads: prepared.threads,
-    }
 }
 
 /// The standard method lineup of Fig. 3 (iARDA appended only for ML tasks,
@@ -343,6 +367,51 @@ mod tests {
         assert_eq!(plain.selected, observed.selected);
         assert_eq!(plain.utility, observed.utility);
         assert_eq!(plain.stop_reason, observed.stop_reason);
+    }
+
+    fn saved(name: &str, save: impl FnOnce(&PathBuf)) -> String {
+        let dir = std::env::temp_dir().join(format!("metam-bench-dump-{}", std::process::id()));
+        save(&dir);
+        let text = fs::read_to_string(dir.join(format!("{name}.json"))).expect("dump written");
+        let _ = fs::remove_file(dir.join(format!("{name}.json")));
+        text
+    }
+
+    #[test]
+    fn panel_and_table_dumps_keep_their_bytes() {
+        let mut panel = Panel::new("fig3a", "Supervised \"x\"");
+        panel.series.push(Series {
+            label: "Metam".into(),
+            points: vec![(0, 0.5), (10, f64::NAN)],
+        });
+        panel.series.push(Series {
+            label: "MW".into(),
+            points: vec![],
+        });
+        let panels = saved("panels", |dir| {
+            save_json(dir, "panels", &panels_json(&[panel]))
+        });
+        assert_eq!(
+            panels,
+            "[\n  {\n    \"id\": \"fig3a\",\n    \"title\": \"Supervised \\\"x\\\"\",\n    \"x_label\": \"queries\",\n    \"y_label\": \"utility\",\n    \"series\": [\n      {\n        \"label\": \"Metam\",\n        \"points\": [\n          [\n            0,\n            0.5\n          ],\n          [\n            10,\n            null\n          ]\n        ]\n      },\n      {\n        \"label\": \"MW\",\n        \"points\": [\n          \n        ]\n      }\n    ]\n  }\n]"
+        );
+        let mut table = TableReport::new("table2", "Utility", vec!["Dataset", "Metam"]);
+        table.push_row(vec!["a,b".into(), "0.75".into()]);
+        let table = saved("table", |dir| save_json(dir, "table", &table.to_json()));
+        assert_eq!(
+            table,
+            "{\n  \"id\": \"table2\",\n  \"title\": \"Utility\",\n  \"headers\": [\n    \"Dataset\",\n    \"Metam\"\n  ],\n  \"rows\": [\n    [\n      \"a,b\",\n      \"0.75\"\n    ]\n  ]\n}"
+        );
+        let raw = saved("raw", |dir| {
+            // The `table2_raw` shape: one `[dataset, method, utility,
+            // queries]` array per run.
+            let run = json::array().str("d").str("MW").f64(0.25).int(7);
+            save_json(dir, "raw", &json::array().raw(&run.finish()).finish())
+        });
+        assert_eq!(
+            raw,
+            "[\n  [\n    \"d\",\n    \"MW\",\n    0.25,\n    7\n  ]\n]"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Synthetic large-scale fixtures for the scalability experiments
-//! (Fig. 6 and the `search` bench).
+//! (Fig. 6).
 //!
 //! Real model fits would drown the framework costs being measured, so
 //! these fixtures use a cheap [`LinearSyntheticTask`] and candidates that

@@ -577,11 +577,28 @@ mod tests {
         assert_eq!(cat.total_rows(), 3);
         assert_eq!(cat.total_columns(), 4);
 
-        // Second scan: everything unchanged ⇒ all hits.
+        // Backdate both records: a scan that rewrites a record, even with
+        // identical bytes, moves its mtime off this stamp.
+        let stamp = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        let record_mtime = |file: &str| {
+            let path = sketch::sketch_path(&dir, file);
+            fs::metadata(path).unwrap().modified().unwrap()
+        };
+        for file in ["a.csv", "b.csv"] {
+            let path = sketch::sketch_path(&dir, file);
+            let record = fs::File::options().write(true).open(path).unwrap();
+            record.set_modified(stamp).unwrap();
+        }
+
+        // Second scan: everything unchanged ⇒ all hits, no record rewritten.
         let cat2 = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat2.cache_hits(), 2);
         assert_eq!(cat2.cache_misses(), 0);
         assert_eq!(cat2.entries(), cat.entries());
+        assert_eq!(
+            (record_mtime("a.csv"), record_mtime("b.csv")),
+            (stamp, stamp)
+        );
 
         // Touch one file with different content size ⇒ one miss, and only
         // that file's record is rewritten.
@@ -596,6 +613,7 @@ mod tests {
             fs::read(sketch::sketch_path(&dir, "a.csv")).unwrap(),
             record_a
         );
+        assert_eq!(record_mtime("a.csv"), stamp, "a's record is not rewritten");
         assert_ne!(
             fs::read(sketch::sketch_path(&dir, "b.csv")).unwrap(),
             record_b

@@ -21,8 +21,10 @@
 //! bit-identical, traced or not. The emitting crates guard event
 //! construction behind [`enabled`].
 //!
-//! [`json`] additionally provides a minimal parser used to *validate*
-//! emitted trace files (schema tests, `metam trace-validate`).
+//! [`json`] is the workspace's one JSON writer — every document the
+//! program emits is built with its object/array builder — plus a minimal
+//! parser for daemon requests and for *validating* emitted trace files
+//! (schema tests, `metam trace-validate`).
 
 #![warn(missing_docs)]
 

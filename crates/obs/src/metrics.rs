@@ -10,6 +10,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
+use crate::json;
+
 /// Summary statistics of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistSummary {
@@ -135,32 +137,29 @@ impl MetricsSnapshot {
     /// Compact JSON object:
     /// `{"counters":{...},"histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,"mean":..}}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::json::write_string(&mut out, name);
-            out.push_str(&format!(":{v}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::json::write_string(&mut out, name);
-            out.push_str(&format!(":{{\"count\":{},\"sum\":", h.count));
-            crate::json::write_f64(&mut out, h.sum);
-            out.push_str(",\"min\":");
-            crate::json::write_f64(&mut out, if h.count == 0 { 0.0 } else { h.min });
-            out.push_str(",\"max\":");
-            crate::json::write_f64(&mut out, if h.count == 0 { 0.0 } else { h.max });
-            out.push_str(",\"mean\":");
-            crate::json::write_f64(&mut out, h.mean());
-            out.push('}');
-        }
-        out.push_str("}}");
-        out
+        let counters = self
+            .counters
+            .iter()
+            .fold(json::object(), |o, (name, v)| o.int(name, *v as usize));
+        let histograms = self.histograms.iter().fold(json::object(), |o, (name, h)| {
+            // An empty histogram's ±∞ min/max sentinels render as 0.
+            let (min, max) = if h.count == 0 {
+                (0.0, 0.0)
+            } else {
+                (h.min, h.max)
+            };
+            let summary = json::object()
+                .int("count", h.count as usize)
+                .f64("sum", h.sum)
+                .f64("min", min)
+                .f64("max", max)
+                .f64("mean", h.mean());
+            o.raw(name, &summary.finish())
+        });
+        json::object()
+            .raw("counters", &counters.finish())
+            .raw("histograms", &histograms.finish())
+            .finish()
     }
 }
 
@@ -216,7 +215,7 @@ mod tests {
         counter_add("test.metrics.json_counter", 1);
         record("test.metrics.json_hist", 0.5);
         let json = snapshot().to_json();
-        let v = crate::json::parse(&json).expect("snapshot JSON must parse");
+        let v = json::parse(&json).expect("snapshot JSON must parse");
         assert!(v.get("counters").is_some());
         assert!(v.get("histograms").is_some());
     }

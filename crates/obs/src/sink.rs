@@ -137,21 +137,17 @@ fn write_line(line: &str) {
 /// ```
 #[derive(Debug)]
 pub struct Event {
-    buf: String,
+    obj: json::Object,
 }
 
 impl Event {
     fn header(kind_key: &str, kind: &str, name: &str) -> Event {
-        let mut buf = String::with_capacity(96);
-        buf.push_str("{\"ts\":");
-        json::write_f64(&mut buf, now_secs());
-        buf.push_str(",\"");
-        buf.push_str(kind_key);
-        buf.push_str("\":");
-        json::write_string(&mut buf, kind);
-        buf.push_str(",\"name\":");
-        json::write_string(&mut buf, name);
-        Event { buf }
+        Event {
+            obj: json::object()
+                .f64("ts", now_secs())
+                .str(kind_key, kind)
+                .str("name", name),
+        }
     }
 
     /// A point event line: `{"ts":..,"event":<kind>,"name":<name>,...}`.
@@ -166,60 +162,42 @@ impl Event {
     }
 
     /// Add a float field.
-    pub fn num(mut self, key: &str, v: f64) -> Event {
-        self.buf.push(',');
-        json::write_string(&mut self.buf, key);
-        self.buf.push(':');
-        json::write_f64(&mut self.buf, v);
-        self
+    pub fn num(self, key: &str, v: f64) -> Event {
+        Event {
+            obj: self.obj.f64(key, v),
+        }
     }
 
     /// Add an integer field. `usize::MAX` encodes as `null` (the
     /// workspace-wide convention for "unbounded").
-    pub fn int(mut self, key: &str, v: usize) -> Event {
-        self.buf.push(',');
-        json::write_string(&mut self.buf, key);
-        self.buf.push(':');
-        if v == usize::MAX {
-            self.buf.push_str("null");
-        } else {
-            self.buf.push_str(&v.to_string());
+    pub fn int(self, key: &str, v: usize) -> Event {
+        Event {
+            obj: self.obj.opt_int(key, (v != usize::MAX).then_some(v)),
         }
-        self
     }
 
     /// Add a string field.
-    pub fn str(mut self, key: &str, v: &str) -> Event {
-        self.buf.push(',');
-        json::write_string(&mut self.buf, key);
-        self.buf.push(':');
-        json::write_string(&mut self.buf, v);
-        self
+    pub fn str(self, key: &str, v: &str) -> Event {
+        Event {
+            obj: self.obj.str(key, v),
+        }
     }
 
     /// Add an array-of-integers field.
-    pub fn ints(mut self, key: &str, vs: &[usize]) -> Event {
-        self.buf.push(',');
-        json::write_string(&mut self.buf, key);
-        self.buf.push_str(":[");
-        for (i, v) in vs.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            self.buf.push_str(&v.to_string());
+    pub fn ints(self, key: &str, vs: &[usize]) -> Event {
+        let items = vs.iter().fold(json::array(), |a, &v| a.int(v));
+        Event {
+            obj: self.obj.raw(key, &items.finish()),
         }
-        self.buf.push(']');
-        self
     }
 
     /// Close the object and write the line (dropped when no sink is
     /// installed).
-    pub fn emit(mut self) {
+    pub fn emit(self) {
         if !enabled() {
             return;
         }
-        self.buf.push('}');
-        write_line(&self.buf);
+        write_line(&self.obj.finish());
     }
 }
 

@@ -30,8 +30,7 @@ pub mod render;
 pub mod server;
 
 pub use protocol::{
-    error_reply, parse_request, DiscoverRequest, ErrorKind, Reply, Request, ServeError,
-    DEFAULT_BUDGET,
+    error_reply, parse_request, DiscoverRequest, ErrorKind, Request, ServeError, DEFAULT_BUDGET,
 };
 pub use queue::{JobQueue, QueueDepth};
 pub use registry::{lake_name_for, LakeRegistry};

@@ -271,71 +271,19 @@ pub fn parse_request(line: &str) -> Result<Request, ServeError> {
     }
 }
 
-/// Builder for a single-line `"ok":true` reply. Fields render in insertion
-/// order; raw fields splice pre-serialized JSON (e.g. a whole
-/// `discover --json` report) without re-encoding.
-#[derive(Debug)]
-pub struct Reply {
-    buf: String,
-}
-
-impl Reply {
-    /// Start an ok-reply for `verb`.
-    pub fn ok(verb: &str) -> Reply {
-        let mut buf = String::from("{\"ok\":true,\"verb\":");
-        json::write_string(&mut buf, verb);
-        Reply { buf }
-    }
-
-    /// Append a string field.
-    pub fn str_field(mut self, key: &str, value: &str) -> Reply {
-        self.key(key);
-        json::write_string(&mut self.buf, value);
-        self
-    }
-
-    /// Append an unsigned integer field.
-    pub fn int_field(mut self, key: &str, value: u64) -> Reply {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
-    /// Append a boolean field.
-    pub fn bool_field(mut self, key: &str, value: bool) -> Reply {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
-        self
-    }
-
-    /// Append a field whose value is already-serialized JSON.
-    pub fn raw_field(mut self, key: &str, raw_json: &str) -> Reply {
-        self.key(key);
-        self.buf.push_str(raw_json);
-        self
-    }
-
-    /// Close the object and return the reply line (no trailing newline).
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
-    }
-
-    fn key(&mut self, key: &str) {
-        self.buf.push(',');
-        json::write_string(&mut self.buf, key);
-        self.buf.push(':');
-    }
+/// Start a single-line `"ok":true` reply for `verb`; the caller adds the
+/// verb's payload fields and finishes it.
+pub(crate) fn ok_reply(verb: &str) -> json::Object {
+    json::object().bool("ok", true).str("verb", verb)
 }
 
 /// Render a typed error as a single-line `"ok":false` reply.
 pub fn error_reply(err: &ServeError) -> String {
-    let mut buf = String::from("{\"ok\":false,\"error\":");
-    json::write_string(&mut buf, err.kind.label());
-    buf.push_str(",\"message\":");
-    json::write_string(&mut buf, &err.message);
-    buf.push('}');
-    buf
+    json::object()
+        .bool("ok", false)
+        .str("error", err.kind.label())
+        .str("message", &err.message)
+        .finish()
 }
 
 #[cfg(test)]
@@ -417,11 +365,11 @@ mod tests {
 
     #[test]
     fn replies_are_single_line_json() {
-        let ok = Reply::ok("status")
-            .bool_field("shutting_down", false)
-            .int_field("active", 3)
-            .raw_field("lakes", "[{\"name\":\"demo\"}]")
-            .str_field("note", "a\"quote\"")
+        let ok = ok_reply("status")
+            .bool("shutting_down", false)
+            .int("active", 3)
+            .raw("lakes", "[{\"name\":\"demo\"}]")
+            .str("note", "a\"quote\"")
             .finish();
         assert!(!ok.contains('\n'));
         let parsed = json::parse(&ok).unwrap();

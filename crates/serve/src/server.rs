@@ -23,14 +23,15 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use metam_lake::catalog::LoadCounters;
 use metam_lake::LakeCatalog;
+use metam_obs::json;
 
 use crate::protocol::{
-    error_reply, parse_request, DiscoverRequest, ErrorKind, Reply, Request, ServeError,
+    error_reply, ok_reply, parse_request, DiscoverRequest, ErrorKind, Request, ServeError,
 };
 use crate::queue::JobQueue;
 use crate::registry::LakeRegistry;
+use crate::render::{load_counts, loads_json, profile_json};
 
 /// How often blocking loops (accept, connection reads) wake to check the
 /// stop flag and stop-file.
@@ -330,9 +331,9 @@ fn handle_line(shared: &Arc<Shared>, text: &str) -> String {
         Request::Shutdown => {
             shared.queue.drain();
             let depth = shared.queue.depth();
-            Reply::ok("shutdown")
-                .int_field("draining_queued", depth.queued as u64)
-                .int_field("draining_active", depth.active as u64)
+            ok_reply("shutdown")
+                .int("draining_queued", depth.queued)
+                .int("draining_active", depth.active)
                 .finish()
         }
         Request::Discover(d) => {
@@ -413,10 +414,10 @@ fn run_request(shared: &Arc<Shared>, request: &Request) -> Result<String, ServeE
             let output = (shared.discover)(d, catalog)?;
             // `report` renders last so consumers can also split the line
             // on `"report":` and parse the embedded CLI report directly.
-            Ok(Reply::ok("discover")
-                .str_field("lake", &d.lake)
-                .raw_field("cache", &output.cache_json)
-                .raw_field("report", &output.report_json)
+            Ok(ok_reply("discover")
+                .str("lake", &d.lake)
+                .raw("cache", &output.cache_json)
+                .raw("report", &output.report_json)
                 .finish())
         }
         Request::Profile { lake, table } => {
@@ -428,21 +429,20 @@ fn run_request(shared: &Arc<Shared>, request: &Request) -> Result<String, ServeE
                     )));
                 }
             }
-            let profile = crate::render::profile_json(&catalog, table.as_deref());
-            Ok(Reply::ok("profile")
-                .str_field("lake", lake)
-                .raw_field("profile", &profile)
+            Ok(ok_reply("profile")
+                .str("lake", lake)
+                .raw("profile", &profile_json(&catalog, table.as_deref()))
                 .finish())
         }
         Request::Scan { lake } => {
             let catalog = shared.registry.refresh(lake)?;
-            Ok(Reply::ok("scan")
-                .str_field("lake", lake)
-                .int_field("tables", catalog.len() as u64)
-                .int_field("rows", catalog.total_rows() as u64)
-                .int_field("columns", catalog.total_columns() as u64)
-                .int_field("profile_hits", catalog.cache_hits() as u64)
-                .int_field("profile_misses", catalog.cache_misses() as u64)
+            Ok(ok_reply("scan")
+                .str("lake", lake)
+                .int("tables", catalog.len())
+                .int("rows", catalog.total_rows())
+                .int("columns", catalog.total_columns())
+                .int("profile_hits", catalog.cache_hits())
+                .int("profile_misses", catalog.cache_misses())
                 .finish())
         }
         Request::Lakes | Request::Status | Request::Shutdown => Err(ServeError::internal(
@@ -451,82 +451,50 @@ fn run_request(shared: &Arc<Shared>, request: &Request) -> Result<String, ServeE
     }
 }
 
-fn lakes_reply(shared: &Arc<Shared>) -> String {
-    let mut lakes = String::from("[");
-    for (i, name) in shared.registry.names().iter().enumerate() {
-        if i > 0 {
-            lakes.push(',');
-        }
+/// One JSON object per served lake (`{}` for a lake whose catalog cannot
+/// be read), in registry order.
+fn per_lake(shared: &Arc<Shared>, render: impl Fn(&str, &LakeCatalog) -> json::Object) -> String {
+    let names = shared.registry.names();
+    let lakes = names.iter().fold(json::array(), |lakes, name| {
         match shared.registry.snapshot(name) {
-            Ok(catalog) => {
-                lakes.push_str("{\"name\":");
-                metam_obs::json::write_string(&mut lakes, name);
-                lakes.push_str(&format!(
-                    ",\"root\":{root},\"tables\":{},\"rows\":{},\"columns\":{}}}",
-                    catalog.len(),
-                    catalog.total_rows(),
-                    catalog.total_columns(),
-                    root = {
-                        let mut s = String::new();
-                        metam_obs::json::write_string(
-                            &mut s,
-                            &catalog.root().display().to_string(),
-                        );
-                        s
-                    },
-                ));
-            }
-            Err(_) => lakes.push_str("{}"),
+            Ok(catalog) => lakes.raw(&render(name, &catalog).finish()),
+            Err(_) => lakes.raw(&json::object().finish()),
         }
-    }
-    lakes.push(']');
-    Reply::ok("lakes").raw_field("lakes", &lakes).finish()
+    });
+    lakes.finish()
 }
 
-fn counters_json(counters: &Arc<LoadCounters>, sketch: &Arc<LoadCounters>) -> String {
-    format!(
-        "{{\"mtc_loads\":{},\"csv_fallbacks\":{},\"sketch_hits\":{},\"sketch_fallbacks\":{}}}",
-        counters.hits(),
-        counters.misses(),
-        sketch.hits(),
-        sketch.misses(),
-    )
+fn lakes_reply(shared: &Arc<Shared>) -> String {
+    let lakes = per_lake(shared, |name, catalog| {
+        json::object()
+            .str("name", name)
+            .str("root", &catalog.root().display().to_string())
+            .int("tables", catalog.len())
+            .int("rows", catalog.total_rows())
+            .int("columns", catalog.total_columns())
+    });
+    ok_reply("lakes").raw("lakes", &lakes).finish()
 }
 
 fn status_reply(shared: &Arc<Shared>) -> String {
     let depth = shared.queue.depth();
-    let mut lakes = String::from("[");
-    for (i, name) in shared.registry.names().iter().enumerate() {
-        if i > 0 {
-            lakes.push(',');
-        }
-        match shared.registry.snapshot(name) {
-            Ok(catalog) => {
-                lakes.push_str("{\"name\":");
-                metam_obs::json::write_string(&mut lakes, name);
-                lakes.push_str(",\"tables\":");
-                lakes.push_str(&catalog.len().to_string());
-                // Server-lifetime load totals: these counters survive
-                // catalog refreshes (rescan adopts the same handles).
-                lakes.push_str(",\"loads\":");
-                lakes.push_str(&counters_json(
-                    &catalog.load_counters(),
-                    &catalog.sketch_load_counters(),
-                ));
-                lakes.push('}');
-            }
-            Err(_) => lakes.push_str("{}"),
-        }
-    }
-    lakes.push(']');
-    Reply::ok("status")
-        .bool_field("shutting_down", depth.draining)
-        .int_field("workers", shared.config.workers.max(1) as u64)
-        .int_field("ceiling", shared.queue.ceiling() as u64)
-        .int_field("queued", depth.queued as u64)
-        .int_field("active", depth.active as u64)
-        .int_field("served", depth.served)
-        .int_field("rejected", depth.rejected)
-        .raw_field("lakes", &lakes)
+    let lakes = per_lake(shared, |name, catalog| {
+        // Server-lifetime load totals: these counters survive catalog
+        // refreshes (rescan adopts the same handles).
+        let counts = load_counts(&catalog.load_counters(), &catalog.sketch_load_counters());
+        json::object()
+            .str("name", name)
+            .int("tables", catalog.len())
+            .raw("loads", &loads_json(counts))
+    });
+    ok_reply("status")
+        .bool("shutting_down", depth.draining)
+        .int("workers", shared.config.workers.max(1))
+        .int("ceiling", shared.queue.ceiling())
+        .int("queued", depth.queued)
+        .int("active", depth.active)
+        .int("served", depth.served as usize)
+        .int("rejected", depth.rejected as usize)
+        .raw("lakes", &lakes)
         .finish()
 }

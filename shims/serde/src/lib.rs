@@ -1,195 +1,7 @@
-//! Minimal stand-in for `serde` (offline build).
-//!
-//! Instead of serde's data model, [`Serialize`] writes JSON straight into a
-//! `String`; the companion `serde_json` shim wraps this in its usual
-//! `to_string`/`to_string_pretty` entry points. `#[derive(Serialize)]` is
-//! provided by the `serde_derive_shim` proc macro and produces a JSON
-//! object of the struct's named fields.
-
-// Let the derive's generated `::serde::` paths resolve inside this crate's
-// own tests too.
-extern crate self as serde;
-
-pub use serde_derive_shim::Serialize;
-
-/// Serialize `self` as JSON appended to `out`.
-pub trait Serialize {
-    /// Append the JSON encoding of `self`.
-    fn serialize(&self, out: &mut String);
-}
-
-/// Append a JSON string literal (quoted, escaped).
-pub fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl Serialize for String {
-    fn serialize(&self, out: &mut String) {
-        write_json_string(out, self);
-    }
-}
-
-impl Serialize for str {
-    fn serialize(&self, out: &mut String) {
-        write_json_string(out, self);
-    }
-}
-
-impl Serialize for bool {
-    fn serialize(&self, out: &mut String) {
-        out.push_str(if *self { "true" } else { "false" });
-    }
-}
-
-impl Serialize for f64 {
-    fn serialize(&self, out: &mut String) {
-        if self.is_finite() {
-            out.push_str(&format!("{self}"));
-        } else {
-            // JSON has no NaN/Infinity; null is serde_json's lossy default.
-            out.push_str("null");
-        }
-    }
-}
-
-macro_rules! impl_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn serialize(&self, out: &mut String) {
-                out.push_str(&format!("{self}"));
-            }
-        }
-    )*};
-}
-
-impl_int!(usize, u64, u32, u16, u8, isize, i64, i32, i16, i8);
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self, out: &mut String) {
-        (**self).serialize(out);
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self, out: &mut String) {
-        match self {
-            Some(v) => v.serialize(out),
-            None => out.push_str("null"),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self, out: &mut String) {
-        self.as_slice().serialize(out);
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self, out: &mut String) {
-        out.push('[');
-        for (i, v) in self.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            v.serialize(out);
-        }
-        out.push(']');
-    }
-}
-
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize(&self, out: &mut String) {
-        out.push('[');
-        self.0.serialize(out);
-        out.push(',');
-        self.1.serialize(out);
-        out.push(']');
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($t:ident . $i:tt),+))*) => {$(
-        impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn serialize(&self, out: &mut String) {
-                out.push('[');
-                let mut first = true;
-                $(
-                    if !first {
-                        out.push(',');
-                    }
-                    first = false;
-                    self.$i.serialize(out);
-                )+
-                let _ = first;
-                out.push(']');
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A.0, B.1, C.2)
-    (A.0, B.1, C.2, D.3)
-    (A.0, B.1, C.2, D.3, E.4)
-    (A.0, B.1, C.2, D.3, E.4, F.5)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn json<T: Serialize>(v: &T) -> String {
-        let mut s = String::new();
-        v.serialize(&mut s);
-        s
-    }
-
-    #[test]
-    fn scalars() {
-        assert_eq!(json(&3usize), "3");
-        assert_eq!(json(&-2i64), "-2");
-        assert_eq!(json(&1.5f64), "1.5");
-        assert_eq!(json(&f64::NAN), "null");
-        assert_eq!(json(&true), "true");
-        assert_eq!(json(&"a\"b\n".to_string()), "\"a\\\"b\\n\"");
-    }
-
-    #[test]
-    fn compounds() {
-        assert_eq!(json(&vec![1usize, 2]), "[1,2]");
-        assert_eq!(json(&(1usize, 0.5f64)), "[1,0.5]");
-        assert_eq!(json(&Some(1usize)), "1");
-        assert_eq!(json(&Option::<usize>::None), "null");
-        assert_eq!(json(&vec![vec!["x".to_string()]]), "[[\"x\"]]");
-    }
-
-    #[test]
-    fn derive_emits_object() {
-        #[derive(Serialize)]
-        struct P {
-            /// Doc comments are attributes; the derive must skip them.
-            pub id: String,
-            points: Vec<(usize, f64)>,
-        }
-        let p = P {
-            id: "fig3".into(),
-            points: vec![(0, 0.25)],
-        };
-        assert_eq!(json(&p), "{\"id\":\"fig3\",\"points\":[[0,0.25]]}");
-    }
-}
+//! Empty placeholder for the former `serde` shim. Nothing in the
+//! workspace serializes through it: every JSON document is rendered by
+//! `metam_obs::json`. The root `metam` crate still lists it (with
+//! `serde_json` and, through this crate, `serde_derive_shim`) only so its
+//! dependency graph, and with it the benchmark's committed
+//! `perfbench/Cargo.lock`, stays unchanged until the next benchmark
+//! change deletes all three crates.

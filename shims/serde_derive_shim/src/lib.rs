@@ -1,118 +1,2 @@
-//! `#[derive(Serialize)]` for the in-repo `serde` shim, written against the
-//! bare `proc_macro` API (the container has no syn/quote).
-//!
-//! Supports what the workspace derives on: non-generic structs with named
-//! fields. Each field must itself implement the shim's `Serialize`.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Derive the shim `serde::Serialize` (JSON object of the named fields).
-#[proc_macro_derive(Serialize)]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let mut iter = input.into_iter().peekable();
-    let mut name: Option<String> = None;
-
-    // Find `struct <Name>`, skipping attributes and visibility.
-    while let Some(tt) = iter.next() {
-        match tt {
-            TokenTree::Punct(p) if p.as_char() == '#' => {
-                // Skip the attribute group that follows.
-                let _ = iter.next();
-            }
-            TokenTree::Ident(id) if id.to_string() == "struct" => {
-                if let Some(TokenTree::Ident(n)) = iter.next() {
-                    name = Some(n.to_string());
-                }
-                break;
-            }
-            _ => {}
-        }
-    }
-    let name = name.expect("derive(Serialize): expected a struct");
-
-    // Find the brace group holding the fields.
-    let body = iter
-        .find_map(|tt| match tt {
-            TokenTree::Group(g) if g.delimiter() == Delimiter::Brace => Some(g.stream()),
-            _ => None,
-        })
-        .expect("derive(Serialize): expected named fields");
-
-    let fields = field_names(body);
-    assert!(
-        !fields.is_empty(),
-        "derive(Serialize): no named fields found"
-    );
-
-    let mut writes = String::new();
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            writes.push_str("out.push(',');");
-        }
-        writes.push_str(&format!(
-            "::serde::write_json_string(out, \"{f}\");out.push(':');\
-             ::serde::Serialize::serialize(&self.{f}, out);"
-        ));
-    }
-
-    format!(
-        "impl ::serde::Serialize for {name} {{\
-             fn serialize(&self, out: &mut ::std::string::String) {{\
-                 out.push('{{'); {writes} out.push('}}');\
-             }}\
-         }}"
-    )
-    .parse()
-    .expect("derive(Serialize): generated impl must parse")
-}
-
-/// Extract field identifiers from the token stream of a named-field body:
-/// an ident directly followed by `:` at angle-bracket depth 0, outside any
-/// attribute, starts a field; everything up to the next top-level `,` is its
-/// type and is skipped.
-fn field_names(body: TokenStream) -> Vec<String> {
-    let mut fields = Vec::new();
-    let mut iter = body.into_iter().peekable();
-    loop {
-        // Skip attributes (doc comments included) and visibility.
-        match iter.peek() {
-            None => break,
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                iter.next();
-                iter.next(); // the [...] group
-                continue;
-            }
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                iter.next();
-                // Skip a possible `(crate)`-style restriction.
-                if let Some(TokenTree::Group(g)) = iter.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        iter.next();
-                    }
-                }
-                continue;
-            }
-            _ => {}
-        }
-        // Field name.
-        let Some(TokenTree::Ident(id)) = iter.next() else {
-            break;
-        };
-        match iter.next() {
-            Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-            _ => break,
-        }
-        fields.push(id.to_string());
-        // Skip the type up to the next `,` at angle depth 0.
-        let mut angle = 0i32;
-        for tt in iter.by_ref() {
-            match tt {
-                TokenTree::Punct(p) if p.as_char() == '<' => angle += 1,
-                TokenTree::Punct(p) if p.as_char() == '>' => angle -= 1,
-                TokenTree::Punct(p) if p.as_char() == ',' && angle == 0 => break,
-                _ => {}
-            }
-        }
-    }
-    fields
-}
+//! Empty placeholder for the former `#[derive(Serialize)]` shim; see the
+//! `serde` placeholder for why the crate still exists.

@@ -1,96 +1,3 @@
-//! Minimal stand-in for `serde_json` (offline build): serialization entry
-//! points over the shim `serde::Serialize` trait. Output is valid JSON;
-//! "pretty" output is re-indented from the compact form.
-
-use std::fmt;
-
-/// Serialization error (the shim writer is infallible, but callers match on
-/// `Result` so the type exists).
-#[derive(Debug)]
-pub struct Error(String);
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Compact JSON encoding.
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    value.serialize(&mut out);
-    Ok(out)
-}
-
-/// Indented JSON encoding (2 spaces), derived from the compact form.
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let compact = to_string(value)?;
-    let mut out = String::with_capacity(compact.len() * 2);
-    let mut indent = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in compact.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => {
-                in_str = true;
-                out.push(c);
-            }
-            '{' | '[' => {
-                indent += 1;
-                out.push(c);
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-            }
-            '}' | ']' => {
-                indent = indent.saturating_sub(1);
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(c);
-            }
-            ',' => {
-                out.push(c);
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-            }
-            ':' => {
-                out.push(c);
-                out.push(' ');
-            }
-            c => out.push(c),
-        }
-    }
-    Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn pretty_is_indented_and_balanced() {
-        let v = vec![(1usize, 0.5f64), (2, 1.0)];
-        let pretty = super::to_string_pretty(&v).unwrap();
-        assert!(pretty.contains('\n'));
-        assert_eq!(pretty.matches('[').count(), pretty.matches(']').count());
-    }
-
-    #[test]
-    fn compact_roundtrip_shape() {
-        let s = super::to_string(&"a,b{}".to_string()).unwrap();
-        assert_eq!(s, "\"a,b{}\"");
-        // Braces inside strings must not confuse the pretty-printer.
-        let pretty = super::to_string_pretty(&"a{".to_string()).unwrap();
-        assert_eq!(pretty, "\"a{\"");
-    }
-}
+//! Empty placeholder for the former `serde_json` shim; see the `serde`
+//! placeholder for why the crate still exists. JSON is written and parsed
+//! by `metam_obs::json`.

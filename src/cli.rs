@@ -26,6 +26,7 @@
 use metam_core::{MetamConfig, Method};
 use metam_datagen::repo::price_classification;
 use metam_lake::{export_scenario, parse_task, LakeCatalog, LakeError, TaskKind};
+use metam_serve::render::profile_json;
 
 use crate::session::{RoundEvent, RunObserver, RunReport, Session};
 
@@ -46,7 +47,8 @@ commands:
         [--max-budget N] [--stop-file FILE]
                               hold the lakes hot and answer NDJSON
                               requests over TCP until shutdown
-  request <addr> <json>       send one NDJSON request line to a daemon
+  request <addr> <json|->     send one NDJSON request line to a daemon
+                              (`-` reads the line from stdin)
   trace-validate <file>       check a JSONL trace file against the schema
 
 task kinds: classification:<column> | regression:<column> | clustering:<k>
@@ -275,13 +277,6 @@ fn cmd_profile(args: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-/// Machine-readable catalog statistics (`profile --json`): the shared
-/// renderer in `metam-serve` (the daemon's `profile` verb returns the
-/// same payload, so the two surfaces can never drift).
-fn profile_json(catalog: &LakeCatalog, only: Option<&str>) -> String {
-    metam_serve::render::profile_json(catalog, only)
-}
-
 fn fmt_opt(v: Option<f64>) -> String {
     v.map(|x| format!("{x:.3}"))
         .unwrap_or_else(|| "-".to_string())
@@ -404,7 +399,7 @@ fn cmd_discover(args: &[String]) -> CliResult<()> {
         load_counters.misses(),
     );
     if json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
+        println!("{}", metam_obs::json::pretty(&report.to_json()));
     } else {
         print_report(&report);
     }
@@ -459,17 +454,23 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
 }
 
 fn cmd_request(args: &[String]) -> CliResult<()> {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     let flags = Flags::parse(args, &[])?;
     flags.reject_unknown(&[])?;
     let addr = flags
         .positional
         .first()
         .ok_or_else(|| bad("request needs <addr> (host:port)"))?;
-    let line = flags
-        .positional
-        .get(1)
-        .ok_or_else(|| bad("request needs a <json> request line"))?;
+    let line = match flags.positional.get(1).map(String::as_str) {
+        // `-` reads the line from stdin: one argument is capped at 128 KiB.
+        Some("-") => {
+            let mut text = String::new();
+            std::io::stdin().read_to_string(&mut text)?;
+            text.trim_end_matches(['\n', '\r']).to_string()
+        }
+        Some(line) => line.to_string(),
+        None => return Err(bad("request needs a <json> request line")),
+    };
     if line.contains('\n') {
         return Err(bad("the request must be a single NDJSON line"));
     }

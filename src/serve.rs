@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use metam_core::{MetamConfig, Method};
 use metam_lake::{LakeCatalog, LakeError};
+use metam_serve::render::{load_counts, loads_json};
 pub use metam_serve::{
     DiscoverOutput, DiscoverRequest, ErrorKind, LakeRegistry, RunningServer, ServeConfig,
     ServeError,
@@ -45,9 +46,8 @@ fn run_discover(
     // Per-request cache sections are before/after deltas on the shared
     // counters — exact when requests run alone, best-effort attribution
     // under concurrency (lifetime totals in `status` are always exact).
-    let load = catalog.load_counters();
-    let sketch = catalog.sketch_load_counters();
-    let before = (load.hits(), load.misses(), sketch.hits(), sketch.misses());
+    let (load, sketch) = (catalog.load_counters(), catalog.sketch_load_counters());
+    let before = load_counts(&load, &sketch);
 
     let mut session = Session::from_shared_catalog(catalog)
         .din(request.din.clone())
@@ -72,16 +72,10 @@ fn run_discover(
     // replies omit it (server-lifetime stats live in `status` instead) —
     // which also keeps replies bit-identical to in-process runs.
     report.metrics = None;
-    let cache_json = format!(
-        "{{\"mtc_loads\":{},\"csv_fallbacks\":{},\"sketch_hits\":{},\"sketch_fallbacks\":{}}}",
-        load.hits().saturating_sub(before.0),
-        load.misses().saturating_sub(before.1),
-        sketch.hits().saturating_sub(before.2),
-        sketch.misses().saturating_sub(before.3),
-    );
+    let after = load_counts(&load, &sketch);
     Ok(DiscoverOutput {
         report_json: report.to_json(),
-        cache_json,
+        cache_json: loads_json(std::array::from_fn(|i| after[i].saturating_sub(before[i]))),
     })
 }
 

@@ -3,11 +3,12 @@
 use metam_core::trace::TracePoint;
 use metam_core::StopReason;
 use metam_discovery::CandidateId;
-use metam_obs::MetricsSnapshot;
+use metam_obs::{json, MetricsSnapshot};
 
 /// Everything one discovery run produced: the solution, budget accounting,
-/// wall-clock timings and the utility-vs-queries trace. Serializes to JSON
-/// via the `serde` shim for the CLI's `--json` mode and bench harnesses.
+/// wall-clock timings and the utility-vs-queries trace. Renders as JSON
+/// ([`to_json`](Self::to_json)) for the CLI's `--json` mode and the
+/// daemon's `discover` reply.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Method display name ("Metam", "Uniform", …).
@@ -67,98 +68,58 @@ impl RunReport {
         metam_core::engine::remaining_budget(self.budget, self.queries)
     }
 
-    /// Compact JSON encoding (the `--json` CLI payload).
+    /// Compact JSON encoding: the daemon's `discover` reply embeds it, and
+    /// `metam discover --json` prints its [`pretty`](metam_obs::json::pretty)
+    /// form. An unbounded budget encodes as `null`, the stop reason as its
+    /// Display string.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        serde::Serialize::serialize(self, &mut out);
-        out
-    }
-}
-
-fn write_opt_usize(out: &mut String, v: Option<usize>) {
-    match v {
-        Some(n) => out.push_str(&n.to_string()),
-        None => out.push_str("null"),
-    }
-}
-
-impl serde::Serialize for RunReport {
-    fn serialize(&self, out: &mut String) {
-        // Hand-rolled so unbounded budgets encode as null and the stop
-        // reason encodes as its Display string.
-        out.push('{');
-        serde::write_json_string(out, "method");
-        out.push(':');
-        serde::write_json_string(out, &self.method);
-        out.push_str(",\"din\":{");
-        serde::write_json_string(out, "name");
-        out.push(':');
-        serde::write_json_string(out, &self.din_name);
-        out.push_str(&format!(
-            ",\"rows\":{},\"cols\":{}}}",
-            self.din_rows, self.din_cols
-        ));
-        out.push_str(&format!(",\"candidates\":{}", self.n_candidates));
-        out.push_str(",\"utility\":");
-        serde::Serialize::serialize(&self.utility, out);
-        out.push_str(",\"base_utility\":");
-        serde::Serialize::serialize(&self.base_utility, out);
-        out.push_str(",\"gain\":");
-        serde::Serialize::serialize(&self.gain(), out);
-        out.push_str(&format!(",\"queries\":{}", self.queries));
-        out.push_str(",\"budget\":");
-        write_opt_usize(out, (self.budget != usize::MAX).then_some(self.budget));
-        out.push_str(",\"queries_remaining\":");
-        write_opt_usize(
-            out,
-            (self.budget != usize::MAX).then_some(self.queries_remaining()),
-        );
-        out.push_str(",\"stop_reason\":");
-        match self.stop_reason {
-            Some(r) => serde::write_json_string(out, &r.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"n_clusters\":");
-        write_opt_usize(out, self.n_clusters);
-        out.push_str(",\"certification_ignored\":");
-        write_opt_usize(out, self.certification_ignored);
-        out.push_str(",\"selected\":[");
-        for (i, (&id, name)) in self.selected.iter().zip(&self.selected_names).enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"id\":{id},\"name\":"));
-            serde::write_json_string(out, name);
-            out.push('}');
-        }
-        out.push(']');
-        out.push_str(&format!(",\"threads\":{}", self.threads));
-        out.push_str(",\"prepare_secs\":");
-        serde::Serialize::serialize(&self.prepare_secs, out);
-        out.push_str(",\"search_secs\":");
-        serde::Serialize::serialize(&self.search_secs, out);
-        out.push_str(",\"metrics\":");
-        match &self.metrics {
-            Some(m) => out.push_str(&m.to_json()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"trace\":[");
-        for (i, p) in self.trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("[{},", p.queries));
-            serde::Serialize::serialize(&p.utility, out);
-            out.push(']');
-        }
-        out.push_str("]}");
+        let bounded = |n: usize| (self.budget != usize::MAX).then_some(n);
+        let din = json::object()
+            .str("name", &self.din_name)
+            .int("rows", self.din_rows)
+            .int("cols", self.din_cols);
+        let selected = self
+            .selected
+            .iter()
+            .zip(&self.selected_names)
+            .fold(json::array(), |a, (&id, name)| {
+                a.raw(&json::object().int("id", id).str("name", name).finish())
+            });
+        let trace = self.trace.iter().fold(json::array(), |a, p| {
+            a.raw(&json::array().int(p.queries).f64(p.utility).finish())
+        });
+        let report = json::object()
+            .str("method", &self.method)
+            .raw("din", &din.finish())
+            .int("candidates", self.n_candidates)
+            .f64("utility", self.utility)
+            .f64("base_utility", self.base_utility)
+            .f64("gain", self.gain())
+            .int("queries", self.queries)
+            .opt_int("budget", bounded(self.budget))
+            .opt_int("queries_remaining", bounded(self.queries_remaining()));
+        let report = match self.stop_reason {
+            Some(r) => report.str("stop_reason", &r.to_string()),
+            None => report.raw("stop_reason", "null"),
+        };
+        let metrics = self.metrics.as_ref().map(MetricsSnapshot::to_json);
+        report
+            .opt_int("n_clusters", self.n_clusters)
+            .opt_int("certification_ignored", self.certification_ignored)
+            .raw("selected", &selected.finish())
+            .int("threads", self.threads)
+            .f64("prepare_secs", self.prepare_secs)
+            .f64("search_secs", self.search_secs)
+            .raw("metrics", metrics.as_deref().unwrap_or("null"))
+            .raw("trace", &trace.finish())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metam_obs::json::{self, Value};
+    use metam_obs::json::Value;
 
     fn report() -> RunReport {
         RunReport {
@@ -200,7 +161,7 @@ mod tests {
         r.selected_names[0] = tricky.into();
         let compact = r.to_json();
         // The form `metam discover --json` prints.
-        let pretty = serde_json::to_string_pretty(&r).expect("the shim writer is infallible");
+        let pretty = json::pretty(&compact);
         for text in [&compact, &pretty] {
             let v = json::parse(text).unwrap_or_else(|e| panic!("{e}: {text}"));
             let num = |key: &str| v.get(key).and_then(Value::as_f64);

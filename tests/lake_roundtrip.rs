@@ -236,6 +236,18 @@ fn discover_loads_only_din_and_candidate_tables_from_the_cache() {
     let dir = tmp_dir("mtc-discover");
     let scenario = small_scenario(17);
     export_scenario(&scenario, &dir).expect("export");
+    // Tables keyed on their own namespace can never join din: growing the
+    // lake with them must not grow the set of payloads a prepare loads.
+    for i in 0..4 {
+        let rows: String = (0..50)
+            .map(|r| format!("island{i}-{r},{}\n", 1e9 + r as f64))
+            .collect();
+        std::fs::write(
+            dir.join(format!("island{i}.csv")),
+            format!("key,metric\n{rows}"),
+        )
+        .expect("write unjoinable table");
+    }
 
     let catalog = LakeCatalog::scan(&dir).expect("scan");
     let n_tables = catalog.len();
@@ -272,6 +284,10 @@ fn discover_loads_only_din_and_candidate_tables_from_the_cache() {
         counters.hits(),
         1 + touched.len(),
         "loads = din + candidate-path tables, nothing else"
+    );
+    assert!(
+        touched.iter().all(|t| !t.starts_with("island")),
+        "unjoinable tables are never loaded: {touched:?}"
     );
     assert_eq!(counters.misses(), 0, "no CSV re-parsing on a warm lake");
 

@@ -262,7 +262,7 @@ fn malformed_input_yields_typed_replies_on_a_surviving_connection() {
         ServeConfig {
             workers: 1,
             queue: 4,
-            max_line_bytes: 512,
+            max_line_bytes: 1 << 17,
             ..ServeConfig::default()
         },
     )
@@ -277,6 +277,13 @@ fn malformed_input_yields_typed_replies_on_a_surviving_connection() {
         "bad_request"
     );
     assert_eq!(error_kind(&client.roundtrip("[1,2,3]")), "bad_request");
+    // 100,000 nested arrays fit under the line cap; the parser refuses
+    // them by depth instead of overflowing the connection thread's stack
+    // (which aborted the whole daemon).
+    assert_eq!(
+        error_kind(&client.roundtrip(&"[".repeat(100_000))),
+        "bad_request"
+    );
     assert_eq!(
         error_kind(&client.roundtrip("{\"verb\":\"frobnicate\"}")),
         "unknown_verb"
@@ -297,9 +304,9 @@ fn malformed_input_yields_typed_replies_on_a_surviving_connection() {
     let zero_budget = "{\"verb\":\"discover\",\"lake\":\"demo\",\"din\":\"din\",\
                        \"task\":\"classification:label\",\"budget\":0}";
     assert_eq!(error_kind(&client.roundtrip(zero_budget)), "bad_request");
-    // A 600-byte line exceeds max_line_bytes=512: typed `oversized` reply,
-    // line discarded, connection intact.
-    let huge = format!("{}\n", "x".repeat(600));
+    // A line over max_line_bytes=128 KiB: typed `oversized` reply, line
+    // discarded, connection intact.
+    let huge = format!("{}\n", "x".repeat((1 << 17) + 100));
     client.send_raw(huge.as_bytes());
     assert_eq!(error_kind(&client.read_reply()), "oversized");
     // Blank lines are skipped, not answered: the next reply on the wire
