@@ -66,6 +66,9 @@ grep -q '"report":' "$TRACE_DIR/serve-discover.json"
 ./target/release/metam request "$ADDR" '{"verb":"scan","lake":"lake"}' \
     > "$TRACE_DIR/serve-scan.json"
 grep -q '"ok":true' "$TRACE_DIR/serve-scan.json"
+# The lake is unchanged since the daemon's start-up scan, so the scan verb's
+# rescan re-reads every sketch record and re-profiles nothing.
+grep -q '"profile_misses":0' "$TRACE_DIR/serve-scan.json"
 # Hostile lines under the 1 MiB line cap: 100,000 nested arrays (used to
 # overflow the connection thread's stack and abort the daemon) and a
 # 512 KiB string value (used to take quadratic time to parse). Each gets a

@@ -11,7 +11,8 @@ use std::sync::Arc;
 
 use metam_discovery::path::PathConfig;
 use metam_discovery::{
-    generate_candidates, Candidate, DiscoveryIndex, Materializer, TableDescriptor, TableProvider,
+    candidates_on_paths, enumerate_paths, path_runs, Candidate, DiscoveryIndex, Materializer,
+    TableDescriptor, TableProvider,
 };
 use metam_profile::ProfileSet;
 use metam_table::Table;
@@ -190,15 +191,22 @@ pub fn assemble(
             }
         }
     };
+    // The index (and the slot postings a search may build in it) is done
+    // once the candidates are; it is dropped before profiles evaluate.
     let candidates = {
         let mut span = metam_obs::span("prepare.candidates", &din.name);
-        let candidates = generate_candidates(&din, &index, &options.path, options.max_candidates);
+        let search = enumerate_paths(&din, &index, &options.path);
+        let candidates = candidates_on_paths(&din, &index, &search.paths, options.max_candidates);
+        span.field("probes", search.probes as f64);
+        span.field("postings_hops", search.postings_hops as f64);
         span.field("candidates", candidates.len() as f64);
         candidates
     };
+    drop(index);
     let profiles = {
         let mut span = metam_obs::span("prepare.profiles", &din.name);
         span.field("candidates", candidates.len() as f64);
+        span.field("paths", path_runs(&candidates).count() as f64);
         profile_set.evaluate_all(
             &din,
             target_column,

@@ -40,11 +40,25 @@ pub fn generate_candidates(
     config: &PathConfig,
     max_candidates: usize,
 ) -> Vec<Candidate> {
+    let paths = enumerate_paths(din, index, config).paths;
+    candidates_on_paths(din, index, &paths, max_candidates)
+}
+
+/// The candidates [`generate_candidates`] makes from already enumerated
+/// `paths` (see [`crate::path::enumerate_paths`]). Each path's candidates
+/// are contiguous, so they form one of the [`path_runs`].
+pub fn candidates_on_paths(
+    din: &Table,
+    index: &DiscoveryIndex,
+    paths: &[(JoinPath, f64)],
+    max_candidates: usize,
+) -> Vec<Candidate> {
     let mut out = Vec::new();
-    for (path, containment) in enumerate_paths(din, index, config) {
+    for (path, containment) in paths {
         let table_idx = path.last_table();
         let table = index.descriptor(table_idx);
         let used_key = path.last_hop().key_column;
+        let described = describe_path(din, path, index);
         for ci in 0..table.columns.len() {
             if ci == used_key {
                 continue;
@@ -53,7 +67,7 @@ pub fn generate_candidates(
                 return out;
             }
             let column_name = table.column_display_name(ci);
-            let name = format!("{} ⊳ {}", describe_path(din, &path, index), column_name);
+            let name = format!("{described} ⊳ {column_name}");
             out.push(Candidate {
                 id: out.len(),
                 path: path.clone(),
@@ -62,11 +76,20 @@ pub fn generate_candidates(
                 source_table: table.name.clone(),
                 column_name,
                 source: table.source.clone(),
-                discovered_containment: containment,
+                discovered_containment: *containment,
             });
         }
     }
     out
+}
+
+/// The runs of consecutive candidates that share one join path. A list
+/// from [`generate_candidates`] has one run per path, so work that depends
+/// only on the path (the row mapping of
+/// [`Materializer::materialize_run`](crate::Materializer::materialize_run))
+/// is done once per run.
+pub fn path_runs(candidates: &[Candidate]) -> impl Iterator<Item = &[Candidate]> {
+    candidates.chunk_by(|a, b| a.path == b.path)
 }
 
 #[cfg(test)]

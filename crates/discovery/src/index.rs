@@ -7,11 +7,11 @@
 //! raw data — candidate generation becomes set algebra over sketches, and
 //! payloads load lazily only when a candidate materializes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use metam_table::Table;
 
-use crate::minhash::MinHash;
+use crate::minhash::{MinHash, SKETCH_SLOTS};
 
 /// Reference to one column of one repository table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -22,13 +22,12 @@ pub struct ColumnRef {
     pub column: usize,
 }
 
-/// Per-column metadata kept by the index.
+/// Per-column metadata kept by the index. The column's sketch stays in
+/// its table's descriptor ([`DiscoveryIndex::sketch`]).
 #[derive(Debug, Clone)]
 pub struct ColumnEntry {
     /// Which column this entry describes.
     pub column: ColumnRef,
-    /// MinHash sketch of the column's normalized distinct values.
-    pub sketch: MinHash,
     /// Whether the column looks like a join key (mostly distinct values).
     pub keyish: bool,
 }
@@ -97,6 +96,100 @@ impl TableDescriptor {
     }
 }
 
+/// How [`DiscoveryIndex::joinable_columns`] finds the columns a probe
+/// shares values with. Both searches return the same list, bit for bit;
+/// they differ only in cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSearch {
+    /// Compare the probe with every keyish entry: no set-up, and each
+    /// probe costs one full sketch comparison per entry.
+    Scan,
+    /// Look the probe's slot values up in the index's slot postings and
+    /// compare it only with the entries sharing at least one value. The
+    /// postings are built on first use and kept for the index's lifetime.
+    Postings,
+}
+
+/// Exact slot postings over the keyish entries: for every MinHash slot,
+/// the (min value, entry) pairs of that slot, sorted. Flat arrays, 12
+/// bytes per posting; empty slots (`u64::MAX`) are not posted, matching
+/// [`MinHash::jaccard`], which never counts them as matches.
+#[derive(Clone)]
+struct Postings {
+    /// Slot `s`'s postings are `keys[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
+    /// Slot min values, ascending within each slot.
+    keys: Vec<u64>,
+    /// The entry holding each posted value.
+    entries: Vec<u32>,
+}
+
+impl std::fmt::Debug for Postings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Postings")
+            .field("postings", &self.keys.len())
+            .finish()
+    }
+}
+
+impl Postings {
+    /// Post every keyish entry of `index`. `None` when the entry count
+    /// does not fit the `u32` entry ids; such an index always scans.
+    fn build(index: &DiscoveryIndex) -> Option<Postings> {
+        u32::try_from(index.entries.len()).ok()?;
+        let keyish: Vec<(u32, &[u64; SKETCH_SLOTS])> = index
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.keyish)
+            .map(|(i, e)| (i as u32, index.sketch(e.column).slots()))
+            .collect();
+        let mut offsets = Vec::with_capacity(SKETCH_SLOTS + 1);
+        let mut keys = Vec::with_capacity(keyish.len() * SKETCH_SLOTS);
+        let mut ids = Vec::with_capacity(keyish.len() * SKETCH_SLOTS);
+        let mut slot_pairs: Vec<(u64, u32)> = Vec::with_capacity(keyish.len());
+        for slot in 0..SKETCH_SLOTS {
+            offsets.push(keys.len());
+            slot_pairs.clear();
+            slot_pairs.extend(
+                keyish
+                    .iter()
+                    .map(|&(i, slots)| (slots[slot], i))
+                    .filter(|&(v, _)| v != u64::MAX),
+            );
+            slot_pairs.sort_unstable();
+            keys.extend(slot_pairs.iter().map(|&(v, _)| v));
+            ids.extend(slot_pairs.iter().map(|&(_, i)| i));
+        }
+        offsets.push(keys.len());
+        Some(Postings {
+            offsets,
+            keys,
+            entries: ids,
+        })
+    }
+
+    /// Ids of the entries sharing at least one slot value with `probe`,
+    /// ascending and distinct.
+    fn sharing(&self, probe: &MinHash) -> Vec<u32> {
+        let mut hits = Vec::new();
+        for (slot, &value) in probe.slots().iter().enumerate() {
+            if value == u64::MAX {
+                continue;
+            }
+            let range = self.offsets[slot]..self.offsets[slot + 1];
+            let keys = &self.keys[range.clone()];
+            let first = keys.partition_point(|&k| k < value);
+            let run = keys[first..].iter().take_while(|&&k| k == value).count();
+            let base = range.start + first;
+            hits.extend_from_slice(&self.entries[base..base + run]);
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        hits
+    }
+}
+
 /// An index over every column of a repository, the Aurum stand-in.
 ///
 /// Construction is payload-free: [`from_catalog`](Self::from_catalog)
@@ -111,6 +204,8 @@ pub struct DiscoveryIndex {
     /// `entry_offsets[t] + c` is the entry index of column `c` of table
     /// `t` (entries are pushed one per column, in table-then-column order).
     entry_offsets: Vec<usize>,
+    /// Slot postings, built by the first [`JoinSearch::Postings`] probe.
+    postings: OnceLock<Option<Postings>>,
 }
 
 impl DiscoveryIndex {
@@ -144,7 +239,6 @@ impl DiscoveryIndex {
                         table: ti,
                         column: ci,
                     },
-                    sketch: col.sketch.clone(),
                     keyish: col.keyish,
                 });
             }
@@ -153,6 +247,7 @@ impl DiscoveryIndex {
             descriptors,
             entries,
             entry_offsets,
+            postings: OnceLock::new(),
         }
     }
 
@@ -181,27 +276,73 @@ impl DiscoveryIndex {
         &self.entries[self.entry_offsets[table] + column]
     }
 
+    /// The MinHash sketch of `column`'s normalized distinct values.
+    pub fn sketch(&self, column: ColumnRef) -> &MinHash {
+        &self.descriptors[column.table].columns[column.column].sketch
+    }
+
     /// Columns (from any table except `exclude_table`) that a probe column
     /// joins into: containment of the probe's values in the candidate column
     /// is at least `threshold`. Results are sorted by containment descending
     /// (ties by column ref) and restricted to `keyish` columns.
+    ///
+    /// `search` picks how the candidates are found, never which: a
+    /// [`JoinSearch::Scan`] scores every keyish entry, a
+    /// [`JoinSearch::Postings`] only the entries sharing a slot value with
+    /// the probe. An entry sharing none has containment 0, so for
+    /// `threshold > 0` the two return the same list, bit for bit; a
+    /// threshold `<= 0` admits every keyish entry and always scans.
+    /// [`search_for`](Self::search_for) picks the cheaper one for a hop.
     pub fn joinable_columns(
         &self,
         probe: &MinHash,
         threshold: f64,
         exclude_table: Option<usize>,
+        search: JoinSearch,
     ) -> Vec<(ColumnRef, f64)> {
-        let mut out: Vec<(ColumnRef, f64)> = self
-            .entries
-            .iter()
-            .filter(|e| e.keyish && Some(e.column.table) != exclude_table)
-            .filter_map(|e| {
-                let c = probe.containment_in(&e.sketch);
-                (c >= threshold).then_some((e.column, c))
-            })
-            .collect();
+        let score = |e: &ColumnEntry| {
+            if Some(e.column.table) == exclude_table {
+                return None;
+            }
+            let c = probe.containment_in(self.sketch(e.column));
+            (c >= threshold).then_some((e.column, c))
+        };
+        let postings = match search {
+            JoinSearch::Postings if threshold > 0.0 => {
+                self.postings.get_or_init(|| Postings::build(self)).as_ref()
+            }
+            _ => None,
+        };
+        let mut out: Vec<(ColumnRef, f64)> = match postings {
+            Some(postings) => postings
+                .sharing(probe)
+                .into_iter()
+                .filter_map(|i| score(&self.entries[i as usize]))
+                .collect(),
+            None => self
+                .entries
+                .iter()
+                .filter(|e| e.keyish)
+                .filter_map(score)
+                .collect(),
+        };
         out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out
+    }
+
+    /// The cheaper search for a hop that makes `probes` probes at
+    /// `threshold`. Postings cost one sort over the keyish entries' slot
+    /// values, about log2(keyish entries) scans' worth, so they pay only
+    /// for hops making more probes than that — many second-hop probes
+    /// over a lake, but not the few probes of a narrow join neighbourhood.
+    pub fn search_for(&self, probes: usize, threshold: f64) -> JoinSearch {
+        let keyish = self.entries.iter().filter(|e| e.keyish).count();
+        let sort_cost = keyish.checked_ilog2().unwrap_or(0) as usize;
+        if threshold > 0.0 && probes > sort_cost {
+            JoinSearch::Postings
+        } else {
+            JoinSearch::Scan
+        }
     }
 
     /// Repository statistics for Table I-style reporting.
@@ -233,7 +374,7 @@ pub struct IndexStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use metam_table::Column;
 
@@ -277,7 +418,7 @@ mod tests {
         let idx = DiscoveryIndex::build(repo());
         let probe_keys: Vec<String> = (0..50).map(|i| format!("z{i}")).collect();
         let probe = MinHash::from_keys(&probe_keys);
-        let hits = idx.joinable_columns(&probe, 0.5, None);
+        let hits = idx.joinable_columns(&probe, 0.5, None, JoinSearch::Scan);
         assert_eq!(hits.len(), 1);
         assert_eq!(
             hits[0].0,
@@ -294,7 +435,11 @@ mod tests {
         let idx = DiscoveryIndex::build(repo());
         let probe_keys: Vec<String> = (0..50).map(|i| format!("z{i}")).collect();
         let probe = MinHash::from_keys(&probe_keys);
-        assert!(idx.joinable_columns(&probe, 0.5, Some(0)).is_empty());
+        for search in [JoinSearch::Scan, JoinSearch::Postings] {
+            assert!(idx
+                .joinable_columns(&probe, 0.5, Some(0), search)
+                .is_empty());
+        }
     }
 
     #[test]
@@ -322,7 +467,7 @@ mod tests {
         assert_eq!(from_cat.entries().len(), built.entries().len());
         for (a, b) in from_cat.entries().iter().zip(built.entries()) {
             assert_eq!(a.column, b.column);
-            assert_eq!(a.sketch, b.sketch);
+            assert_eq!(from_cat.sketch(a.column), built.sketch(b.column));
             assert_eq!(a.keyish, b.keyish);
         }
         assert_eq!(from_cat.stats(), built.stats());
@@ -341,5 +486,108 @@ mod tests {
         assert_eq!(idx.descriptor(0).name, "crime");
         assert_eq!(idx.descriptor(0).column_display_name(1), "rate");
         assert_eq!(idx.n_tables(), 2);
+    }
+
+    /// splitmix64, the seeded generator of the randomized tests.
+    pub(crate) fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E3779B97F4A7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random key set: none (an empty sketch), a range of keys of its
+    /// own (`own` keeps it disjoint from every other set), or a range of
+    /// a pool every set draws from (so sets overlap, nest or coincide).
+    fn random_keys(state: &mut u64, own: usize) -> Vec<String> {
+        let len = 1 + next(state) % 60;
+        match next(state) % 4 {
+            0 => Vec::new(),
+            1 => (0..len).map(|i| format!("own{own}_{i}")).collect(),
+            _ => {
+                let lo = next(state) % 40;
+                (lo..lo + len).map(|i| format!("k{i}")).collect()
+            }
+        }
+    }
+
+    fn random_descriptors(state: &mut u64) -> Vec<TableDescriptor> {
+        let n_tables = 1 + next(state) % 8;
+        (0..n_tables as usize)
+            .map(|t| TableDescriptor {
+                name: format!("t{t}"),
+                source: String::new(),
+                approx_bytes: 0,
+                columns: (0..1 + next(state) % 4)
+                    .map(|c| ColumnDescriptor {
+                        name: Some(format!("c{c}")),
+                        sketch: MinHash::from_keys(&random_keys(state, t * 10 + c as usize)),
+                        keyish: !next(state).is_multiple_of(4),
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// A join-search result with its scores as bits.
+    pub(crate) fn bits(hits: &[(ColumnRef, f64)]) -> Vec<(ColumnRef, u64)> {
+        hits.iter().map(|&(c, v)| (c, v.to_bits())).collect()
+    }
+
+    #[test]
+    fn postings_and_scan_return_identical_lists() {
+        let mut state = 0x5EED;
+        let mut found = [0usize; 3];
+        for case in 0..300 {
+            let descriptors = random_descriptors(&mut state);
+            let n_tables = descriptors.len() as u64;
+            let index = DiscoveryIndex::from_catalog(descriptors);
+            let probe = MinHash::from_keys(&random_keys(&mut state, 999));
+            let exclude = match next(&mut state) % 3 {
+                0 => None,
+                _ => Some((next(&mut state) % n_tables) as usize),
+            };
+            for (t, threshold) in [0.0, 0.6, 1.0].into_iter().enumerate() {
+                let scan = index.joinable_columns(&probe, threshold, exclude, JoinSearch::Scan);
+                let postings =
+                    index.joinable_columns(&probe, threshold, exclude, JoinSearch::Postings);
+                assert_eq!(
+                    bits(&scan),
+                    bits(&postings),
+                    "case {case}, threshold {threshold}, exclude {exclude:?}"
+                );
+                found[t] += scan.len();
+            }
+        }
+        assert!(
+            found.iter().all(|&n| n > 0),
+            "every threshold admits some columns: {found:?}"
+        );
+    }
+
+    #[test]
+    fn postings_pay_only_beyond_log2_probes() {
+        let descriptors: Vec<TableDescriptor> = (0..20)
+            .map(|t| TableDescriptor {
+                name: format!("t{t}"),
+                source: String::new(),
+                approx_bytes: 0,
+                columns: vec![ColumnDescriptor {
+                    name: None,
+                    sketch: MinHash::from_keys(&[format!("k{t}")]),
+                    keyish: true,
+                }],
+            })
+            .collect();
+        let idx = DiscoveryIndex::from_catalog(descriptors);
+        // 20 keyish entries: log2 rounds down to 4.
+        assert_eq!(idx.search_for(4, 0.6), JoinSearch::Scan);
+        assert_eq!(idx.search_for(5, 0.6), JoinSearch::Postings);
+        assert_eq!(
+            idx.search_for(1000, 0.0),
+            JoinSearch::Scan,
+            "a threshold of 0 admits every keyish entry"
+        );
     }
 }

@@ -27,8 +27,8 @@ pub mod materialize;
 pub mod minhash;
 pub mod path;
 
-pub use candidate::{generate_candidates, Candidate, CandidateId};
-pub use index::{ColumnDescriptor, ColumnRef, DiscoveryIndex, TableDescriptor};
+pub use candidate::{candidates_on_paths, generate_candidates, path_runs, Candidate, CandidateId};
+pub use index::{ColumnDescriptor, ColumnRef, DiscoveryIndex, JoinSearch, TableDescriptor};
 pub use materialize::{Materializer, TableProvider};
 pub use minhash::{MinHash, SKETCH_SLOTS};
-pub use path::{enumerate_paths, Hop, JoinPath};
+pub use path::{enumerate_paths, Hop, JoinPath, PathEnumeration};

@@ -1,9 +1,13 @@
 //! Candidate materialization with caching.
 //!
 //! Materializing `Γ(Din, P[j])` = chaining left joins along the path and
-//! projecting one column, keeping the result row-aligned with `Din`.
-//! Candidates are materialized many times across the search (profiles,
-//! repeated utility queries), so results are cached behind an `Arc`.
+//! projecting one column, keeping the result row-aligned with `Din`. The
+//! joins give a row mapping that depends on the path alone; every
+//! candidate of a path is a projection of it, so
+//! [`Materializer::materialize_run`] maps a run of same-path candidates
+//! once. Candidates are materialized many times across the search
+//! (profiles, repeated utility queries), so results are cached behind an
+//! `Arc`.
 //!
 //! The repository behind a materializer is a [`TableProvider`]: either the
 //! tables themselves (the in-memory path) or a deferred handle that loads
@@ -19,6 +23,7 @@ use metam_table::{Column, Table, TableError, Value};
 use parking_lot::{Mutex, RwLock};
 
 use crate::candidate::{Candidate, CandidateId};
+use crate::path::JoinPath;
 
 /// A source of repository table payloads, indexed like the
 /// [`crate::DiscoveryIndex`] that produced the candidates.
@@ -59,8 +64,40 @@ impl TableProvider for EagerTables {
     }
 }
 
+/// Where each `din` row lands in the final table of one join path: the
+/// chained first-match left joins, before any column is projected.
+struct RowMapping {
+    /// The path's final table.
+    table: Arc<Table>,
+    /// Per `din` row, the matching row of `table`, if any.
+    rows: Vec<Option<usize>>,
+}
+
+impl RowMapping {
+    /// Project the candidate's value column through the mapping into a
+    /// `din`-aligned column.
+    fn project(&self, candidate: &Candidate) -> metam_table::Result<Column> {
+        let value_col = self.table.column(candidate.value_column)?;
+        let values: Vec<Value> = self
+            .rows
+            .iter()
+            .map(|m| m.map_or(Value::Null, |row| value_col.get(row)))
+            .collect();
+        let mut col = Column::from_values(Some(candidate.column_name.clone()), values);
+        // Augmented columns are named uniquely so repeated augmentations
+        // from different tables never collide inside the augmented Din.
+        col.name = Some(format!("aug{}_{}", candidate.id, candidate.column_name));
+        Ok(col)
+    }
+}
+
 /// Materializes candidates against a fixed repository, caching per
 /// candidate id. Cheap to clone is not needed; share by reference.
+///
+/// [`materialize`](Self::materialize) serves one candidate;
+/// [`materialize_run`](Self::materialize_run) serves a run of candidates
+/// sharing one join path and joins along that path once. Both return and
+/// cache the same columns.
 pub struct Materializer {
     provider: Box<dyn TableProvider>,
     /// One slot per table, memoizing its fetch. A fetch holds its slot's
@@ -142,10 +179,40 @@ impl Materializer {
         if let Some(cached) = self.cache.read().get(&candidate.id) {
             return Ok(Arc::clone(cached));
         }
-        let column = self.materialize_uncached(din, candidate)?;
+        let column = self.row_mapping(din, &candidate.path)?.project(candidate)?;
         let arc = Arc::new(column);
         self.cache.write().insert(candidate.id, Arc::clone(&arc));
         Ok(arc)
+    }
+
+    /// Materialize a run of candidates that share one join path (a
+    /// [`path_runs`](crate::path_runs) run), returning per candidate what
+    /// [`materialize`](Self::materialize) would, cache hits included. The
+    /// row mapping is built at the first uncached candidate and lives
+    /// until the call returns. A failed mapping fails that candidate and
+    /// is retried at the next one, as separate calls would retry it; a
+    /// candidate on another path gets a mapping of its own.
+    pub fn materialize_run(
+        &self,
+        din: &Table,
+        run: &[Candidate],
+    ) -> Vec<metam_table::Result<Arc<Column>>> {
+        let mut mapping: Option<(&JoinPath, RowMapping)> = None;
+        run.iter()
+            .map(|candidate| {
+                if let Some(cached) = self.cache.read().get(&candidate.id) {
+                    return Ok(Arc::clone(cached));
+                }
+                let current = match mapping.take() {
+                    Some((path, rows)) if *path == candidate.path => (path, rows),
+                    _ => (&candidate.path, self.row_mapping(din, &candidate.path)?),
+                };
+                let (_, rows) = mapping.insert(current);
+                let arc = Arc::new(rows.project(candidate)?);
+                self.cache.write().insert(candidate.id, Arc::clone(&arc));
+                Ok(arc)
+            })
+            .collect()
     }
 
     /// Drop all cached columns.
@@ -153,33 +220,30 @@ impl Materializer {
         self.cache.write().clear();
     }
 
-    fn materialize_uncached(
-        &self,
-        din: &Table,
-        candidate: &Candidate,
-    ) -> metam_table::Result<Column> {
+    /// Chain the path's first-match left joins from `din`.
+    fn row_mapping(&self, din: &Table, path: &JoinPath) -> metam_table::Result<RowMapping> {
         // Row mapping from Din rows into the current table of the chain.
-        let first = &candidate.path.hops[0];
+        let first = &path.hops[0];
         let first_table = self.table(first.table)?;
         let probe_keys = din.column(first.left_column)?.join_keys();
         let index = first_match_index(first_table.column(first.key_column)?);
         if index.is_empty() {
             return Err(TableError::EmptyJoinKey);
         }
-        let mut mapping: Vec<Option<usize>> = probe_keys
+        let mut rows: Vec<Option<usize>> = probe_keys
             .into_iter()
             .map(|k| k.and_then(|k| index.get(&k).copied()))
             .collect();
         let mut current_table = first_table;
 
-        for hop in &candidate.path.hops[1..] {
+        for hop in &path.hops[1..] {
             let bridge = current_table.column(hop.left_column)?;
             let next_table = self.table(hop.table)?;
             let next_index = first_match_index(next_table.column(hop.key_column)?);
             if next_index.is_empty() {
                 return Err(TableError::EmptyJoinKey);
             }
-            mapping = mapping
+            rows = rows
                 .into_iter()
                 .map(|m| {
                     m.and_then(|row| bridge.get(row).join_key())
@@ -188,17 +252,10 @@ impl Materializer {
                 .collect();
             current_table = next_table;
         }
-
-        let value_col = current_table.column(candidate.value_column)?;
-        let values: Vec<Value> = mapping
-            .into_iter()
-            .map(|m| m.map_or(Value::Null, |row| value_col.get(row)))
-            .collect();
-        let mut col = Column::from_values(Some(candidate.column_name.clone()), values);
-        // Augmented columns are named uniquely so repeated augmentations
-        // from different tables never collide inside the augmented Din.
-        col.name = Some(format!("aug{}_{}", candidate.id, candidate.column_name));
-        Ok(col)
+        Ok(RowMapping {
+            table: current_table,
+            rows,
+        })
     }
 }
 
@@ -310,6 +367,56 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "names must be unique: {names:?}");
+    }
+
+    #[test]
+    fn materialize_run_matches_per_candidate_materialize() {
+        let (din, _idx, mat, mut cands) = setup();
+        // A table whose key column is all null: its candidates fail with
+        // `EmptyJoinKey`, one run of them between two healthy runs.
+        let empty = Table::from_columns(
+            "void",
+            vec![
+                Column::from_strings(Some("zip".into()), vec![None; 4]),
+                Column::from_floats(Some("x".into()), vec![Some(1.0); 4]),
+            ],
+        )
+        .unwrap();
+        let void = mat.n_tables();
+        let mut tables: Vec<Arc<Table>> = (0..void).map(|t| mat.table(t).unwrap()).collect();
+        tables.push(Arc::new(empty));
+        let at = cands.len() / 2;
+        for value_column in [1, 1] {
+            let mut c = cands[0].clone();
+            c.path = JoinPath::single(0, void, 0);
+            c.value_column = value_column;
+            cands.insert(at, c);
+        }
+        for (id, c) in cands.iter_mut().enumerate() {
+            c.id = id;
+        }
+        assert!(cands.iter().any(|c| c.path.len() == 2), "two-hop paths");
+
+        let one_by_one = Materializer::new(tables.clone());
+        let expected: Vec<_> = cands
+            .iter()
+            .map(|c| one_by_one.materialize(&din, c))
+            .collect();
+        assert!(expected.contains(&Err(TableError::EmptyJoinKey)));
+
+        let by_run = Materializer::new(tables.clone());
+        let hit = expected.iter().rposition(Result::is_ok).unwrap();
+        let warm = by_run.materialize(&din, &cands[hit]).unwrap();
+        let got: Vec<_> = crate::path_runs(&cands)
+            .flat_map(|run| by_run.materialize_run(&din, run))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(Arc::ptr_eq(got[hit].as_ref().unwrap(), &warm), "cache hit");
+        assert_eq!(by_run.cache_len(), one_by_one.cache_len());
+
+        // One call over candidates of many paths maps each path anew.
+        let mixed = Materializer::new(tables);
+        assert_eq!(mixed.materialize_run(&din, &cands), expected);
     }
 
     /// Counts fetches per table and dawdles inside each, so racing

@@ -2,7 +2,7 @@
 
 use metam_table::Table;
 
-use crate::index::{ColumnRef, DiscoveryIndex};
+use crate::index::{ColumnRef, DiscoveryIndex, JoinSearch};
 use crate::minhash::MinHash;
 
 /// One equi-join hop in a chain.
@@ -81,6 +81,19 @@ impl Default for PathConfig {
     }
 }
 
+/// The join paths of one enumeration, and what finding them cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PathEnumeration {
+    /// Paths with the containment score of their first hop, in
+    /// enumeration order.
+    pub paths: Vec<(JoinPath, f64)>,
+    /// Index probes made, one per probed column over every hop.
+    pub probes: usize,
+    /// Hops whose probes searched the index's slot postings
+    /// ([`JoinSearch::Postings`]) instead of scanning it.
+    pub postings_hops: usize,
+}
+
 /// Enumerate join paths from `din` into the indexed repository.
 ///
 /// Every `keyish` column of `din` is probed; each discovered joinable
@@ -88,36 +101,90 @@ impl Default for PathConfig {
 /// a joined table is probed again for transitive paths. Paths are returned
 /// with the containment score of their *first* hop (the fraction of `din`
 /// rows expected to survive the chain start).
+///
+/// Each hop counts its probes before making them and searches the index
+/// the way [`DiscoveryIndex::search_for`] finds cheaper for that count;
+/// the paths do not depend on that choice.
 pub fn enumerate_paths(
     din: &Table,
     index: &DiscoveryIndex,
     config: &PathConfig,
-) -> Vec<(JoinPath, f64)> {
-    let mut out: Vec<(JoinPath, f64)> = Vec::new();
+) -> PathEnumeration {
+    enumerate_with(din, index, config, |probes| {
+        index.search_for(probes, config.containment_threshold)
+    })
+}
 
+/// [`enumerate_paths`] with each hop's search picked by `choose` from the
+/// hop's probe count.
+fn enumerate_with(
+    din: &Table,
+    index: &DiscoveryIndex,
+    config: &PathConfig,
+    choose: impl Fn(usize) -> JoinSearch,
+) -> PathEnumeration {
     // Probe columns of Din that look like keys.
-    for (ci, col) in din.columns().iter().enumerate() {
-        let keys = col.distinct_keys();
-        let non_null = col.len() - col.null_count();
-        if non_null == 0 || keys.len() * 2 < non_null {
-            continue;
-        }
-        let probe = MinHash::from_keys(&keys);
-        for (target, containment) in
-            index.joinable_columns(&probe, config.containment_threshold, None)
-        {
-            if out.len() >= config.max_paths {
+    let din_probes: Vec<(usize, MinHash)> = din
+        .columns()
+        .iter()
+        .enumerate()
+        .filter_map(|(ci, col)| {
+            let keys = col.distinct_keys();
+            let non_null = col.len() - col.null_count();
+            (non_null > 0 && keys.len() * 2 >= non_null).then(|| (ci, MinHash::from_keys(&keys)))
+        })
+        .collect();
+    let first_search = choose(din_probes.len());
+    let first_hops: Vec<(usize, Vec<_>)> = din_probes
+        .iter()
+        .map(|(ci, probe)| {
+            let targets =
+                index.joinable_columns(probe, config.containment_threshold, None, first_search);
+            (*ci, targets)
+        })
+        .collect();
+    let second_search = (config.max_hops >= 2).then(|| {
+        let probes = first_hops
+            .iter()
+            .flat_map(|(_, targets)| targets)
+            .map(|(target, _)| bridge_columns(index, target.table, target.column).count())
+            .sum();
+        choose(probes)
+    });
+    let mut out = PathEnumeration {
+        paths: Vec::new(),
+        probes: din_probes.len(),
+        postings_hops: [Some(first_search), second_search]
+            .iter()
+            .filter(|&&s| s == Some(JoinSearch::Postings))
+            .count(),
+    };
+
+    for (ci, targets) in first_hops {
+        for (target, containment) in targets {
+            if out.paths.len() >= config.max_paths {
                 return out;
             }
             let path = JoinPath::single(ci, target.table, target.column);
-            out.push((path.clone(), containment));
+            out.paths.push((path.clone(), containment));
 
-            if config.max_hops >= 2 {
-                extend_path(&path, containment, index, config, &mut out);
+            if let Some(search) = second_search {
+                extend_path(&path, containment, index, config, search, &mut out);
             }
         }
     }
     out
+}
+
+/// The keyish columns of table `table` other than its join key `used_key`:
+/// the bridge columns a 2nd hop probes.
+fn bridge_columns(
+    index: &DiscoveryIndex,
+    table: usize,
+    used_key: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    (0..index.descriptor(table).columns.len())
+        .filter(move |&ci| ci != used_key && index.entry(table, ci).keyish)
 }
 
 /// Add 2nd-hop extensions of `path`.
@@ -132,23 +199,20 @@ fn extend_path(
     first_containment: f64,
     index: &DiscoveryIndex,
     config: &PathConfig,
-    out: &mut Vec<(JoinPath, f64)>,
+    search: JoinSearch,
+    out: &mut PathEnumeration,
 ) {
     let last = path.last_table();
-    let ncols = index.descriptor(last).columns.len();
-    let used_key = path.last_hop().key_column;
-    for ci in 0..ncols {
-        if ci == used_key {
-            continue;
-        }
-        let entry = index.entry(last, ci);
-        if !entry.keyish {
-            continue;
-        }
+    for ci in bridge_columns(index, last, path.last_hop().key_column) {
+        out.probes += 1;
+        let probe = index.sketch(ColumnRef {
+            table: last,
+            column: ci,
+        });
         for (target, _containment) in
-            index.joinable_columns(&entry.sketch, config.containment_threshold, Some(last))
+            index.joinable_columns(probe, config.containment_threshold, Some(last), search)
         {
-            if out.len() >= config.max_paths {
+            if out.paths.len() >= config.max_paths {
                 return;
             }
             let mut hops = path.hops.clone();
@@ -157,7 +221,7 @@ fn extend_path(
                 table: target.table,
                 key_column: target.column,
             });
-            out.push((JoinPath { hops }, first_containment));
+            out.paths.push((JoinPath { hops }, first_containment));
         }
     }
 }
@@ -244,7 +308,7 @@ mod tests {
     #[test]
     fn finds_direct_and_transitive_paths() {
         let idx = repo();
-        let paths = enumerate_paths(&din(), &idx, &PathConfig::default());
+        let paths = enumerate_paths(&din(), &idx, &PathConfig::default()).paths;
         let single: Vec<_> = paths.iter().filter(|(p, _)| p.len() == 1).collect();
         let double: Vec<_> = paths.iter().filter(|(p, _)| p.len() == 2).collect();
         assert!(
@@ -264,7 +328,7 @@ mod tests {
             max_hops: 1,
             ..Default::default()
         };
-        let paths = enumerate_paths(&din(), &idx, &cfg);
+        let paths = enumerate_paths(&din(), &idx, &cfg).paths;
         assert!(paths.iter().all(|(p, _)| p.len() == 1));
     }
 
@@ -275,24 +339,96 @@ mod tests {
             max_paths: 1,
             ..Default::default()
         };
-        let paths = enumerate_paths(&din(), &idx, &cfg);
+        let paths = enumerate_paths(&din(), &idx, &cfg).paths;
         assert_eq!(paths.len(), 1);
     }
 
     #[test]
     fn containment_scores_in_range() {
         let idx = repo();
-        let paths = enumerate_paths(&din(), &idx, &PathConfig::default());
+        let paths = enumerate_paths(&din(), &idx, &PathConfig::default()).paths;
         assert!(paths.iter().all(|(_, c)| (0.0..=1.0).contains(c)));
     }
 
     #[test]
     fn describe_is_readable() {
         let idx = repo();
-        let paths = enumerate_paths(&din(), &idx, &PathConfig::default());
+        let paths = enumerate_paths(&din(), &idx, &PathConfig::default()).paths;
         let (p, _) = paths.iter().find(|(p, _)| p.len() == 1).unwrap();
         let desc = describe_path(&din(), p, &idx);
         assert!(desc.contains("zip"), "desc={desc}");
         assert!(desc.contains("crime."), "desc={desc}");
+    }
+
+    /// A random lake of 30-row tables whose columns are keys over a
+    /// shared zip pool or district pool (distinct, so keyish, at random
+    /// offsets), a low-cardinality code (not keyish) or distinct floats;
+    /// and a din keyed on zips.
+    fn random_lake(state: &mut u64) -> (Table, DiscoveryIndex) {
+        use crate::index::tests::next;
+        let column = |state: &mut u64, name: String| {
+            let lo = next(state) % 40;
+            let values: Vec<Option<String>> = match next(state) % 4 {
+                0 => (lo..lo + 30).map(|i| Some(format!("z{i}"))).collect(),
+                1 => (lo..lo + 30).map(|i| Some(format!("d{i}"))).collect(),
+                2 => (0..30).map(|i| Some(format!("c{}", i % 3))).collect(),
+                _ => {
+                    let floats = (0..30).map(|i| Some((lo * 100 + i) as f64)).collect();
+                    return Column::from_floats(Some(name), floats);
+                }
+            };
+            Column::from_strings(Some(name), values)
+        };
+        let tables: Vec<Arc<Table>> = (0..2 + next(state) % 6)
+            .map(|t| {
+                let columns = (0..2 + next(state) % 3)
+                    .map(|c| column(state, format!("c{c}")))
+                    .collect();
+                Arc::new(Table::from_columns(format!("t{t}"), columns).unwrap())
+            })
+            .collect();
+        let lo = next(state) % 20;
+        let din = Table::from_columns(
+            "din",
+            vec![
+                Column::from_strings(
+                    Some("zip".into()),
+                    (lo..lo + 30).map(|i| Some(format!("z{i}"))).collect(),
+                ),
+                Column::from_floats(Some("y".into()), (0..30).map(|i| Some(i as f64)).collect()),
+            ],
+        )
+        .unwrap();
+        (din, DiscoveryIndex::build(tables))
+    }
+
+    #[test]
+    fn forced_searches_enumerate_identical_paths() {
+        let bits = |e: &PathEnumeration| -> Vec<(JoinPath, u64)> {
+            e.paths
+                .iter()
+                .map(|(p, c)| (p.clone(), c.to_bits()))
+                .collect()
+        };
+        let mut state = 0xD15C0;
+        let mut two_hop = 0;
+        for case in 0..64 {
+            let (din, idx) = random_lake(&mut state);
+            for threshold in [0.0, 0.6, 1.0] {
+                let cfg = PathConfig {
+                    containment_threshold: threshold,
+                    ..Default::default()
+                };
+                let scan = enumerate_with(&din, &idx, &cfg, |_| JoinSearch::Scan);
+                let postings = enumerate_with(&din, &idx, &cfg, |_| JoinSearch::Postings);
+                let chosen = enumerate_paths(&din, &idx, &cfg);
+                assert_eq!(bits(&scan), bits(&postings), "case {case} at {threshold}");
+                assert_eq!(bits(&scan), bits(&chosen), "case {case} at {threshold}");
+                assert_eq!(scan.probes, postings.probes);
+                assert_eq!((scan.postings_hops, postings.postings_hops), (0, 2));
+                two_hop += scan.paths.iter().filter(|(p, _)| p.len() == 2).count();
+            }
+        }
+        assert!(two_hop > 0, "some lakes have transitive paths");
     }
 }

@@ -41,18 +41,12 @@ impl Profile for CorrelationProfile {
         if target.is_empty() {
             // Unsupervised task: best correlation against any numeric Din column.
             let mut best: f64 = 0.0;
-            for ci in ctx.din.numeric_column_indices() {
-                let full = ctx.din.columns()[ci].as_f64();
-                let col: Vec<Option<f64>> = ctx
-                    .sample_indices
-                    .iter()
-                    .map(|&i| full.get(i).copied().flatten())
-                    .collect();
-                best = best.max(option_pearson(&aug, &col).abs());
+            for col in ctx.din.numeric_samples() {
+                best = best.max(option_pearson(&aug, col).abs());
             }
             return best;
         }
-        option_pearson(&aug, &target).abs()
+        option_pearson(&aug, target).abs()
     }
 }
 

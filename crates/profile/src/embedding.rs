@@ -9,6 +9,8 @@
 
 use std::hash::{Hash, Hasher};
 
+use metam_table::Table;
+
 use crate::profile::{Profile, ProfileContext};
 
 /// Embedding dimensionality.
@@ -90,7 +92,7 @@ fn candidate_tokens(ctx: &ProfileContext<'_>) -> Vec<String> {
         tokens.extend(tokenize(field));
     }
     if let Some(col) = ctx.aug {
-        for &i in ctx.sample_indices.iter().take(50) {
+        for &i in ctx.din.sample_indices.iter().take(50) {
             if let Some(k) = col.get(i).join_key() {
                 tokens.extend(tokenize(&k));
             }
@@ -99,22 +101,23 @@ fn candidate_tokens(ctx: &ProfileContext<'_>) -> Vec<String> {
     tokens
 }
 
-/// Tokens describing `din`: its name, source, column names and sampled values.
-fn din_tokens(ctx: &ProfileContext<'_>) -> Vec<String> {
+/// Embedding of `din`: its name, source, column names and the first 20
+/// sampled values of every column.
+pub(crate) fn din_embedding(din: &Table, sample_indices: &[usize]) -> [f64; EMBED_DIM] {
     let mut tokens: Vec<String> = Vec::new();
-    tokens.extend(tokenize(&ctx.din.name));
-    tokens.extend(tokenize(&ctx.din.source));
-    for i in 0..ctx.din.ncols() {
-        tokens.extend(tokenize(&ctx.din.column_display_name(i)));
+    tokens.extend(tokenize(&din.name));
+    tokens.extend(tokenize(&din.source));
+    for i in 0..din.ncols() {
+        tokens.extend(tokenize(&din.column_display_name(i)));
     }
-    for col in ctx.din.columns() {
-        for &i in ctx.sample_indices.iter().take(20) {
+    for col in din.columns() {
+        for &i in sample_indices.iter().take(20) {
             if let Some(k) = col.get(i).join_key() {
                 tokens.extend(tokenize(&k));
             }
         }
     }
-    tokens
+    embed_tokens(tokens.iter().map(String::as_str))
 }
 
 /// Lower-cased alphanumeric word split.
@@ -126,7 +129,8 @@ pub fn tokenize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Cosine similarity between the hashed embeddings of `din` and the
+/// Cosine similarity between the hashed embeddings of `din` (computed once
+/// per evaluation, in its [`DinState`](crate::DinState)) and the
 /// candidate's table/column/values, mapped from `[-1, 1]` to `[0, 1]`.
 #[derive(Default)]
 pub struct EmbeddingProfile;
@@ -137,9 +141,8 @@ impl Profile for EmbeddingProfile {
     }
 
     fn compute(&self, ctx: &ProfileContext<'_>) -> f64 {
-        let a = embed_tokens(din_tokens(ctx).iter().map(String::as_str));
         let b = embed_tokens(candidate_tokens(ctx).iter().map(String::as_str));
-        (cosine(&a, &b) + 1.0) / 2.0
+        (cosine(ctx.din.embedding(), &b) + 1.0) / 2.0
     }
 }
 

@@ -39,7 +39,7 @@ pub mod synthetic;
 pub mod task_specific;
 pub mod vector;
 
-pub use profile::{Profile, ProfileContext, ProfileSet};
+pub use profile::{DinState, Profile, ProfileContext, ProfileSet};
 pub use vector::{linf_distance, ProfileVector};
 
 /// The paper's default profile set: correlation, mutual information,

@@ -1,6 +1,8 @@
 //! Metadata/attribute profile (§II-C): syntactic similarity of names and
 //! sources, the Ver-style signal \[22\].
 
+use metam_table::Table;
+
 use crate::embedding::tokenize;
 use crate::profile::{Profile, ProfileContext};
 
@@ -20,6 +22,16 @@ pub(crate) fn token_jaccard(a: &[String], b: &[String]) -> f64 {
     }
 }
 
+/// Tokens of `din`'s name and attribute names.
+pub(crate) fn din_metadata_tokens(din: &Table) -> Vec<String> {
+    let mut tokens: Vec<String> = Vec::new();
+    tokens.extend(tokenize(&din.name));
+    for i in 0..din.ncols() {
+        tokens.extend(tokenize(&din.column_display_name(i)));
+    }
+    tokens
+}
+
 /// Syntactic similarity between `din`'s metadata (name, source, attribute
 /// names) and the candidate's (source table, column, provenance), blended
 /// with a same-source bonus.
@@ -31,20 +43,16 @@ impl Profile for MetadataProfile {
     }
 
     fn compute(&self, ctx: &ProfileContext<'_>) -> f64 {
-        let mut din_tokens: Vec<String> = Vec::new();
-        din_tokens.extend(tokenize(&ctx.din.name));
-        for i in 0..ctx.din.ncols() {
-            din_tokens.extend(tokenize(&ctx.din.column_display_name(i)));
-        }
+        let din = ctx.din.table;
         let mut cand_tokens: Vec<String> = Vec::new();
         cand_tokens.extend(tokenize(&ctx.candidate.source_table));
         cand_tokens.extend(tokenize(&ctx.candidate.column_name));
 
-        let name_sim = token_jaccard(&din_tokens, &cand_tokens);
-        let source_sim = if !ctx.din.source.is_empty() && ctx.din.source == ctx.candidate.source {
+        let name_sim = token_jaccard(ctx.din.metadata_tokens(), &cand_tokens);
+        let source_sim = if !din.source.is_empty() && din.source == ctx.candidate.source {
             1.0
         } else {
-            token_jaccard(&tokenize(&ctx.din.source), &tokenize(&ctx.candidate.source))
+            token_jaccard(&tokenize(&din.source), &tokenize(&ctx.candidate.source))
         };
         0.7 * name_sim + 0.3 * source_sim
     }

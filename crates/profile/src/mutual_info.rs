@@ -92,7 +92,7 @@ impl Profile for MutualInfoProfile {
         }
         let aug = ctx.aug_sample();
         let dx = discretize(&aug, self.bins);
-        let dy = discretize(&target, self.bins);
+        let dy = discretize(target, self.bins);
         normalized_mi(&dx, &dy, self.bins)
     }
 }

@@ -14,21 +14,19 @@ impl Profile for OverlapProfile {
 
     fn compute(&self, ctx: &ProfileContext<'_>) -> f64 {
         let Some(col) = ctx.aug else { return 0.0 };
-        if ctx.sample_indices.is_empty() {
+        let sample = ctx.din.sample_indices;
+        if sample.is_empty() {
             return 0.0;
         }
-        let filled = ctx
-            .sample_indices
-            .iter()
-            .filter(|&&i| !col.get(i).is_null())
-            .count();
-        filled as f64 / ctx.sample_indices.len() as f64
+        let filled = sample.iter().filter(|&&i| !col.get(i).is_null()).count();
+        filled as f64 / sample.len() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DinState;
     use metam_discovery::{Candidate, JoinPath};
     use metam_table::{Column, Table};
 
@@ -55,10 +53,9 @@ mod tests {
         let aug = Column::from_floats(None, vec![Some(1.0), None, Some(2.0), None]);
         let cand = fake_candidate();
         let idx = [0usize, 1, 2, 3];
+        let state = DinState::new(&din, Some(0), &idx);
         let ctx = ProfileContext {
-            din: &din,
-            target_column: Some(0),
-            sample_indices: &idx,
+            din: &state,
             candidate: &cand,
             aug: Some(&aug),
         };
@@ -74,10 +71,9 @@ mod tests {
         .unwrap();
         let cand = fake_candidate();
         let idx = [0usize];
+        let state = DinState::new(&din, Some(0), &idx);
         let ctx = ProfileContext {
-            din: &din,
-            target_column: Some(0),
-            sample_indices: &idx,
+            din: &state,
             candidate: &cand,
             aug: None,
         };

@@ -2,16 +2,21 @@
 
 use std::sync::Arc;
 
-use metam_discovery::{Candidate, Materializer};
+use metam_discovery::{path_runs, Candidate, Materializer};
 use metam_table::sample::sample_indices;
 use metam_table::{Column, Table};
 
+use crate::embedding::{din_embedding, EMBED_DIM};
+use crate::metadata::din_metadata_tokens;
 use crate::vector::ProfileVector;
 
-/// Everything a profile may look at when scoring one candidate.
-pub struct ProfileContext<'a> {
+/// The `din` side of one evaluation: `din`, its target and the row
+/// sample, plus every value profiles derive from them alone. Those values
+/// are the same for every candidate, so [`DinState::new`] computes them
+/// once and every [`ProfileContext`] of the evaluation borrows them.
+pub struct DinState<'a> {
     /// The input dataset.
-    pub din: &'a Table,
+    pub table: &'a Table,
     /// Index of the task's target attribute in `din`, when one exists
     /// (supervised tasks); profiles relating the augmentation to the target
     /// fall back to the best-matching `din` column otherwise.
@@ -19,6 +24,78 @@ pub struct ProfileContext<'a> {
     /// Row sample (indices into `din` / the materialized column) on which
     /// value-based profiles are estimated.
     pub sample_indices: &'a [usize],
+    target_sample: Vec<Option<f64>>,
+    numeric_samples: Vec<Vec<Option<f64>>>,
+    embedding: [f64; EMBED_DIM],
+    metadata_tokens: Vec<String>,
+}
+
+/// Numeric values of `col` at the sampled rows.
+fn sample_of(col: &Column, sample_indices: &[usize]) -> Vec<Option<f64>> {
+    let full = col.as_f64();
+    sample_indices
+        .iter()
+        .map(|&i| full.get(i).copied().flatten())
+        .collect()
+}
+
+impl<'a> DinState<'a> {
+    /// Compute the `din`-side values for profiling candidates of `table`
+    /// on the rows `sample_indices`.
+    pub fn new(
+        table: &'a Table,
+        target_column: Option<usize>,
+        sample_indices: &'a [usize],
+    ) -> DinState<'a> {
+        let target_sample = match target_column {
+            Some(t) => sample_of(&table.columns()[t], sample_indices),
+            None => Vec::new(),
+        };
+        // The no-target fallback of the correlation profile compares the
+        // augmentation with every numeric column instead.
+        let numeric_samples = if target_sample.is_empty() {
+            table
+                .numeric_column_indices()
+                .into_iter()
+                .map(|ci| sample_of(&table.columns()[ci], sample_indices))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        DinState {
+            table,
+            target_column,
+            sample_indices,
+            target_sample,
+            numeric_samples,
+            embedding: din_embedding(table, sample_indices),
+            metadata_tokens: din_metadata_tokens(table),
+        }
+    }
+
+    /// Numeric samples of `din`'s numeric columns, in column order, when
+    /// the target sample is empty (empty otherwise).
+    pub(crate) fn numeric_samples(&self) -> &[Vec<Option<f64>>] {
+        &self.numeric_samples
+    }
+
+    /// Hashed embedding of `din`'s name, source, column names and sampled
+    /// values (see [`crate::embedding`]).
+    pub(crate) fn embedding(&self) -> &[f64; EMBED_DIM] {
+        &self.embedding
+    }
+
+    /// Tokens of `din`'s name and column names (see [`crate::metadata`]).
+    pub(crate) fn metadata_tokens(&self) -> &[String] {
+        &self.metadata_tokens
+    }
+}
+
+/// Everything a profile may look at when scoring one candidate: the
+/// evaluation's shared [`DinState`] and the candidate itself.
+pub struct ProfileContext<'a> {
+    /// The `din` side, shared by every candidate of the evaluation.
+    pub din: &'a DinState<'a>,
     /// The candidate being profiled.
     pub candidate: &'a Candidate,
     /// The materialized augmentation column (aligned with `din` rows), or
@@ -31,29 +108,14 @@ impl ProfileContext<'_> {
     /// [`Self::target_sample`]).
     pub fn aug_sample(&self) -> Vec<Option<f64>> {
         match self.aug {
-            Some(col) => {
-                let full = col.as_f64();
-                self.sample_indices
-                    .iter()
-                    .map(|&i| full.get(i).copied().flatten())
-                    .collect()
-            }
-            None => vec![None; self.sample_indices.len()],
+            Some(col) => sample_of(col, self.din.sample_indices),
+            None => vec![None; self.din.sample_indices.len()],
         }
     }
 
     /// Numeric sample of the target column (empty when no target).
-    pub fn target_sample(&self) -> Vec<Option<f64>> {
-        match self.target_column {
-            Some(t) => {
-                let full = self.din.columns()[t].as_f64();
-                self.sample_indices
-                    .iter()
-                    .map(|&i| full.get(i).copied().flatten())
-                    .collect()
-            }
-            None => Vec::new(),
-        }
+    pub fn target_sample(&self) -> &[Option<f64>] {
+        &self.din.target_sample
     }
 }
 
@@ -119,8 +181,11 @@ impl ProfileSet {
     /// Evaluate every candidate, in parallel, on a seeded row sample of
     /// `sample_size` records (the paper's setting is 100).
     ///
-    /// Candidates whose materialization fails get an all-zero vector — they
-    /// are the "erroneous" candidates the search must discard on its own.
+    /// The `din` side ([`DinState`]) is computed once, and the candidates
+    /// are materialized a [`path_runs`] run at a time, so each join path
+    /// is mapped once. Candidates whose materialization fails get an
+    /// all-zero vector — they are the "erroneous" candidates the search
+    /// must discard on its own.
     pub fn evaluate_all(
         &self,
         din: &Table,
@@ -131,20 +196,28 @@ impl ProfileSet {
         seed: u64,
     ) -> Vec<ProfileVector> {
         let indices = sample_indices(din.nrows(), sample_size, seed);
+        let state = DinState::new(din, target_column, &indices);
+        let runs: Vec<&[Candidate]> = path_runs(candidates).collect();
         let n_threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        metam_pool::map(candidates, n_threads, |cand| {
-            let aug: Option<Arc<Column>> = materializer.materialize(din, cand).ok();
-            let ctx = ProfileContext {
-                din,
-                target_column,
-                sample_indices: &indices,
-                candidate: cand,
-                aug: aug.as_deref(),
-            };
-            self.evaluate_one(&ctx)
+        metam_pool::map(&runs, n_threads, |run| {
+            let columns = materializer.materialize_run(din, run);
+            run.iter()
+                .zip(columns)
+                .map(|(candidate, aug)| {
+                    let aug: Option<Arc<Column>> = aug.ok();
+                    self.evaluate_one(&ProfileContext {
+                        din: &state,
+                        candidate,
+                        aug: aug.as_deref(),
+                    })
+                })
+                .collect::<Vec<_>>()
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 

@@ -72,7 +72,7 @@ impl Profile for RankCorrelationProfile {
         if target.is_empty() {
             return 0.0;
         }
-        option_spearman(&ctx.aug_sample(), &target).abs()
+        option_spearman(&ctx.aug_sample(), target).abs()
     }
 }
 

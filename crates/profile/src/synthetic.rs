@@ -78,14 +78,13 @@ impl Profile for FixedProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DinState;
     use metam_discovery::{Candidate, JoinPath};
     use metam_table::{Column, Table};
 
-    fn ctx_for<'a>(din: &'a Table, cand: &'a Candidate) -> ProfileContext<'a> {
+    fn ctx_for<'a>(din: &'a DinState<'a>, cand: &'a Candidate) -> ProfileContext<'a> {
         ProfileContext {
             din,
-            target_column: None,
-            sample_indices: &[],
             candidate: cand,
             aug: None,
         }
@@ -111,6 +110,7 @@ mod tests {
             vec![Column::from_floats(Some("y".into()), vec![Some(1.0)])],
         )
         .unwrap();
+        let din = DinState::new(&din, None, &[]);
         let p = FixedProfile::new("fp", vec![0.25, 0.75]);
         assert_eq!(p.compute(&ctx_for(&din, &candidate(1))), 0.75);
         assert_eq!(

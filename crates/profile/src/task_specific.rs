@@ -25,16 +25,17 @@ impl Profile for TaskSpecificProfile {
     }
 
     fn compute(&self, ctx: &ProfileContext<'_>) -> f64 {
-        let (Some(target), Some(aug)) = (ctx.target_column, ctx.aug) else {
+        let (Some(target), Some(aug)) = (ctx.din.target_column, ctx.aug) else {
             return 0.0;
         };
         // Small augmented sample table.
-        let sampled = ctx.din.take_rows(ctx.sample_indices);
-        let aug_sampled = aug.take(ctx.sample_indices).with_name("__aug__");
+        let din = ctx.din.table;
+        let sampled = din.take_rows(ctx.din.sample_indices);
+        let aug_sampled = aug.take(ctx.din.sample_indices).with_name("__aug__");
         let Ok(table) = sampled.with_column(aug_sampled) else {
             return 0.0;
         };
-        let target_name = ctx.din.column_display_name(target);
+        let target_name = din.column_display_name(target);
         let kind = if self.classification {
             TargetKind::Classification
         } else {
@@ -77,6 +78,7 @@ impl Profile for TaskSpecificProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DinState;
     use metam_discovery::{Candidate, JoinPath};
     use metam_table::{Column, Table};
 
@@ -123,17 +125,14 @@ mod tests {
             seed: 0,
         };
 
+        let state = DinState::new(&din, Some(1), &indices);
         let score_info = profile.compute(&ProfileContext {
-            din: &din,
-            target_column: Some(1),
-            sample_indices: &indices,
+            din: &state,
             candidate: &cand,
             aug: Some(&informative),
         });
         let score_junk = profile.compute(&ProfileContext {
-            din: &din,
-            target_column: Some(1),
-            sample_indices: &indices,
+            din: &state,
             candidate: &cand,
             aug: Some(&junk),
         });
@@ -156,9 +155,7 @@ mod tests {
             seed: 0,
         };
         let score = profile.compute(&ProfileContext {
-            din: &din,
-            target_column: None,
-            sample_indices: &[0, 1, 2],
+            din: &DinState::new(&din, None, &[0, 1, 2]),
             candidate: &cand,
             aug: None,
         });

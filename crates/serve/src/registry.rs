@@ -4,13 +4,15 @@
 //! [`LakeCatalog`] hot in memory. Requests take a read lock — many
 //! concurrent discovers share one catalog snapshot — and revalidate it
 //! against the filesystem fingerprints before use: a stale hit (or an
-//! explicit `scan` verb) upgrades to the lake's write lock and swaps in a
-//! rescan while readers drain. Catalog swaps preserve the lake's
+//! explicit `scan` verb) rescans the lake and swaps the result in. The
+//! rescan runs outside the lock, so other requests keep reading the old
+//! snapshot meanwhile and wait only for the swap; rescans of one lake run
+//! one at a time. Catalog swaps preserve the lake's
 //! [`LoadCounters`](metam_lake::catalog::LoadCounters) handles, so the
 //! server-lifetime hit/miss totals in `status` survive refreshes.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use metam_lake::{LakeCatalog, ScanOptions};
 
@@ -20,6 +22,9 @@ use crate::protocol::{ErrorKind, ServeError};
 struct LakeSlot {
     name: String,
     catalog: RwLock<Arc<LakeCatalog>>,
+    /// Held for the length of a rescan, so one lake's rescans never race
+    /// each other's record writes or swaps.
+    rescan: Mutex<()>,
 }
 
 /// The daemon's set of served lakes, each hot behind its own `RwLock`.
@@ -49,6 +54,7 @@ impl LakeRegistry {
             slots.push(LakeSlot {
                 name: name.clone(),
                 catalog: RwLock::new(Arc::new(catalog)),
+                rescan: Mutex::new(()),
             });
         }
         Ok(LakeRegistry { lakes: slots })
@@ -73,45 +79,50 @@ impl LakeRegistry {
 
     /// The current catalog snapshot for `name`, revalidated against the
     /// filesystem: a fresh catalog returns under the read lock; a stale
-    /// one upgrades to the write lock and swaps in a rescan first, so the
-    /// returned snapshot always reflects the lake as it is on disk.
+    /// one is rescanned and swapped in first, so the returned snapshot
+    /// always reflects the lake as it is on disk.
     pub fn hot(&self, name: &str) -> Result<Arc<LakeCatalog>, ServeError> {
         let slot = self.slot(name)?;
-        let current = Arc::clone(&slot.catalog.read().unwrap_or_else(PoisonError::into_inner));
+        let current = Self::current(slot);
         if !current.is_stale() {
             return Ok(current);
         }
-        self.refresh_slot(slot)
+        self.rescan_slot(slot, false)
     }
 
     /// The current catalog snapshot without revalidation (for `status`
     /// rendering, which must stay cheap and never trigger rescans).
     pub fn snapshot(&self, name: &str) -> Result<Arc<LakeCatalog>, ServeError> {
-        let slot = self.slot(name)?;
-        Ok(Arc::clone(
-            &slot.catalog.read().unwrap_or_else(PoisonError::into_inner),
-        ))
+        Ok(Self::current(self.slot(name)?))
     }
 
-    /// Unconditionally rescan lake `name` in place (the `scan` verb) and
-    /// return the refreshed snapshot.
+    /// Unconditionally rescan lake `name` (the `scan` verb), swap the
+    /// result in and return it. A rescan of an unchanged lake still reads
+    /// every sketch record, so it heals a record that rotted on disk, and
+    /// its hit/miss counts are this scan's own.
     pub fn refresh(&self, name: &str) -> Result<Arc<LakeCatalog>, ServeError> {
-        self.refresh_slot(self.slot(name)?)
+        self.rescan_slot(self.slot(name)?, true)
     }
 
-    fn refresh_slot(&self, slot: &LakeSlot) -> Result<Arc<LakeCatalog>, ServeError> {
-        let mut guard = slot.catalog.write().unwrap_or_else(PoisonError::into_inner);
-        // Another request may have refreshed while we waited on the write
-        // lock; rescanning an already-fresh catalog is cheap (all cache
-        // hits) but swapping it again is pure churn.
-        if !guard.is_stale() {
-            return Ok(Arc::clone(&guard));
+    fn current(slot: &LakeSlot) -> Arc<LakeCatalog> {
+        Arc::clone(&slot.catalog.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Rescan `slot` outside its catalog lock and swap the result in.
+    /// Without `force`, a catalog that another request refreshed while
+    /// this one waited for the rescan lock is returned as it is.
+    fn rescan_slot(&self, slot: &LakeSlot, force: bool) -> Result<Arc<LakeCatalog>, ServeError> {
+        let _rescanning = slot.rescan.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = Self::current(slot);
+        if !force && !current.is_stale() {
+            return Ok(current);
         }
-        let fresh = guard
-            .rescan(&ScanOptions::default())
-            .map_err(|e| ServeError::internal(format!("rescanning lake {:?}: {e}", slot.name)))?;
-        *guard = Arc::new(fresh);
-        Ok(Arc::clone(&guard))
+        let fresh =
+            Arc::new(current.rescan(&ScanOptions::default()).map_err(|e| {
+                ServeError::internal(format!("rescanning lake {:?}: {e}", slot.name))
+            })?);
+        *slot.catalog.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&fresh);
+        Ok(fresh)
     }
 }
 

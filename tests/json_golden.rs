@@ -331,11 +331,11 @@ fn serve_reply_bytes() {
     );
     assert_eq!(
         roundtrip(addr, r#"{"verb":"scan","lake":"tiny"}"#),
-        r#"{"ok":true,"verb":"scan","lake":"tiny","tables":3,"rows":63,"columns":6,"profile_hits":0,"profile_misses":3}"#
+        r#"{"ok":true,"verb":"scan","lake":"tiny","tables":3,"rows":63,"columns":6,"profile_hits":3,"profile_misses":0}"#
     );
     assert_eq!(
         roundtrip(addr, r#"{"verb":"profile","lake":"tiny","table":"notes"}"#),
-        r#"{"ok":true,"verb":"profile","lake":"tiny","profile":{"cache":{"profile_hits":0,"profile_misses":3,"mtc_loads":0,"csv_fallbacks":0},"tables":[{"table":"notes","rows":3,"columns":[{"name":"k","dtype":"str","nulls":0,"distinct":3,"min":null,"max":null,"mean":null},{"name":"w","dtype":"str","nulls":1,"distinct":2,"min":null,"max":null,"mean":null}]}]}}"#
+        r#"{"ok":true,"verb":"profile","lake":"tiny","profile":{"cache":{"profile_hits":3,"profile_misses":0,"mtc_loads":0,"csv_fallbacks":0},"tables":[{"table":"notes","rows":3,"columns":[{"name":"k","dtype":"str","nulls":0,"distinct":3,"min":null,"max":null,"mean":null},{"name":"w","dtype":"str","nulls":1,"distinct":2,"min":null,"max":null,"mean":null}]}]}}"#
     );
     let discover = roundtrip(
         addr,

@@ -176,3 +176,102 @@ fn homogeneity_check_cheap_when_clusters_honest() {
         without_check.utility
     );
 }
+
+/// Append a table whose join key is all null to `tables`, and insert two
+/// candidates on a path into it in the middle of `candidates`: their
+/// materialization fails (`EmptyJoinKey`). Ids are renumbered.
+fn with_failing_candidates(
+    tables: &mut Vec<Arc<Table>>,
+    candidates: &mut Vec<metam_discovery::Candidate>,
+) {
+    let void = Table::from_columns(
+        "void",
+        vec![
+            Column::from_strings(Some("key".into()), vec![None; 3]),
+            Column::from_floats(Some("x".into()), vec![Some(1.0); 3]),
+        ],
+    )
+    .unwrap();
+    tables.push(Arc::new(void));
+    let at = candidates.len() / 2;
+    for _ in 0..2 {
+        let mut c = candidates[0].clone();
+        c.path = metam_discovery::JoinPath::single(c.path.hops[0].left_column, tables.len() - 1, 0);
+        c.value_column = 1;
+        candidates.insert(at, c);
+    }
+    for (id, c) in candidates.iter_mut().enumerate() {
+        c.id = id;
+    }
+}
+
+/// One `evaluate_all` — the `din` side computed once, candidates
+/// materialized a path run at a time — against every candidate recomputed
+/// from scratch: a materializer and a `DinState` of its own.
+fn assert_vectors_match_recomputation(scenario: metam_datagen::Scenario, target: Option<usize>) {
+    use metam::profile::{default_profiles, DinState, ProfileContext};
+    use metam::table::sample::sample_indices;
+
+    let (din, mut tables) = (scenario.din, scenario.tables);
+    let index = DiscoveryIndex::build(tables.clone());
+    let mut candidates = generate_candidates(&din, &index, &PathConfig::default(), 100_000);
+    with_failing_candidates(&mut tables, &mut candidates);
+    let set = default_profiles();
+    let (sample, seed) = (100, 9);
+    let shared = set.evaluate_all(
+        &din,
+        target,
+        &candidates,
+        &Materializer::new(tables.clone()),
+        sample,
+        seed,
+    );
+    assert_eq!(shared.len(), candidates.len());
+    let indices = sample_indices(din.nrows(), sample, seed);
+    let mut failed = 0;
+    for (candidate, got) in candidates.iter().zip(&shared) {
+        let aug = Materializer::new(tables.clone())
+            .materialize(&din, candidate)
+            .ok();
+        failed += usize::from(aug.is_none());
+        let state = DinState::new(&din, target, &indices);
+        let want = set.evaluate_one(&ProfileContext {
+            din: &state,
+            candidate,
+            aug: aug.as_deref(),
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(&want), "{}", candidate.name);
+    }
+    assert_eq!(
+        failed, 2,
+        "the two candidates into the null-keyed table fail"
+    );
+}
+
+#[test]
+fn evaluate_all_matches_per_candidate_recomputation_on_howto_fixture() {
+    use metam_datagen::causal_scenario::{build_causal, CausalConfig, CausalKind};
+    let scenario = build_causal(&CausalConfig {
+        seed: 32,
+        kind: CausalKind::HowTo,
+        n_irrelevant_tables: 20,
+        n_erroneous_tables: 6,
+        n_confounder_tables: 8,
+        ..Default::default()
+    });
+    let target = scenario.target_column_index();
+    assert!(target.is_some());
+    assert_vectors_match_recomputation(scenario, target);
+}
+
+#[test]
+fn evaluate_all_matches_per_candidate_recomputation_without_a_target() {
+    use metam_datagen::clustering::{build_clustering, ClusteringConfig};
+    let scenario = build_clustering(&ClusteringConfig {
+        seed: 4,
+        ..Default::default()
+    });
+    assert!(scenario.target_column_index().is_none());
+    assert_vectors_match_recomputation(scenario, None);
+}

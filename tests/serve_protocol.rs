@@ -632,3 +632,48 @@ fn scan_and_stale_hits_refresh_the_hot_catalog_in_place() {
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn scan_of_an_unchanged_lake_rescans_and_heals_a_rotted_record() {
+    let _serial = lock_serial();
+    let dir = tiny_lake("heal");
+    std::fs::write(dir.join("beta.csv"), "a,b\n5,6\n").expect("write csv");
+    let server = metam::serve::start(
+        &[("demo".to_string(), dir.clone())],
+        ServeConfig {
+            workers: 1,
+            queue: 4,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start daemon");
+    let addr = server.addr();
+    let counts = |reply: &Value| {
+        let field = |name| reply.get(name).and_then(Value::as_f64);
+        (field("profile_hits"), field("profile_misses"))
+    };
+
+    // The lake is unchanged since the start-up scan; the record of one
+    // file rots on disk (a torn write), which no fingerprint notices.
+    let record = metam::lake::sketch::sketch_path(&dir, "alpha.csv");
+    let intact = std::fs::read(&record).expect("start-up scan wrote the record");
+    std::fs::write(&record, &intact[..intact.len() / 2]).expect("truncate record");
+
+    let scanned = assert_ok(&one_shot(addr, "{\"verb\":\"scan\",\"lake\":\"demo\"}"));
+    assert_eq!(
+        counts(&scanned),
+        (Some(1.0), Some(1.0)),
+        "the scan re-read both records and re-profiled the rotted one"
+    );
+    assert_eq!(
+        std::fs::read(&record).expect("healed record"),
+        intact,
+        "the rescan rewrote the record"
+    );
+    let again = assert_ok(&one_shot(addr, "{\"verb\":\"scan\",\"lake\":\"demo\"}"));
+    assert_eq!(counts(&again), (Some(2.0), Some(0.0)));
+
+    assert_ok(&one_shot(addr, "{\"verb\":\"shutdown\"}"));
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
