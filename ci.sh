@@ -32,9 +32,21 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "== perfbench: smoke run (small lakes, same code paths and output checks) =="
 cargo run --release -q --manifest-path perfbench/Cargo.toml --bin perf -- --quick
 
+echo "== paper: --quick --seed 7 reproduces every pinned dump byte for byte =="
+# fig6's y values are wall-clock seconds, so it has no pin.
+PAPER_OUT=$(mktemp -d)
+trap 'rm -rf "$PAPER_OUT"' EXIT
+cargo run --release -q -p metam-bench --bin paper -- --quick --seed 7 \
+    --out "$PAPER_OUT" > "$PAPER_OUT/paper.log" 2>&1 || {
+    cat "$PAPER_OUT/paper.log"; echo "paper: run failed"; exit 1; }
+for PINNED in paper_results/quick-seed7/*.json; do
+    diff "$PINNED" "$PAPER_OUT/$(basename "$PINNED")" || {
+        echo "paper: $PINNED differs from this run's dump"; exit 1; }
+done
+
 echo "== trace smoke: discover --trace emits a validatable JSONL trace =="
 TRACE_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR"' EXIT
+trap 'rm -rf "$PAPER_OUT" "$TRACE_DIR"' EXIT
 ./target/release/metam demo "$TRACE_DIR/lake" --seed 7 >/dev/null
 ./target/release/metam discover "$TRACE_DIR/lake" --din din \
     --task classification:label --budget 60 --seed 7 --threads 2 \

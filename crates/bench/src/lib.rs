@@ -1,23 +1,26 @@
 #![forbid(unsafe_code)]
-//! Shared harness utilities for the per-figure experiment binaries.
+//! Shared harness for the `paper` binary, which regenerates the tables and
+//! figures of the paper's §VI.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's §VI: it prints the same rows/series the paper reports and dumps
-//! them as JSON under `--out` so EXPERIMENTS.md numbers are reproducible.
+//! Each experiment prints the rows/series the paper reports and dumps them
+//! as JSON under `--out`; `PAPER_RESULTS.md` at the repo root compares them
+//! with the paper's claims, and `paper_results/quick-seed7/` pins the
+//! `--quick --seed 7` dumps byte for byte.
 //!
-//! Usage of every binary: `cargo run --release -p metam-bench --bin figN --
-//! [--seed N] [--quick] [--out DIR]`.
+//! Usage: `cargo run --release -p metam-bench --bin paper --
+//! [--seed N] [--quick] [--out DIR] [EXPERIMENT...]` (no experiment runs
+//! them all).
 
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
-use metam::core::trace::{resample, TracePoint};
 use metam::obs::json;
-use metam::{run_method, Method, Prepared, QueryEvent, RunObserver};
+use metam::Method;
 
-/// Command-line arguments shared by all experiment binaries.
+/// Command-line arguments of the `paper` binary.
 #[derive(Debug, Clone)]
 pub struct Args {
     /// Master seed.
@@ -26,19 +29,31 @@ pub struct Args {
     pub quick: bool,
     /// Output directory for JSON dumps.
     pub out: PathBuf,
+    /// The experiments named on the command line (empty = all).
+    pub experiments: Vec<String>,
 }
 
 impl Args {
-    /// Parse from `std::env::args`. Unknown flags abort with usage.
-    pub fn parse() -> Args {
+    /// Parse from `std::env::args`. An unknown flag, or an experiment not
+    /// in `known`, exits 2 with a usage line listing `known`.
+    pub fn parse(known: &[&str]) -> Args {
         let mut args = Args {
             seed: 42,
             quick: false,
             out: PathBuf::from("results"),
+            experiments: Vec::new(),
+        };
+        let usage = |msg: &str| -> ! {
+            eprintln!(
+                "error: {msg}\nusage: paper [--seed N] [--quick] [--out DIR] [EXPERIMENT...]\n\
+                 experiments: {}",
+                known.join(" ")
+            );
+            std::process::exit(2)
         };
         let mut iter = std::env::args().skip(1);
-        while let Some(flag) = iter.next() {
-            match flag.as_str() {
+        while let Some(arg) = iter.next() {
+            match arg.as_str() {
                 "--seed" => {
                     args.seed = iter
                         .next()
@@ -50,16 +65,13 @@ impl Args {
                     args.out =
                         PathBuf::from(iter.next().unwrap_or_else(|| usage("--out needs a path")));
                 }
-                other => usage(&format!("unknown flag {other}")),
+                flag if flag.starts_with('-') => usage(&format!("unknown flag {flag}")),
+                name if known.contains(&name) => args.experiments.push(arg),
+                name => usage(&format!("unknown experiment {name}")),
             }
         }
         args
     }
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}\nusage: <bin> [--seed N] [--quick] [--out DIR]");
-    std::process::exit(2)
 }
 
 /// One plotted series: method label + (queries, utility) points.
@@ -237,17 +249,13 @@ pub fn panels_json(panels: &[Panel]) -> String {
 }
 
 /// Write a rendered JSON document, indented, as `out/<name>.json`.
-pub fn save_json(out: &PathBuf, name: &str, doc: &str) {
-    if fs::create_dir_all(out).is_err() {
-        eprintln!("warning: cannot create {out:?}; skipping JSON dump");
-        return;
-    }
+pub fn save_json(out: &Path, name: &str, doc: &str) -> io::Result<()> {
     let path = out.join(format!("{name}.json"));
-    if let Err(e) = fs::write(&path, json::pretty(doc)) {
-        eprintln!("warning: cannot write {path:?}: {e}");
-    } else {
-        println!("saved {}", path.display());
-    }
+    fs::create_dir_all(out)
+        .and_then(|()| fs::write(&path, json::pretty(doc)))
+        .map_err(|e| io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display())))?;
+    println!("saved {}", path.display());
+    Ok(())
 }
 
 /// An evenly spaced query grid `0..=budget` with ~`points` samples.
@@ -260,49 +268,6 @@ pub fn query_grid(budget: usize, points: usize) -> Vec<usize> {
     }
     grid.truncate(points + 1);
     grid
-}
-
-/// A [`RunObserver`] that rebuilds the utility-vs-queries trajectory from
-/// the per-query event stream — one point per counted task query.
-/// Observation is passive, so the recorded points are bit-identical to the
-/// engine's own trace.
-#[derive(Debug, Default)]
-pub struct TrajectoryRecorder {
-    /// `(queries, best utility so far)` after every counted query.
-    pub points: Vec<TracePoint>,
-}
-
-impl RunObserver for TrajectoryRecorder {
-    fn on_query(&mut self, event: &QueryEvent<'_>) {
-        self.points.push(TracePoint {
-            queries: event.query,
-            utility: event.best_utility,
-        });
-    }
-}
-
-/// Run every method on the prepared scenario and resample each per-query
-/// trajectory on the grid — the engine behind every utility-vs-queries
-/// panel. Trajectories come from the observer event stream
-/// ([`TrajectoryRecorder`]), not a re-run.
-pub fn run_methods(
-    prepared: &Prepared,
-    methods: &[Method],
-    theta: Option<f64>,
-    budget: usize,
-    grid: &[usize],
-) -> Vec<Series> {
-    methods
-        .iter()
-        .map(|m| {
-            let mut recorder = TrajectoryRecorder::default();
-            let r = run_method(m, &prepared.inputs(), theta, budget, &mut recorder);
-            Series {
-                label: r.method.clone(),
-                points: resample(&recorder.points, grid),
-            }
-        })
-        .collect()
 }
 
 /// The standard method lineup of Fig. 3 (iARDA appended only for ML tasks,
@@ -338,40 +303,9 @@ mod tests {
         assert!(*g.last().unwrap() >= 100);
     }
 
-    #[test]
-    fn recorder_trajectory_matches_engine_trace() {
-        let scenario = metam::datagen::repo::price_classification(11);
-        let prepared = metam::Session::from_scenario(scenario)
-            .seed(11)
-            .prepare()
-            .expect("scenario sessions are infallible");
-        let mut recorder = TrajectoryRecorder::default();
-        let observed = run_method(
-            &Method::Overlap,
-            &prepared.inputs(),
-            None,
-            40,
-            &mut recorder,
-        );
-        // One point per counted query, bit-identical to the engine's trace.
-        assert_eq!(recorder.points, observed.trace);
-        // Observation is passive: the unobserved run is identical.
-        let plain = run_method(
-            &Method::Overlap,
-            &prepared.inputs(),
-            None,
-            40,
-            &mut metam::NoopObserver,
-        );
-        assert_eq!(plain.queries, observed.queries);
-        assert_eq!(plain.selected, observed.selected);
-        assert_eq!(plain.utility, observed.utility);
-        assert_eq!(plain.stop_reason, observed.stop_reason);
-    }
-
-    fn saved(name: &str, save: impl FnOnce(&PathBuf)) -> String {
+    fn saved(name: &str, save: impl FnOnce(&Path) -> io::Result<()>) -> String {
         let dir = std::env::temp_dir().join(format!("metam-bench-dump-{}", std::process::id()));
-        save(&dir);
+        save(&dir).expect("dump written");
         let text = fs::read_to_string(dir.join(format!("{name}.json"))).expect("dump written");
         let _ = fs::remove_file(dir.join(format!("{name}.json")));
         text
@@ -412,6 +346,17 @@ mod tests {
             raw,
             "[\n  [\n    \"d\",\n    \"MW\",\n    0.25,\n    7\n  ]\n]"
         );
+    }
+
+    #[test]
+    fn dump_write_failure_is_an_error() {
+        // A regular file cannot hold a directory, so `--out` below it can
+        // never be created.
+        let file = std::env::temp_dir().join(format!("metam-bench-file-{}", std::process::id()));
+        fs::write(&file, "not a directory").expect("temp file");
+        let err = save_json(&file.join("out"), "table", "{}").expect_err("uncreatable --out");
+        let _ = fs::remove_file(&file);
+        assert!(err.to_string().contains("table.json"), "{err}");
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! # metam-datagen
 //!
 //! Seeded synthetic data repositories with *planted ground truth*, standing
-//! in for the paper's Open Data / Kaggle / Redfin corpora (see DESIGN.md,
-//! substitutions). Every generator is deterministic in its seed.
+//! in for the paper's Open Data / Kaggle / Redfin corpora, which are not
+//! available offline; `PAPER_RESULTS.md` at the repo root records how the
+//! paper's claims fare on them. Every generator is deterministic in its
+//! seed.
 //!
 //! A generated [`Scenario`] contains:
 //!

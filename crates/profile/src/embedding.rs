@@ -4,8 +4,9 @@
 //! datasets by cosine similarity. We substitute deterministic *feature
 //! hashing*: every token hashes to a pseudo-random unit vector, a dataset
 //! embeds as the mean of its token vectors, and similar vocabularies yield
-//! high cosine — the property P2 clustering actually relies on (see
-//! DESIGN.md, substitutions).
+//! high cosine — the property P2 clustering actually relies on. The
+//! substitution keeps the workspace free of model weights and makes the
+//! profile deterministic.
 
 use std::hash::{Hash, Hasher};
 

@@ -11,7 +11,7 @@
 //! * [`correlation`] — |Pearson| between the augmentation and the target,
 //! * [`mutual_info`] — normalized mutual information with the target,
 //! * [`embedding`] — cosine similarity of hashed token embeddings (our
-//!   deterministic stand-in for BERT; see DESIGN.md substitutions),
+//!   deterministic stand-in for BERT, see [`embedding`]),
 //! * [`metadata`] — syntactic similarity of names/sources (Ver-style),
 //! * [`overlap`] — fill ratio of the materialized augmentation (join
 //!   cardinality),

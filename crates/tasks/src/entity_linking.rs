@@ -1,7 +1,7 @@
 //! Entity-linking task (§VI-A.4 "Entity Linking").
 //!
-//! A synthetic knowledge graph stands in for Wikidata (see DESIGN.md). A
-//! mention links automatically when its name is unambiguous; ambiguous
+//! A small synthetic knowledge graph stands in for Wikidata, which is not
+//! available offline; its ambiguity is planted on purpose. A mention links automatically when its name is unambiguous; ambiguous
 //! names ("Birmingham") need a disambiguating context value — e.g. a state
 //! abbreviation — from one of the augmented columns. Utility = linking
 //! accuracy against the ground truth.
