@@ -75,6 +75,19 @@ done
     '{"verb":"discover","lake":"lake","din":"din","task":"classification:label","seed":7,"budget":60}' \
     > "$TRACE_DIR/serve-discover.json"
 grep -q '"report":' "$TRACE_DIR/serve-discover.json"
+# The same discover again is answered from the snapshot's candidate memo:
+# it reads no sketch record, and its report equals the first one once the
+# wall-clock *_secs fields are scrubbed.
+./target/release/metam request "$ADDR" \
+    '{"verb":"discover","lake":"lake","din":"din","task":"classification:label","seed":7,"budget":60}' \
+    > "$TRACE_DIR/serve-discover-again.json"
+grep -q '"sketch_hits":0,' "$TRACE_DIR/serve-discover-again.json"
+for REPLY in serve-discover serve-discover-again; do
+    sed -e 's/.*"report"://' -e 's/"\([a-z_]*_secs\)":[^,}]*/"\1":0/g' \
+        "$TRACE_DIR/$REPLY.json" > "$TRACE_DIR/$REPLY.report"
+done
+cmp "$TRACE_DIR/serve-discover.report" "$TRACE_DIR/serve-discover-again.report" || {
+    echo "serve smoke: a repeated discover changed its report"; exit 1; }
 ./target/release/metam request "$ADDR" '{"verb":"scan","lake":"lake"}' \
     > "$TRACE_DIR/serve-scan.json"
 grep -q '"ok":true' "$TRACE_DIR/serve-scan.json"

@@ -131,37 +131,54 @@ impl Panel {
             .finish()
     }
 
-    /// Pretty-print the panel as an aligned text table.
-    pub fn print(&self) {
-        println!("\n== {} — {} ==", self.id, self.title);
+    /// The panel as an aligned text table: a title line, a header of the
+    /// x label and every series label, then one row per grid point. All
+    /// series columns are as wide as the longest label or value plus two
+    /// spaces, the way [`TableReport::print`] sizes its columns, so labels
+    /// are never cut and never run together.
+    pub fn render(&self) -> String {
+        let mut out = format!("\n== {} — {} ==\n", self.id, self.title);
         if self.series.is_empty() {
-            println!("(no series)");
-            return;
+            out.push_str("(no series)\n");
+            return out;
         }
-        print!("{:>10}", self.x_label);
-        for s in &self.series {
-            print!("{:>12}", truncate(&s.label, 12));
-        }
-        println!();
-        let grid: Vec<usize> = self.series[0].points.iter().map(|p| p.0).collect();
-        for (row, &x) in grid.iter().enumerate() {
-            print!("{x:>10}");
-            for s in &self.series {
-                match s.points.get(row) {
-                    Some(&(_, y)) => print!("{y:>12.3}"),
-                    None => print!("{:>12}", "-"),
-                }
+        let header = (
+            self.x_label.clone(),
+            self.series.iter().map(|s| s.label.clone()).collect(),
+        );
+        let body = self.series[0]
+            .points
+            .iter()
+            .enumerate()
+            .map(|(row, &(x, _))| {
+                let cells = self.series.iter().map(|s| match s.points.get(row) {
+                    Some(&(_, y)) => format!("{y:.3}"),
+                    None => "-".to_string(),
+                });
+                (x.to_string(), cells.collect())
+            });
+        let lines: Vec<(String, Vec<String>)> = std::iter::once(header).chain(body).collect();
+        let chars = |s: &String| s.chars().count();
+        let x_width = lines.iter().map(|(x, _)| chars(x)).max().unwrap_or(0);
+        let width = 2 + lines
+            .iter()
+            .flat_map(|(_, cells)| cells)
+            .map(chars)
+            .max()
+            .unwrap_or(0);
+        for (x, cells) in &lines {
+            out.push_str(&format!("{x:>x_width$}"));
+            for cell in cells {
+                out.push_str(&format!("{cell:>width$}"));
             }
-            println!();
+            out.push('\n');
         }
+        out
     }
-}
 
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        s[..n].to_string()
+    /// Print [`render`](Self::render) to stdout.
+    pub fn print(&self) {
+        print!("{}", self.render());
     }
 }
 
@@ -309,6 +326,41 @@ mod tests {
         let text = fs::read_to_string(dir.join(format!("{name}.json"))).expect("dump written");
         let _ = fs::remove_file(dir.join(format!("{name}.json")));
         text
+    }
+
+    #[test]
+    fn panel_columns_fit_the_longest_label() {
+        let mut panel = Panel::new("fig7a", "Profiles");
+        for label in [
+            "MW+ARDA",
+            "Overlap+ARDA",
+            "Metam(generic)",
+            "Métam(généralisé)",
+        ] {
+            panel.series.push(Series {
+                label: label.into(),
+                points: vec![(0, 0.5), (100, 0.75)],
+            });
+        }
+        panel.series[1].points.pop();
+        let text = panel.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1], "== fig7a — Profiles ==");
+        let header = lines[2];
+        assert_eq!(
+            header.split_whitespace().collect::<Vec<_>>(),
+            [
+                "queries",
+                "MW+ARDA",
+                "Overlap+ARDA",
+                "Metam(generic)",
+                "Métam(généralisé)"
+            ],
+            "every label whole and apart"
+        );
+        assert_eq!(lines[4].split_whitespace().nth(2), Some("-"));
+        let widths: Vec<usize> = lines[2..].iter().map(|l| l.chars().count()).collect();
+        assert_eq!(widths, [7 + 4 * 19; 3], "one width per column, in chars");
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn scaled_fixture(
     Prepared {
         din,
         target_column: None,
-        candidates,
+        candidates: Arc::new(candidates),
         profiles,
         profile_names,
         materializer: Materializer::new(tables),

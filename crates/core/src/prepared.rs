@@ -2,18 +2,19 @@
 //!
 //! Every data world — synthetic scenarios, on-disk CSV lakes, custom
 //! [`DataSource`](https://docs.rs/metam) implementations — funnels into one
-//! [`Prepared`] value via [`assemble`]: index the repository, enumerate
-//! candidate augmentations (Definition 4), evaluate the profile vectors on
-//! a seeded row sample (§VI "Settings"), and bundle the downstream task.
-//! Search methods then borrow [`Prepared::inputs`].
+//! [`Prepared`] value via [`assemble`]: enumerate candidate augmentations
+//! (Definition 4) with [`enumerate_candidates`], evaluate the profile
+//! vectors on a seeded row sample (§VI "Settings"), and bundle the
+//! downstream task. Search methods then borrow [`Prepared::inputs`].
 
 use std::sync::Arc;
 
 use metam_discovery::path::PathConfig;
 use metam_discovery::{
-    candidates_on_paths, enumerate_paths, path_runs, Candidate, DiscoveryIndex, Materializer,
-    TableDescriptor, TableProvider,
+    candidates_on_paths, din_probes, enumerate_paths_from, path_runs, Candidate, DiscoveryIndex,
+    Materializer, MinHash, TableProvider,
 };
+use metam_obs::Span;
 use metam_profile::ProfileSet;
 use metam_table::Table;
 
@@ -21,20 +22,22 @@ use crate::engine::SearchInputs;
 use crate::task::Task;
 
 /// The repository a prepare run searches over, in either of its two
-/// equivalent forms: tables already in memory (the scenario path), or
-/// payload-free descriptors plus a deferred [`TableProvider`] (the
-/// sketch-backed catalog path, where table data loads lazily only when a
-/// candidate materializes). [`assemble`] accepts `impl Into<Repository>`,
-/// so existing `Vec<Arc<Table>>` call sites are unchanged.
+/// forms: tables already in memory (the scenario path), whose candidates
+/// [`assemble`] enumerates, or the candidates a source already enumerated
+/// plus a deferred [`TableProvider`] (the sketch-backed catalog path,
+/// where a lake snapshot enumerates once per input and table data loads
+/// lazily only when a candidate materializes). [`assemble`] accepts
+/// `impl Into<Repository>`, so `Vec<Arc<Table>>` call sites read as-is.
 pub enum Repository {
     /// Materialized repository tables, indexed in order.
     Eager(Vec<Arc<Table>>),
-    /// Descriptors (typically from persisted catalog sketches) plus a
-    /// provider resolving the same indices to payloads on demand.
-    Deferred {
-        /// Payload-free per-table descriptors, in repository order.
-        descriptors: Vec<TableDescriptor>,
-        /// Lazy source of the corresponding table payloads.
+    /// Candidates enumerated by the source with [`enumerate_candidates`],
+    /// plus a provider resolving their table indices to payloads on
+    /// demand.
+    Enumerated {
+        /// The candidate list, shared with the source's memo.
+        candidates: Arc<Vec<Candidate>>,
+        /// Lazy source of the repository's table payloads.
         provider: Box<dyn TableProvider>,
     },
 }
@@ -44,7 +47,7 @@ impl Repository {
     pub fn len(&self) -> usize {
         match self {
             Repository::Eager(tables) => tables.len(),
-            Repository::Deferred { descriptors, .. } => descriptors.len(),
+            Repository::Enumerated { provider, .. } => provider.len(),
         }
     }
 
@@ -58,9 +61,10 @@ impl std::fmt::Debug for Repository {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Repository::Eager(tables) => f.debug_tuple("Eager").field(&tables.len()).finish(),
-            Repository::Deferred { descriptors, .. } => f
-                .debug_struct("Deferred")
-                .field("descriptors", &descriptors.len())
+            Repository::Enumerated { candidates, .. } => f
+                .debug_struct("Enumerated")
+                .field("candidates", &candidates.len())
+                .field("tables", &self.len())
                 .finish_non_exhaustive(),
         }
     }
@@ -72,12 +76,36 @@ impl From<Vec<Arc<Table>>> for Repository {
     }
 }
 
+/// Enumerate the candidate augmentations of `din` over `index`: its join
+/// paths (Definition 3) from `probes` (`din`'s [`din_probes`]), then one
+/// candidate per projected column (Definition 4), capped at
+/// `max_candidates`. The search's cost (`probes`, `postings_hops`) and the
+/// candidate count go on `span`, the caller's `prepare.candidates`. This
+/// is the one enumeration routine: [`assemble`] runs it over an eager
+/// repository, and a lake snapshot runs it when its memo misses.
+pub fn enumerate_candidates(
+    din: &Table,
+    probes: &[(usize, MinHash)],
+    index: &DiscoveryIndex,
+    path: &PathConfig,
+    max_candidates: usize,
+    span: &mut Span,
+) -> Vec<Candidate> {
+    let search = enumerate_paths_from(probes, index, path);
+    let candidates = candidates_on_paths(din, index, &search.paths, max_candidates);
+    span.field("probes", search.probes as f64);
+    span.field("postings_hops", search.postings_hops as f64);
+    span.field("candidates", candidates.len() as f64);
+    candidates
+}
+
 /// Assembly knobs shared by every data source.
 #[derive(Debug, Clone)]
 pub struct AssembleOptions {
-    /// Join-path enumeration limits.
+    /// Join-path enumeration limits for an eager repository (a
+    /// [`Repository::Enumerated`] source applied its own).
     pub path: PathConfig,
-    /// Cap on generated candidates.
+    /// Cap on generated candidates, likewise.
     pub max_candidates: usize,
     /// Rows sampled for profile estimation (paper: 100).
     pub profile_sample: usize,
@@ -105,8 +133,9 @@ pub struct Prepared {
     pub din: Table,
     /// Index of the target column in `din`, if supervised.
     pub target_column: Option<usize>,
-    /// Candidate augmentations.
-    pub candidates: Vec<Candidate>,
+    /// Candidate augmentations (shared with the lake snapshot's memo when
+    /// the source enumerated them).
+    pub candidates: Arc<Vec<Candidate>>,
     /// Profile vectors per candidate.
     pub profiles: Vec<Vec<f64>>,
     /// Profile names.
@@ -154,14 +183,14 @@ impl Prepared {
 }
 
 /// Assemble search inputs from a resolved input dataset and repository:
-/// index the tables, enumerate candidates, evaluate profiles, bundle the
-/// task. This is the single assembly path behind `metam::session::Session`
-/// and the deprecated `prepare*` free functions.
+/// enumerate candidates, evaluate profiles, bundle the task. This is the
+/// single assembly path behind `metam::session::Session`.
 ///
 /// The repository is either eager tables (a `Vec<Arc<Table>>` converts
-/// implicitly) or a [`Repository::Deferred`] descriptor set whose index is
-/// built without touching payloads — candidate generation is identical in
-/// both cases, only *when* table data loads differs.
+/// implicitly), indexed and enumerated here under `options.path` and
+/// `options.max_candidates`, or a [`Repository::Enumerated`] list the
+/// source enumerated with the same routine — so candidate generation is
+/// identical in both cases, only *when* table data loads differs.
 pub fn assemble(
     din: Table,
     repository: impl Into<Repository>,
@@ -170,39 +199,32 @@ pub fn assemble(
     profile_set: &ProfileSet,
     options: &AssembleOptions,
 ) -> Prepared {
-    let repository = repository.into();
-    let (index, materializer) = {
-        let mut span = metam_obs::span("prepare.index", &din.name);
-        span.field("tables", repository.len() as f64);
-        match repository {
-            Repository::Eager(tables) => (
-                DiscoveryIndex::build(tables.clone()),
-                Materializer::new(tables),
-            ),
-            Repository::Deferred {
-                descriptors,
-                provider,
-            } => {
-                span.field("deferred", 1.0);
-                (
-                    DiscoveryIndex::from_catalog(descriptors),
-                    Materializer::lazy(provider),
-                )
-            }
+    let (candidates, materializer) = match repository.into() {
+        Repository::Eager(tables) => {
+            let index = {
+                let mut span = metam_obs::span("prepare.index", &din.name);
+                span.field("tables", tables.len() as f64);
+                DiscoveryIndex::build(tables.clone())
+            };
+            // The index (and the slot postings a search may build in it)
+            // is done once the candidates are; it is dropped before
+            // profiles evaluate.
+            let mut span = metam_obs::span("prepare.candidates", &din.name);
+            let candidates = enumerate_candidates(
+                &din,
+                &din_probes(&din),
+                &index,
+                &options.path,
+                options.max_candidates,
+                &mut span,
+            );
+            (Arc::new(candidates), Materializer::new(tables))
         }
+        Repository::Enumerated {
+            candidates,
+            provider,
+        } => (candidates, Materializer::lazy(provider)),
     };
-    // The index (and the slot postings a search may build in it) is done
-    // once the candidates are; it is dropped before profiles evaluate.
-    let candidates = {
-        let mut span = metam_obs::span("prepare.candidates", &din.name);
-        let search = enumerate_paths(&din, &index, &options.path);
-        let candidates = candidates_on_paths(&din, &index, &search.paths, options.max_candidates);
-        span.field("probes", search.probes as f64);
-        span.field("postings_hops", search.postings_hops as f64);
-        span.field("candidates", candidates.len() as f64);
-        candidates
-    };
-    drop(index);
     let profiles = {
         let mut span = metam_obs::span("prepare.profiles", &din.name);
         span.field("candidates", candidates.len() as f64);

@@ -31,4 +31,4 @@ pub use candidate::{candidates_on_paths, generate_candidates, path_runs, Candida
 pub use index::{ColumnDescriptor, ColumnRef, DiscoveryIndex, JoinSearch, TableDescriptor};
 pub use materialize::{Materializer, TableProvider};
 pub use minhash::{MinHash, SKETCH_SLOTS};
-pub use path::{enumerate_paths, Hop, JoinPath, PathEnumeration};
+pub use path::{din_probes, enumerate_paths, enumerate_paths_from, Hop, JoinPath, PathEnumeration};

@@ -94,6 +94,22 @@ pub struct PathEnumeration {
     pub postings_hops: usize,
 }
 
+/// The probes the first hop makes: each `keyish` column of `din` (at
+/// least half of its non-null values distinct), by index, with the
+/// MinHash of its distinct keys. Together with `din`'s column names these
+/// are all that enumeration reads of `din`.
+pub fn din_probes(din: &Table) -> Vec<(usize, MinHash)> {
+    din.columns()
+        .iter()
+        .enumerate()
+        .filter_map(|(ci, col)| {
+            let keys = col.distinct_keys();
+            let non_null = col.len() - col.null_count();
+            (non_null > 0 && keys.len() * 2 >= non_null).then(|| (ci, MinHash::from_keys(&keys)))
+        })
+        .collect()
+}
+
 /// Enumerate join paths from `din` into the indexed repository.
 ///
 /// Every `keyish` column of `din` is probed; each discovered joinable
@@ -110,30 +126,28 @@ pub fn enumerate_paths(
     index: &DiscoveryIndex,
     config: &PathConfig,
 ) -> PathEnumeration {
-    enumerate_with(din, index, config, |probes| {
+    enumerate_paths_from(&din_probes(din), index, config)
+}
+
+/// [`enumerate_paths`] from `din`'s already computed [`din_probes`].
+pub fn enumerate_paths_from(
+    din_probes: &[(usize, MinHash)],
+    index: &DiscoveryIndex,
+    config: &PathConfig,
+) -> PathEnumeration {
+    enumerate_with(din_probes, index, config, |probes| {
         index.search_for(probes, config.containment_threshold)
     })
 }
 
-/// [`enumerate_paths`] with each hop's search picked by `choose` from the
-/// hop's probe count.
+/// [`enumerate_paths_from`] with each hop's search picked by `choose` from
+/// the hop's probe count.
 fn enumerate_with(
-    din: &Table,
+    din_probes: &[(usize, MinHash)],
     index: &DiscoveryIndex,
     config: &PathConfig,
     choose: impl Fn(usize) -> JoinSearch,
 ) -> PathEnumeration {
-    // Probe columns of Din that look like keys.
-    let din_probes: Vec<(usize, MinHash)> = din
-        .columns()
-        .iter()
-        .enumerate()
-        .filter_map(|(ci, col)| {
-            let keys = col.distinct_keys();
-            let non_null = col.len() - col.null_count();
-            (non_null > 0 && keys.len() * 2 >= non_null).then(|| (ci, MinHash::from_keys(&keys)))
-        })
-        .collect();
     let first_search = choose(din_probes.len());
     let first_hops: Vec<(usize, Vec<_>)> = din_probes
         .iter()
@@ -419,8 +433,9 @@ mod tests {
                     containment_threshold: threshold,
                     ..Default::default()
                 };
-                let scan = enumerate_with(&din, &idx, &cfg, |_| JoinSearch::Scan);
-                let postings = enumerate_with(&din, &idx, &cfg, |_| JoinSearch::Postings);
+                let probes = din_probes(&din);
+                let scan = enumerate_with(&probes, &idx, &cfg, |_| JoinSearch::Scan);
+                let postings = enumerate_with(&probes, &idx, &cfg, |_| JoinSearch::Postings);
                 let chosen = enumerate_paths(&din, &idx, &cfg);
                 assert_eq!(bits(&scan), bits(&postings), "case {case} at {threshold}");
                 assert_eq!(bits(&scan), bits(&chosen), "case {case} at {threshold}");

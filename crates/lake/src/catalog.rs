@@ -18,7 +18,9 @@
 //!   rewrites exactly its own record.
 //!   [`sketch_descriptors`](LakeCatalog::sketch_descriptors) rebuilds a
 //!   payload-free [`TableDescriptor`] set from these, so candidate
-//!   generation never loads table data.
+//!   generation never loads table data;
+//!   [`candidates`](LakeCatalog::candidates) enumerates over them once
+//!   per input dataset and snapshot ([`crate::memo`]).
 //! * `cache/<file>.mtc` — the profiled table serialized in the binary
 //!   columnar format ([`crate::cache`]); [`LakeCatalog::load_table`]
 //!   deserializes columns directly instead of re-parsing CSV text.
@@ -40,6 +42,7 @@ use metam_discovery::TableDescriptor;
 use metam_table::csv::read_csv;
 use metam_table::Table;
 
+use crate::memo::CandidateMemo;
 use crate::sketch::TableSketch;
 use crate::stats::ColumnStats;
 use crate::{cache, sketch};
@@ -187,6 +190,8 @@ pub struct LakeCatalog {
     cache_misses: usize,
     load_counters: Arc<LoadCounters>,
     sketch_counters: Arc<LoadCounters>,
+    /// This snapshot's candidate memo ([`LakeCatalog::candidates`]).
+    pub(crate) candidate_memo: CandidateMemo,
 }
 
 /// File metadata used for cache invalidation.
@@ -344,6 +349,7 @@ impl LakeCatalog {
             cache_misses,
             load_counters: Arc::new(LoadCounters::default()),
             sketch_counters: Arc::new(LoadCounters::default()),
+            candidate_memo: CandidateMemo::default(),
         })
     }
 
@@ -519,7 +525,8 @@ impl LakeCatalog {
     /// the refresh hook for long-lived holders (`metam serve`), whose
     /// server-lifetime hit/miss totals must survive catalog swaps.
     /// Unchanged files reuse their records exactly like any other scan;
-    /// only drifted files re-profile.
+    /// only drifted files re-profile. The refreshed catalog's candidate
+    /// memo starts empty.
     pub fn rescan(&self, options: &ScanOptions) -> Result<LakeCatalog> {
         let mut fresh = Self::scan_with(&self.root, options)?;
         fresh.load_counters = Arc::clone(&self.load_counters);

@@ -18,9 +18,11 @@
 //!   runs off it without loading payloads,
 //! * [`cache`] — the binary columnar table cache (`cache/<file>.mtc`)
 //!   table loads deserialize from,
+//! * [`memo`] — each catalog snapshot's candidate memo: a served input
+//!   dataset's candidates are enumerated once per snapshot,
 //! * [`prepare`] — [`parse_task`] (the single authority on CLI task
-//!   specs) and [`prepare::repository_descriptors`] (which catalog tables
-//!   a discovery run searches over: payload-free descriptors plus a lazy
+//!   specs) and [`prepare::repository_candidates`] (what a discovery run
+//!   searches over: the snapshot's candidates plus a lazy
 //!   [`prepare::CatalogTableProvider`]),
 //! * [`export`] — write a `metam-datagen` scenario out *as* a CSV lake
 //!   (the `datagen → lake → rediscover` round trip is the subsystem's
@@ -35,15 +37,17 @@
 //!
 //! use metam_core::prepared::{assemble, AssembleOptions, Repository};
 //! use metam_core::{Metam, NoopObserver};
-//! use metam_lake::{parse_task, prepare::repository_descriptors, LakeCatalog};
+//! use metam_discovery::path::PathConfig;
+//! use metam_lake::{parse_task, prepare::repository_candidates, LakeCatalog};
 //! use metam_profile::default_profiles;
 //!
 //! let catalog = Arc::new(LakeCatalog::scan("./lake")?);
 //! let din = catalog.load_table("din")?;
 //! let parsed = parse_task("classification:label", 7)?;
 //! let target_column = parsed.target.as_deref().and_then(|t| din.column_index(t).ok());
-//! let (descriptors, provider) = repository_descriptors(&catalog, &din, None)?;
-//! let repository = Repository::Deferred { descriptors, provider: Box::new(provider) };
+//! let (candidates, provider) =
+//!     repository_candidates(&catalog, &din, None, &PathConfig::default(), 100_000)?;
+//! let repository = Repository::Enumerated { candidates, provider: Box::new(provider) };
 //! let prepared = assemble(
 //!     din, repository, target_column, parsed.task,
 //!     &default_profiles(), &AssembleOptions::default(),
@@ -57,6 +61,7 @@
 pub mod cache;
 pub mod catalog;
 pub mod export;
+pub mod memo;
 pub mod prepare;
 pub mod sketch;
 pub mod stats;

@@ -3,19 +3,22 @@
 //! The supported front door is `metam::session::Session::from_catalog` /
 //! `from_lake` in the umbrella crate — it resolves the input dataset, the
 //! task and the target, then assembles one `Prepared` bundle through
-//! `metam_core::prepared::assemble`. This module contributes the two
+//! `metam_core::prepared::assemble`. This module contributes the
 //! lake-specific pieces: [`parse_task`], the single authority on CLI task
-//! specs, and [`repository_descriptors`], which decides what a prepare run
-//! searches over. It returns payload-free descriptors (from persisted
-//! sketch records) plus a [`CatalogTableProvider`] that loads a table
-//! through the catalog only when the materializer first needs it — so a
-//! discover run touches the input dataset plus only candidate-winning
-//! tables.
+//! specs, and [`repository_candidates`], which decides what a prepare run
+//! searches over. It returns the candidates of the catalog snapshot's
+//! memo (enumerated from persisted sketch records on a miss) plus a
+//! [`CatalogTableProvider`] that loads a table through the catalog only
+//! when the materializer first needs it — so a discover run touches the
+//! input dataset plus only candidate-winning tables.
+//! [`repository_descriptors`] exposes the payload-free descriptors a miss
+//! enumerates over.
 
 use std::sync::Arc;
 
 use metam_core::Task;
-use metam_discovery::{TableDescriptor, TableProvider};
+use metam_discovery::path::PathConfig;
+use metam_discovery::{Candidate, TableDescriptor, TableProvider};
 use metam_table::Table;
 use metam_tasks::classification::ClassificationTask;
 use metam_tasks::clustering::ClusteringFitTask;
@@ -51,35 +54,59 @@ impl TableProvider for CatalogTableProvider {
     }
 }
 
+/// The table names withheld from the repository (see `exclude_tables` on
+/// [`repository_candidates`]).
+fn withheld<'a>(din: &'a Table, exclude_tables: Option<&'a [String]>) -> Vec<&'a str> {
+    match exclude_tables {
+        Some(names) => names.iter().map(String::as_str).collect(),
+        None => vec![din.name.as_str()],
+    }
+}
+
+/// The lazy provider over every catalog table but `excluded`, in catalog
+/// order: the table indices of the candidates' join paths.
+fn provider(catalog: &Arc<LakeCatalog>, excluded: &[&str]) -> CatalogTableProvider {
+    CatalogTableProvider {
+        catalog: Arc::clone(catalog),
+        names: catalog.repository_names(excluded),
+    }
+}
+
 /// Resolve the repository a prepare run should search over — everything
-/// in the catalog except the withheld names, in catalog order — as
-/// payload-free descriptors read from the catalog's persisted sketch
-/// records, plus a lazy [`CatalogTableProvider`] aligned index-for-index
-/// with them. `None` (the default) withholds the table named like the
-/// input dataset — right when `din` was loaded *from* the catalog, which
-/// must not join with itself. Pass `Some(&[])` when `din` is external to
-/// the lake, so a lake table that merely shares its name still
-/// participates in discovery. Candidate generation over the descriptors
-/// is byte-identical to generation over the loaded tables; payloads load
-/// only at materialization time.
+/// in the catalog except the withheld names (see `exclude_tables` on
+/// [`repository_candidates`]), in catalog order — as payload-free
+/// descriptors read from the catalog's persisted sketch records, plus a
+/// lazy [`CatalogTableProvider`] aligned index-for-index with them.
+/// Candidate generation over the descriptors is byte-identical to
+/// generation over the loaded tables; payloads load only at
+/// materialization time.
 pub fn repository_descriptors(
     catalog: &Arc<LakeCatalog>,
     din: &Table,
     exclude_tables: Option<&[String]>,
 ) -> Result<(Vec<TableDescriptor>, CatalogTableProvider)> {
-    let excluded: Vec<&str> = match exclude_tables {
-        Some(names) => names.iter().map(String::as_str).collect(),
-        None => vec![din.name.as_str()],
-    };
+    let excluded = withheld(din, exclude_tables);
     let descriptors = catalog.sketch_descriptors(&excluded)?;
-    let names = catalog.repository_names(&excluded);
-    Ok((
-        descriptors,
-        CatalogTableProvider {
-            catalog: Arc::clone(catalog),
-            names,
-        },
-    ))
+    Ok((descriptors, provider(catalog, &excluded)))
+}
+
+/// The candidates a prepare run searches — [`LakeCatalog::candidates`]
+/// of `din` under `path` and `max_candidates`, memoized per snapshot —
+/// plus the lazy [`CatalogTableProvider`] their join paths index into.
+/// `None` for `exclude_tables` withholds the table named like `din`
+/// (which must not join with itself when it was loaded from the catalog);
+/// pass `Some(&[])` when `din` is external to the lake, so a lake table
+/// that merely shares its name still participates in discovery.
+pub fn repository_candidates(
+    catalog: &Arc<LakeCatalog>,
+    din: &Table,
+    exclude_tables: Option<&[String]>,
+    path: &PathConfig,
+    max_candidates: usize,
+) -> Result<(Arc<Vec<Candidate>>, CatalogTableProvider)> {
+    let excluded = withheld(din, exclude_tables);
+    let candidates = catalog.candidates(din, &excluded, path, max_candidates)?;
+    Ok((candidates, provider(catalog, &excluded)))
 }
 
 /// A CLI-parsable task kind.

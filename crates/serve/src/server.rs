@@ -124,7 +124,8 @@ struct Shared {
     queue: JobQueue<Job>,
     /// Set after the drain completes; readers and the acceptor exit.
     stopped: AtomicBool,
-    /// Per-connection reader handles, joined at shutdown.
+    /// Reader handles of connections that may still be open: finished
+    /// ones are joined at the next accept, the rest at shutdown.
     connections: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -229,17 +230,31 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
             Ok((stream, _peer)) => {
                 let shared_for_conn = Arc::clone(shared);
                 let handle = std::thread::spawn(move || connection_loop(&shared_for_conn, stream));
-                shared
+                let mut connections = shared
                     .connections
                     .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(handle);
+                    .unwrap_or_else(PoisonError::into_inner);
+                join_finished(&mut connections);
+                connections.push(handle);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
+    }
+}
+
+/// Join and drop the handles of connection threads that have returned,
+/// so a daemon answering many one-shot clients keeps only the handles of
+/// open connections.
+fn join_finished(connections: &mut Vec<JoinHandle<()>>) {
+    let (done, open): (Vec<_>, Vec<_>) = std::mem::take(connections)
+        .into_iter()
+        .partition(|handle| handle.is_finished());
+    *connections = open;
+    for handle in done {
+        let _ = handle.join();
     }
 }
 
@@ -497,4 +512,45 @@ fn status_reply(shared: &Arc<Shared>) -> String {
         .int("rejected", depth.rejected as usize)
         .raw("lakes", &lakes)
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_shot_connections_leave_a_bounded_handle_list() {
+        let dir = std::env::temp_dir().join(format!("metam-serve-conns-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("a.csv"), "x\n1\n").unwrap();
+        let registry = LakeRegistry::open(&[("demo".into(), dir.clone())]).unwrap();
+        let unused: Box<DiscoverFn> = Box::new(|_, _| Err(ServeError::internal("unused")));
+        let server = bind(ServeConfig::default(), registry, unused).unwrap();
+
+        let one_shots = 20;
+        for _ in 0..one_shots {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(b"{\"verb\":\"status\"}\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&stream).read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("{\"ok\":true"), "{reply}");
+        }
+        let held = server
+            .shared
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        // The last connection may still be closing, and the one before it
+        // only just closed when the last was accepted.
+        assert!(
+            held <= 2,
+            "{held} handles held after {one_shots} one-shot connections"
+        );
+
+        server.shutdown();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -250,7 +250,12 @@ impl Session {
             ..
         } = self;
 
-        let mut data = source.load(&SourceRequest { seed, input })?;
+        let mut data = source.load(&SourceRequest {
+            seed,
+            input,
+            path,
+            max_candidates,
+        })?;
 
         let (spec_task, spec_target) = match task_spec.as_deref() {
             Some(spec) => {

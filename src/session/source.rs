@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use metam_core::{Repository, Task};
 use metam_datagen::{GroundTruth, Scenario};
+use metam_discovery::path::PathConfig;
 use metam_lake::catalog::read_table_file;
 use metam_lake::{LakeCatalog, LakeError, ScanOptions};
 use metam_table::Table;
@@ -29,6 +30,11 @@ pub struct SourceRequest {
     /// The requested input dataset, when the user named one (`.din(...)`).
     /// Sources that own exactly one input (scenarios) may ignore it.
     pub input: Option<String>,
+    /// Join-path enumeration limits, for sources that enumerate their own
+    /// candidates ([`Repository::Enumerated`]).
+    pub path: PathConfig,
+    /// Cap on enumerated candidates, likewise.
+    pub max_candidates: usize,
 }
 
 /// Everything a data source resolves for one prepare: the input dataset,
@@ -37,9 +43,9 @@ pub struct SourceData {
     /// The input dataset `Din`.
     pub din: Table,
     /// The repository candidates are discovered in: eager in-memory
-    /// tables (scenarios), or payload-free descriptors plus a lazy
-    /// provider (sketch-backed lakes, where only candidate-winning
-    /// tables ever load).
+    /// tables (scenarios), or candidates the source enumerated plus a
+    /// lazy provider (sketch-backed lakes, which enumerate once per input
+    /// and snapshot, and where only candidate-winning tables ever load).
     pub repository: Repository,
     /// A default downstream task, when the source can build one (synthetic
     /// scenarios carry a task spec; real lakes return `None`).
@@ -174,11 +180,17 @@ impl DataSource for LakeSource {
         } else {
             vec![]
         };
-        // Sketch-backed prepare: descriptors come from persisted catalog
-        // records, and repository payloads load lazily through the
-        // provider only when a candidate materializes.
-        let (descriptors, provider) =
-            metam_lake::prepare::repository_descriptors(&catalog, &din, Some(&excluded))?;
+        // Sketch-backed prepare: candidates come from the snapshot's memo
+        // (enumerated from persisted catalog records on a miss), and
+        // repository payloads load lazily through the provider only when
+        // a candidate materializes.
+        let (candidates, provider) = metam_lake::prepare::repository_candidates(
+            &catalog,
+            &din,
+            Some(&excluded),
+            &request.path,
+            request.max_candidates,
+        )?;
         // Surface the .mtc-vs-CSV load split in the metrics registry.
         // Drained as a delta (not a lifetime snapshot) so N concurrent
         // prepares sharing one catalog flush each load exactly once — the
@@ -188,8 +200,8 @@ impl DataSource for LakeSource {
         metam_obs::counter_add("lake.load.csv_fallbacks", misses as u64);
         Ok(SourceData {
             din,
-            repository: Repository::Deferred {
-                descriptors,
+            repository: Repository::Enumerated {
+                candidates,
                 provider: Box::new(provider),
             },
             task: None,

@@ -12,7 +12,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use metam::core::{assemble, AssembleOptions, Repository};
-use metam::lake::prepare::repository_descriptors;
+use metam::discovery::path::PathConfig;
+use metam::discovery::{generate_candidates, Candidate, DiscoveryIndex, TableProvider};
+use metam::lake::prepare::{repository_candidates, repository_descriptors};
 use metam::lake::{export_scenario, parse_task, sketch, LakeCatalog};
 use metam::profile::default_profiles;
 use metam::table::colbin::fnv1a;
@@ -203,11 +205,13 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
     );
 
     let din = catalog.load_table("din").expect("din");
-    let (descriptors, provider) = repository_descriptors(&catalog, &din, None).expect("sketches");
+    let (candidates, provider) =
+        repository_candidates(&catalog, &din, None, &options.path, options.max_candidates)
+            .expect("sketches");
     let lazy = assemble(
         din,
-        Repository::Deferred {
-            descriptors,
+        Repository::Enumerated {
+            candidates,
             provider: Box::new(provider),
         },
         target_column,
@@ -229,6 +233,194 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
         "profile vectors must be identical too"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A lake of `din` (a `zip` key, a `rate` feature and a `label`) plus
+/// `n_joinable` tables keyed on the same zips, each with two value
+/// columns too repetitive to be keys (so no two-hop paths), and one table
+/// nothing joins.
+fn memo_lake(tag: &str, n_joinable: usize) -> PathBuf {
+    let dir = tmp_dir(tag);
+    std::fs::create_dir_all(&dir).expect("lake dir");
+    let rows = |f: &dyn Fn(usize) -> String| (0..60).map(f).collect::<String>();
+    let din = rows(&|i| format!("z{i},{},{}\n", i % 7, i % 2));
+    std::fs::write(dir.join("din.csv"), format!("zip,rate,label\n{din}")).expect("din");
+    for t in 0..n_joinable {
+        add_joinable(&dir, &format!("ext{t}"));
+    }
+    let lone = rows(&|i| format!("q{i},{i}\n"));
+    std::fs::write(dir.join("lone.csv"), format!("code,v\n{lone}")).expect("lone");
+    dir
+}
+
+/// Write a table keyed on `din`'s zips into the lake.
+fn add_joinable(dir: &std::path::Path, name: &str) {
+    let rows: String = (0..60)
+        .map(|i| format!("z{i},{},{}\n", i * 3 % 11, (i % 13) as f64 * 0.5))
+        .collect();
+    std::fs::write(
+        dir.join(format!("{name}.csv")),
+        format!("zipcode,a,b\n{rows}"),
+    )
+    .expect("joinable table");
+}
+
+/// What a prepare enumerated before the memo: every record decoded, a
+/// fresh index, a fresh join search.
+fn fresh_candidates(
+    catalog: &Arc<LakeCatalog>,
+    din: &Table,
+    path: &PathConfig,
+    cap: usize,
+) -> Vec<Candidate> {
+    let (descriptors, _) = repository_descriptors(catalog, din, None).expect("descriptors");
+    generate_candidates(din, &DiscoveryIndex::from_catalog(descriptors), path, cap)
+}
+
+#[test]
+fn candidate_memo_hit_equals_a_fresh_enumeration() {
+    let dir = memo_lake("memo-hit", 3);
+    let catalog = Arc::new(LakeCatalog::scan(&dir).expect("scan"));
+    let records = catalog.sketch_load_counters();
+    let din = catalog.load_table("din").expect("din");
+    let path = PathConfig::default();
+
+    let (first, provider) = repository_candidates(&catalog, &din, None, &path, 100).expect("miss");
+    assert_eq!(
+        records.hits(),
+        catalog.len() - 1,
+        "a miss reads every record"
+    );
+    let (second, _) = repository_candidates(&catalog, &din, None, &path, 100).expect("hit");
+    assert!(Arc::ptr_eq(&first, &second), "a hit shares the memo's list");
+    assert_eq!(records.hits(), catalog.len() - 1, "a hit reads no record");
+
+    let fresh = fresh_candidates(&catalog, &din, &path, 100);
+    assert_eq!(fresh.len(), 6, "two value columns of each joinable table");
+    assert_eq!(*second, fresh);
+    assert_eq!(provider.len(), catalog.len() - 1, "din is withheld");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn candidate_memo_misses_on_anything_enumeration_reads() {
+    let dir = memo_lake("memo-key", 2);
+    let catalog = Arc::new(LakeCatalog::scan(&dir).expect("scan"));
+    let records = catalog.sketch_load_counters();
+    let din = catalog.load_table("din").expect("din");
+    let path = PathConfig::default();
+    // Each lookup: the list, and whether it read the records (a miss).
+    let lookup = |din: &Table, path: &PathConfig, cap: usize| {
+        let before = records.hits();
+        let (candidates, _) =
+            repository_candidates(&catalog, din, None, path, cap).expect("candidates");
+        let missed = records.hits() > before;
+        assert_eq!(*candidates, fresh_candidates(&catalog, din, path, cap));
+        missed
+    };
+    assert!(lookup(&din, &path, 100), "the first lookup misses");
+    assert!(!lookup(&din, &path, 100), "the same input hits");
+
+    let replaced = |i: usize, column: Column| {
+        let mut columns = din.columns().to_vec();
+        columns[i] = column;
+        Table::from_columns("din", columns).expect("same row count")
+    };
+
+    // Feature and target columns are not probed: changing one still hits.
+    let flipped = (0..din.nrows()).map(|i| Some(1 - i as i64 % 2)).collect();
+    let relabeled = replaced(2, Column::from_ints(Some("label".into()), flipped));
+    assert!(
+        !lookup(&relabeled, &path, 100),
+        "a non-key column is not read"
+    );
+
+    // A changed key column, path config or cap misses.
+    let zips = (0..din.nrows())
+        .map(|i| Some(format!("z{}", i + 30)))
+        .collect();
+    let rekeyed = replaced(0, Column::from_strings(Some("zip".into()), zips));
+    assert!(lookup(&rekeyed, &path, 100), "a changed key column misses");
+    assert!(
+        lookup(&din, &path, 100),
+        "the single slot now holds the rekeyed input"
+    );
+    let stricter = PathConfig {
+        containment_threshold: 0.9,
+        ..path
+    };
+    assert!(lookup(&din, &stricter, 100), "a changed threshold misses");
+    let one_hop = PathConfig {
+        max_hops: 1,
+        ..stricter
+    };
+    assert!(lookup(&din, &one_hop, 100), "a changed hop limit misses");
+    assert!(lookup(&din, &one_hop, 3), "a changed cap misses");
+    assert!(!lookup(&din, &one_hop, 3));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stale_hit_rescan_enumerates_a_landed_joinable_table() {
+    let dir = memo_lake("memo-rescan", 1);
+    let registry =
+        metam::serve::LakeRegistry::open(&[("memo".to_string(), dir.clone())]).expect("open");
+    let path = PathConfig::default();
+    let candidates_of = |catalog: &Arc<LakeCatalog>| {
+        let din = catalog.load_table("din").expect("din");
+        let (candidates, _) =
+            repository_candidates(catalog, &din, None, &path, 100).expect("candidates");
+        assert_eq!(*candidates, fresh_candidates(catalog, &din, &path, 100));
+        candidates
+    };
+    let before = candidates_of(&registry.hot("memo").expect("hot"));
+    assert_eq!(before.len(), 2);
+    assert!(Arc::ptr_eq(
+        &before,
+        &candidates_of(&registry.hot("memo").expect("hot"))
+    ));
+
+    add_joinable(&dir, "landed");
+    let after = candidates_of(&registry.hot("memo").expect("stale hit rescans"));
+    assert_eq!(after.len(), 4, "the landed table's two columns join in");
+    assert!(after.iter().any(|c| c.source_table == "landed"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn concurrent_first_discovers_on_one_snapshot_enumerate_once() {
+    let dir = memo_lake("memo-flight", 4);
+    let catalog = Arc::new(LakeCatalog::scan(&dir).expect("scan"));
+    let records = catalog.sketch_load_counters();
+    let start = Arc::new(std::sync::Barrier::new(8));
+    let sessions: Vec<_> = (0..8u64)
+        .map(|seed| {
+            let catalog = Arc::clone(&catalog);
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                Session::from_shared_catalog(catalog)
+                    .din("din")
+                    .task_spec("classification:label")
+                    .seed(seed)
+                    .prepare()
+                    .expect("prepare")
+                    .candidates
+            })
+        })
+        .collect();
+    let lists: Vec<Arc<Vec<Candidate>>> = sessions
+        .into_iter()
+        .map(|s| s.join().expect("session thread"))
+        .collect();
+    assert_eq!(
+        records.hits(),
+        catalog.len() - 1,
+        "one enumeration read the records; the other seven hit the memo"
+    );
+    assert!(lists.iter().all(|l| Arc::ptr_eq(l, &lists[0])));
+    assert_eq!(lists[0].len(), 8);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
