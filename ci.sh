@@ -52,6 +52,11 @@ trap 'rm -rf "$PAPER_OUT" "$TRACE_DIR"' EXIT
     --task classification:label --budget 60 --seed 7 --threads 2 \
     --trace "$TRACE_DIR/run.jsonl" >/dev/null
 ./target/release/metam trace-validate "$TRACE_DIR/run.jsonl"
+# Each query's cost splits into materializing its table and fitting the task.
+for SPAN in search.materialize search.fit; do
+    grep -q "\"span\":\"$SPAN\"" "$TRACE_DIR/run.jsonl" || {
+        echo "trace smoke: no $SPAN span in the trace"; exit 1; }
+done
 # The catalog is one record per file: .metam/ holds the columnar cache and
 # the sketch records, nothing else (no catalog*.tsv manifest).
 META_LISTING=$(ls -A "$TRACE_DIR/lake/.metam" | tr '\n' ' ')

@@ -127,11 +127,21 @@ pub struct QueryEngine<'a> {
     certification_ignored: usize,
     cache_hits: usize,
     observer: Option<&'a mut dyn RunObserver>,
-    /// Speculatively executed, not-yet-committed results: set →
-    /// `(utility, duration_secs)`. Entries are pure functions of the set
-    /// (tasks are deterministic), so a stale entry can never be wrong —
-    /// mis-speculation only wastes worker wall-clock.
-    warm: HashMap<BTreeSet<CandidateId>, (f64, f64)>,
+    /// Speculatively executed, not-yet-committed results. Utilities are
+    /// pure functions of the set (tasks are deterministic), so a stale
+    /// entry can never be wrong — mis-speculation only wastes worker
+    /// wall-clock.
+    warm: HashMap<BTreeSet<CandidateId>, Executed>,
+}
+
+/// One executed query: its utility and, when timed, its wall-clock
+/// seconds in total, materializing its table and fitting the task.
+#[derive(Debug, Clone, Copy)]
+struct Executed {
+    utility: f64,
+    secs: f64,
+    materialize_secs: f64,
+    fit_secs: f64,
 }
 
 impl<'a> QueryEngine<'a> {
@@ -303,16 +313,26 @@ impl<'a> QueryEngine<'a> {
 
     /// The *execute* stage, pure per-set work safe to run on a worker:
     /// materialize the augmented table and fit the task. No RNG, no
-    /// budget, no observer — returns `(utility, duration_secs)`.
+    /// budget, no observer, no trace line; when `timed`, it measures the
+    /// whole query and each of its two halves.
     fn execute_raw(
         inputs: &SearchInputs<'_>,
         set: &BTreeSet<CandidateId>,
         timed: bool,
-    ) -> (f64, f64) {
+    ) -> Executed {
         let started = timed.then(Instant::now);
         let table = Self::augmented_table_of(inputs, set);
-        let u = inputs.task.utility(&table).clamp(0.0, 1.0);
-        (u, started.map_or(0.0, |t| t.elapsed().as_secs_f64()))
+        let materialized = timed.then(Instant::now);
+        let utility = inputs.task.utility(&table).clamp(0.0, 1.0);
+        let secs = |from: Option<Instant>| from.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        let fit_secs = secs(materialized);
+        let secs = secs(started);
+        Executed {
+            utility,
+            secs,
+            materialize_secs: secs - fit_secs,
+            fit_secs,
+        }
     }
 
     /// Speculatively execute any plans not already memoized, fanning the
@@ -367,10 +387,11 @@ impl<'a> QueryEngine<'a> {
             return Err(StopSearch);
         }
         let observing = self.observing();
-        let (u, duration_secs) = match self.warm.remove(&plan.set) {
+        let executed = match self.warm.remove(&plan.set) {
             Some(executed) => executed,
             None => Self::execute_raw(self.inputs, &plan.set, observing),
         };
+        let (u, duration_secs) = (executed.utility, executed.secs);
         self.queries += 1;
         self.cache.insert(plan.set.clone(), u);
         let first = self.trace.is_empty();
@@ -401,6 +422,16 @@ impl<'a> QueryEngine<'a> {
                 obs.on_query(&event);
             }
             if metam_obs::enabled() {
+                // The query's two halves, as closed spans. They are
+                // written here, in plan order, rather than where they ran,
+                // so a trace reads the same at any thread count.
+                metam_obs::Event::span("search.materialize", &self.inputs.din.name)
+                    .num("secs", executed.materialize_secs)
+                    .int("candidates", plan.set.len())
+                    .emit();
+                metam_obs::Event::span("search.fit", self.inputs.task.name())
+                    .num("secs", executed.fit_secs)
+                    .emit();
                 let mut line = metam_obs::Event::event("query", event.kind.label())
                     .int("query", event.query)
                     .ints("set", &set_vec)

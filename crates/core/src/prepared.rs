@@ -142,7 +142,8 @@ pub struct Prepared {
     pub profile_names: Vec<String>,
     /// Materializer over the repository tables.
     pub materializer: Materializer,
-    /// The instantiated downstream task.
+    /// The instantiated downstream task, [`Task::prepare`]d for `din`
+    /// when it offers a prepared form.
     pub task: Box<dyn Task>,
     /// Planted relevance per candidate, when the source carries ground
     /// truth (synthetic scenarios) — used by Fig. 8's "queries to ground
@@ -183,7 +184,8 @@ impl Prepared {
 }
 
 /// Assemble search inputs from a resolved input dataset and repository:
-/// enumerate candidates, evaluate profiles, bundle the task. This is the
+/// enumerate candidates, evaluate profiles, bundle the task (in its
+/// [`Task::prepare`]d form for `din` when it has one). This is the
 /// single assembly path behind `metam::session::Session`.
 ///
 /// The repository is either eager tables (a `Vec<Arc<Table>>` converts
@@ -239,6 +241,10 @@ pub fn assemble(
         )
     };
     let profile_names = profile_set.names().into_iter().map(String::from).collect();
+    let task = {
+        let _span = metam_obs::span("prepare.task", &din.name);
+        task.prepare(&din).unwrap_or(task)
+    };
     Prepared {
         din,
         target_column,

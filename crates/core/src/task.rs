@@ -11,6 +11,18 @@ pub trait Task: Send + Sync {
     /// Utility of the task when run on `table` (Definition 5). Must be
     /// deterministic for a fixed input table; higher is better.
     fn utility(&self, table: &Table) -> f64;
+
+    /// A form of this task specialised to searches over `din`: every
+    /// query of a search is `din`'s columns followed by candidate
+    /// columns, so work that depends only on `din` (encoding it, say) can
+    /// be done once here instead of once per query. The returned task must
+    /// give every table the same utility, bit for bit, as `self` does,
+    /// including tables that do not start with `din`. `None` (the default)
+    /// means there is nothing to share and the search queries `self`.
+    fn prepare(&self, din: &Table) -> Option<Box<dyn Task>> {
+        let _ = din;
+        None
+    }
 }
 
 /// A synthetic task whose utility is a capped sum of per-augmentation

@@ -196,7 +196,11 @@ pub struct LakeCatalog {
 
 /// File metadata used for cache invalidation.
 fn fingerprint(path: &Path) -> Result<Fingerprint> {
-    let meta = std::fs::metadata(path)?;
+    Ok(fingerprint_of(&std::fs::metadata(path)?))
+}
+
+/// The fingerprint of a file's metadata.
+fn fingerprint_of(meta: &std::fs::Metadata) -> Fingerprint {
     let (s, ns) = match meta.modified() {
         Ok(t) => match t.duration_since(std::time::UNIX_EPOCH) {
             Ok(d) => (d.as_secs(), d.subsec_nanos()),
@@ -204,11 +208,14 @@ fn fingerprint(path: &Path) -> Result<Fingerprint> {
         },
         Err(_) => (0, 0),
     };
-    Ok((meta.len(), s, ns))
+    (meta.len(), s, ns)
 }
 
-/// The lake's `*.csv` files as `(file name, path)`, sorted by file name.
-fn csv_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+/// The lake's `*.csv` files as `(file name, path, fingerprint)`, sorted by
+/// file name. One `metadata` call per file (following symlinks, as
+/// `Path::is_file` does) tells both whether it is a file and its
+/// fingerprint; a file that cannot be stat-ed is not listed.
+fn csv_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf, Fingerprint)>> {
     let mut files = Vec::new();
     for entry in std::fs::read_dir(root)? {
         let entry = entry?;
@@ -216,8 +223,14 @@ fn csv_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
         let is_csv = path
             .extension()
             .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-        if is_csv && path.is_file() {
-            files.push((entry.file_name().to_string_lossy().into_owned(), path));
+        if !is_csv {
+            continue;
+        }
+        if let Ok(meta) = std::fs::metadata(&path) {
+            if meta.is_file() {
+                let fp = fingerprint_of(&meta);
+                files.push((entry.file_name().to_string_lossy().into_owned(), path, fp));
+            }
         }
     }
     files.sort();
@@ -279,7 +292,7 @@ impl LakeCatalog {
         // Table names are file stems; two files must not collapse onto one
         // name (e.g. `trips.csv` + `trips.CSV`) or lookups and the
         // din-exclusion logic would silently pick one of them.
-        let mut stems: Vec<String> = files.iter().map(|(_, path)| table_name(path)).collect();
+        let mut stems: Vec<String> = files.iter().map(|(_, path, _)| table_name(path)).collect();
         stems.sort_unstable();
         if let Some(dup) = stems.windows(2).find(|w| w[0] == w[1]) {
             return Err(LakeError::BadArgument(format!(
@@ -296,8 +309,7 @@ impl LakeCatalog {
         }
         let mut plan = Vec::with_capacity(files.len());
         let mut jobs: Vec<MissJob> = Vec::new();
-        for (file_name, path) in files {
-            let fp = fingerprint(&path)?;
+        for (file_name, path, fp) in files {
             match sketch::load(&root, &file_name, fp) {
                 Some(record) => {
                     plan.push(Planned::Hit(TableMeta::from_record(file_name, fp, record)))
@@ -514,10 +526,7 @@ impl LakeCatalog {
         current
             .iter()
             .zip(&self.entries)
-            .any(|((name, path), meta)| {
-                name != &meta.file_name
-                    || fingerprint(path).map_or(true, |fp| fp != meta.fingerprint())
-            })
+            .any(|((name, _, fp), meta)| name != &meta.file_name || *fp != meta.fingerprint())
     }
 
     /// Re-scan the same lake directory, producing a refreshed catalog that

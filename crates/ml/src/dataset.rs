@@ -108,40 +108,59 @@ pub enum TargetKind {
     Regression,
 }
 
+/// The usable rows of a target column and their encoded targets:
+/// `(rows, targets, n_classes)`. Rows whose target is missing are left out
+/// (training on unlabeled rows is meaningless); `n_classes` is the number
+/// of distinct labels for [`TargetKind::Classification`], `None` for
+/// regression.
+pub fn encode_target(
+    target: &metam_table::Column,
+    kind: TargetKind,
+) -> (Vec<usize>, Vec<f64>, Option<usize>) {
+    let rows: Vec<usize> = (0..target.len())
+        .filter(|&r| match kind {
+            TargetKind::Classification => target.get(r).join_key().is_some(),
+            TargetKind::Regression => target.get(r).as_f64().is_some(),
+        })
+        .collect();
+    match kind {
+        TargetKind::Classification => {
+            let codes = encode_categorical(target);
+            let kept = rows.iter().map(|&r| codes[r]).collect();
+            let n = target.distinct_count();
+            (rows, kept, Some(n.max(1)))
+        }
+        TargetKind::Regression => {
+            let raw = target.as_f64();
+            let kept = rows.iter().map(|&r| raw[r].unwrap_or(0.0)).collect();
+            (rows, kept, None)
+        }
+    }
+}
+
+/// One feature column encoded (strings label-encoded, numerics
+/// mean-imputed over every row) and restricted to `rows`.
+pub fn encode_feature(col: &metam_table::Column, rows: &[usize]) -> Vec<f64> {
+    let full = if col.dtype() == DataType::Str {
+        encode_categorical(col)
+    } else {
+        impute_numeric(col.as_f64())
+    };
+    rows.iter().map(|&r| full[r]).collect()
+}
+
 /// Encode `table` into a dataset using `target` (column name) as the label
 /// and every other column as a feature.
 ///
-/// Rows whose target is missing are dropped (training on unlabeled rows is
-/// meaningless); feature nulls are imputed.
+/// Rows whose target is missing are dropped ([`encode_target`]); feature
+/// nulls are imputed ([`encode_feature`]).
 pub fn encode_table(
     table: &Table,
     target: &str,
     kind: TargetKind,
 ) -> metam_table::Result<MlDataset> {
     let target_idx = table.column_index(target)?;
-    let target_col = table.column(target_idx)?;
-
-    // Rows with a usable target.
-    let keep: Vec<usize> = (0..table.nrows())
-        .filter(|&r| match kind {
-            TargetKind::Classification => target_col.get(r).join_key().is_some(),
-            TargetKind::Regression => target_col.get(r).as_f64().is_some(),
-        })
-        .collect();
-
-    let (targets, n_classes) = match kind {
-        TargetKind::Classification => {
-            let codes = encode_categorical(target_col);
-            let kept: Vec<f64> = keep.iter().map(|&r| codes[r]).collect();
-            let n = target_col.distinct_count();
-            (kept, Some(n.max(1)))
-        }
-        TargetKind::Regression => {
-            let raw = target_col.as_f64();
-            let kept: Vec<f64> = keep.iter().map(|&r| raw[r].unwrap_or(0.0)).collect();
-            (kept, None)
-        }
-    };
+    let (keep, targets, n_classes) = encode_target(table.column(target_idx)?, kind);
 
     let mut encoded_cols: Vec<Vec<f64>> = Vec::new();
     let mut feature_names = Vec::new();
@@ -149,12 +168,7 @@ pub fn encode_table(
         if ci == target_idx {
             continue;
         }
-        let full = if col.dtype() == DataType::Str {
-            encode_categorical(col)
-        } else {
-            impute_numeric(col.as_f64())
-        };
-        encoded_cols.push(keep.iter().map(|&r| full[r]).collect());
+        encoded_cols.push(encode_feature(col, &keep));
         feature_names.push(table.column_display_name(ci));
     }
 

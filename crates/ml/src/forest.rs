@@ -4,13 +4,16 @@
 //! ranks with every tree, which then searches splits by rank on its
 //! bootstrap sample (see [`crate::tree`]; ties between equal values break
 //! by bootstrap position, so fits are bit-identical to sorting each node's
-//! values).
+//! values). [`RandomForest::fit_ranked`] takes columns the caller ranked,
+//! so a column shared by many fits is ranked once.
 
 use rand::Rng;
 use rand::SeedableRng;
 
 use crate::dataset::MlDataset;
-use crate::tree::{DecisionTree, FeatureRanks, FeatureSampling, TreeConfig, TreeTask};
+use crate::tree::{
+    rank_features, DecisionTree, FeatureSampling, RankedFeature, TreeConfig, TreeTask,
+};
 
 /// Random-forest hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,8 +47,25 @@ pub struct RandomForest {
 impl RandomForest {
     /// Fit with bootstrap sampling and √-feature subsampling per split.
     pub fn fit(data: &MlDataset, task: TreeTask, config: RandomForestConfig) -> Self {
-        let n = data.len();
-        let ranks = FeatureRanks::new(data);
+        let ranked = rank_features(data);
+        let features: Vec<&RankedFeature> = ranked.iter().collect();
+        Self::fit_ranked(&features, &data.targets, task, config)
+    }
+
+    /// [`RandomForest::fit`] over feature columns already ranked:
+    /// `features[f]` ranks feature `f` over the rows whose targets are
+    /// `targets`, in that row order. Bit-identical to ranking them here.
+    ///
+    /// # Panics
+    ///
+    /// When a feature ranks fewer rows than there are targets.
+    pub fn fit_ranked(
+        features: &[&RankedFeature],
+        targets: &[f64],
+        task: TreeTask,
+        config: RandomForestConfig,
+    ) -> Self {
+        let n = targets.len();
         let mut trees = Vec::with_capacity(config.n_trees);
         for t in 0..config.n_trees {
             let mut rng =
@@ -56,8 +76,8 @@ impl RandomForest {
                 (0..n).map(|_| rng.gen_range(0..n)).collect()
             };
             trees.push(DecisionTree::fit_ranked(
-                data,
-                &ranks,
+                features,
+                targets,
                 &indices,
                 task,
                 config.tree,
@@ -68,7 +88,7 @@ impl RandomForest {
         RandomForest {
             trees,
             task,
-            n_features: data.n_features(),
+            n_features: features.len(),
         }
     }
 

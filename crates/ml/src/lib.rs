@@ -40,4 +40,4 @@ pub use dataset::MlDataset;
 pub use forest::{RandomForest, RandomForestConfig};
 pub use linear::{LogisticRegression, RidgeRegression};
 pub use matrix::Matrix;
-pub use tree::{DecisionTree, TreeConfig, TreeTask};
+pub use tree::{DecisionTree, RankedFeature, TreeConfig, TreeTask};

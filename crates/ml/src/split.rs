@@ -10,14 +10,21 @@ use crate::dataset::MlDataset;
 /// same split — required for utility functions to be deterministic across
 /// repeated queries.
 pub fn train_test_split(data: &MlDataset, test_fraction: f64, seed: u64) -> (MlDataset, MlDataset) {
-    let n = data.len();
+    let (train_idx, test_idx) = train_test_indices(data.len(), test_fraction, seed);
+    (data.take_rows(&train_idx), data.take_rows(&test_idx))
+}
+
+/// The row indices [`train_test_split`] takes for `n` rows:
+/// `(train, validation)`, each in the order its dataset lists them. They
+/// depend only on `n`, `test_fraction` and `seed`.
+pub fn train_test_indices(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize>, Vec<usize>) {
     let mut indices: Vec<usize> = (0..n).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     indices.shuffle(&mut rng);
     let n_test = ((n as f64) * test_fraction).round() as usize;
     let n_test = n_test.min(n.saturating_sub(1)).max(usize::from(n > 1));
-    let (test_idx, train_idx) = indices.split_at(n_test);
-    (data.take_rows(train_idx), data.take_rows(test_idx))
+    let train = indices.split_off(n_test);
+    (train, indices)
 }
 
 /// `k`-fold cross-validation index sets: `(train, validation)` per fold.

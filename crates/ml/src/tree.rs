@@ -8,24 +8,31 @@
 //! # Rank-keyed split search
 //!
 //! Split search never sorts floats. Each feature is ranked once per
-//! dataset (`FeatureRanks`: a dense `u32` rank per row plus the sorted
+//! dataset ([`RankedFeature`]: a dense `u32` rank per row plus the sorted
 //! distinct values, in a total order where `-0.0` ties `0.0` and NaN sorts
 //! after every number). A tree addresses its rows by bootstrap *position*;
-//! every node owns a contiguous range of one position array, kept in
-//! ascending position order, and a split stable-partitions just that range
-//! with the `value <= threshold` predicate. At a node, each sampled
-//! feature's `(rank << 32) | position` keys are sorted once; one pass counts
-//! value boundaries (and sums regression totals), a second accumulates
-//! prefix statistics and evaluates only the boundaries the
-//! `max_thresholds` downsampling keeps. Buffers are reused across nodes.
+//! every node owns one contiguous range of the position array `order`,
+//! kept in ascending position order, and the same range of one *sorted
+//! list* per feature: the node's `(rank << 32) | position` keys in
+//! ascending order. The lists are built once per tree by a counting sort
+//! over the dense ranks, O(rows + distinct values) each, and a split
+//! stable-partitions `order` and every list by the same per-position
+//! left/right flag, so each child's ranges keep both orders (a split
+//! whose children cannot split again partitions `order` only). No node
+//! sorts anything. At a node, one pass over a sampled feature's range
+//! records its value boundaries (and sums regression totals), a second
+//! accumulates prefix statistics up to each boundary the `max_thresholds`
+//! downsampling keeps and evaluates it there. Buffers are reused across
+//! nodes.
 //!
-//! **Exactness contract.** The key order is exactly a stable sort of the
-//! node's values in position order: by value, ties broken by bootstrap
-//! position. Cut positions, downsampled thresholds, gains, the regression
-//! summation order and therefore every fitted tree are bit-identical to a
-//! per-node sort (the test-only `reference` builder, checked by the
-//! `oracle` property tests). Only NaN features differ from such a sort,
-//! which has no consistent order for them; they fit deterministically.
+//! **Exactness contract.** A node's range of a sorted list is exactly a
+//! stable sort of the node's values in position order: by value, ties
+//! broken by bootstrap position. Cut positions, downsampled thresholds,
+//! gains, the regression summation order and therefore every fitted tree
+//! are bit-identical to a per-node sort (the test-only `reference`
+//! builder, checked by the `oracle` property tests). Only NaN features
+//! differ from such a sort, which has no consistent order for them; they
+//! fit deterministically.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -113,50 +120,55 @@ fn value_order(a: f64, b: f64) -> Ordering {
     }
 }
 
-/// Every feature of a dataset ranked once: dense `u32` ranks per row plus
-/// the sorted distinct values, so trees compare ranks instead of sorting
-/// floats. Built once per forest and shared by all its trees. Rows and
-/// bootstrap positions are `u32`: a dataset fitted here holds fewer than
-/// 2^32 rows (each row is its own heap vector).
-pub(crate) struct FeatureRanks {
-    /// `ranks[f][row]`: dense rank of the row's value of feature `f`.
-    ranks: Vec<Vec<u32>>,
-    /// `values[f][r]`: the value of rank `r` (one representative of a tie,
+/// One feature column ranked once: a dense `u32` rank per row plus the
+/// sorted distinct values, so trees compare ranks instead of sorting
+/// floats. A forest ranks each feature once and shares it with all its
+/// trees; a caller that fits many forests over the same rows (a task
+/// queried on `Din` plus candidate columns) can rank a column once and
+/// pass it to every fit ([`RandomForest::fit_ranked`]). Rows are `u32`: a
+/// column ranked here holds fewer than 2^32 rows.
+///
+/// [`RandomForest::fit_ranked`]: crate::forest::RandomForest::fit_ranked
+#[derive(Debug, Clone)]
+pub struct RankedFeature {
+    /// `ranks[row]`: dense rank of the row's value.
+    ranks: Vec<u32>,
+    /// `values[r]`: the value of rank `r` (one representative of a tie,
     /// e.g. one of `-0.0`/`0.0`; every comparison treats them alike).
-    values: Vec<Vec<f64>>,
+    values: Vec<f64>,
 }
 
-impl FeatureRanks {
-    /// Rank every feature column of `data`.
-    pub(crate) fn new(data: &MlDataset) -> FeatureRanks {
-        let n_features = data.n_features();
-        let mut ranks = Vec::with_capacity(n_features);
-        let mut values = Vec::with_capacity(n_features);
-        let mut column: Vec<f64> = Vec::with_capacity(data.len());
-        let mut order: Vec<u32> = Vec::with_capacity(data.len());
-        for f in 0..n_features {
+impl RankedFeature {
+    /// Rank one column (one value per row).
+    pub fn new(column: &[f64]) -> RankedFeature {
+        let mut order: Vec<u32> = (0..column.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| value_order(column[a as usize], column[b as usize]));
+        let mut ranks = vec![0u32; column.len()];
+        let mut values: Vec<f64> = Vec::new();
+        for &row in &order {
+            let v = column[row as usize];
+            if values
+                .last()
+                .is_none_or(|&last| value_order(last, v) != Ordering::Equal)
+            {
+                values.push(v);
+            }
+            ranks[row as usize] = values.len() as u32 - 1;
+        }
+        RankedFeature { ranks, values }
+    }
+}
+
+/// Every feature column of `data`, ranked.
+pub(crate) fn rank_features(data: &MlDataset) -> Vec<RankedFeature> {
+    let mut column: Vec<f64> = Vec::with_capacity(data.len());
+    (0..data.n_features())
+        .map(|f| {
             column.clear();
             column.extend(data.features.iter().map(|row| row[f]));
-            order.clear();
-            order.extend(0..column.len() as u32);
-            order.sort_unstable_by(|&a, &b| value_order(column[a as usize], column[b as usize]));
-            let mut rank_of = vec![0u32; column.len()];
-            let mut distinct: Vec<f64> = Vec::new();
-            for &row in &order {
-                let v = column[row as usize];
-                if distinct
-                    .last()
-                    .is_none_or(|&last| value_order(last, v) != Ordering::Equal)
-                {
-                    distinct.push(v);
-                }
-                rank_of[row as usize] = distinct.len() as u32 - 1;
-            }
-            ranks.push(rank_of);
-            values.push(distinct);
-        }
-        FeatureRanks { ranks, values }
-    }
+            RankedFeature::new(&column)
+        })
+        .collect()
 }
 
 /// Gini impurity of class counts summing to `total`.
@@ -182,34 +194,94 @@ fn variance(sum: f64, sum_sq: f64, n: usize) -> f64 {
 }
 
 /// One tree's growth state. Rows are addressed by bootstrap *position*
-/// (`0..indices.len()`); every node owns a contiguous range of `order`,
-/// kept in ascending position order, and all buffers are reused across
-/// nodes.
+/// (`0..indices.len()`); every node owns one contiguous range of `order`
+/// (ascending position order) and the same range of every list in
+/// `sorted` (ascending key order). All buffers are reused across nodes.
 struct Builder<'a> {
-    /// Distinct values per feature (the dataset's [`FeatureRanks`]).
-    values: &'a [Vec<f64>],
-    /// `cols[f][pos]`: rank of feature `f` at bootstrap position `pos`.
-    cols: Vec<Vec<u32>>,
+    /// The ranked features the tree is fitted on.
+    features: &'a [&'a RankedFeature],
+    /// `sorted[f]`: `(rank << 32) | position` keys of feature `f`, each
+    /// node's range in ascending order; partitioned in place as the tree
+    /// splits.
+    sorted: Vec<Vec<u64>>,
     /// Target at each position.
     ys: Vec<f64>,
     /// Class index at each position (classification only).
     classes: Vec<usize>,
     /// Positions, partitioned in place as the tree splits.
     order: Vec<u32>,
-    /// Right-hand side of a partition, copied back behind the left.
+    /// `goes_left[pos]`: the side of the split being applied.
+    goes_left: Vec<bool>,
+    /// Right-hand sides of a partition, copied back behind the left.
     scratch: Vec<u32>,
-    /// `(rank << 32) | position` keys of one node and feature.
-    keys: Vec<u64>,
+    scratch_keys: Vec<u64>,
+    /// Cut indices of one node and feature: where its sorted range
+    /// changes value.
+    cuts: Vec<u32>,
     /// Class counts: per node, and the left prefix of a sweep.
     counts: Vec<usize>,
     left_counts: Vec<usize>,
     /// Features sampled at the current node.
-    features: Vec<usize>,
+    sampled: Vec<usize>,
     config: TreeConfig,
     task: TreeTask,
     sampling: FeatureSampling,
     importances: Vec<f64>,
     n_total: usize,
+}
+
+/// The rank of a sorted-list key.
+fn key_rank(key: u64) -> usize {
+    (key >> 32) as usize
+}
+
+/// The bootstrap position of a sorted-list key.
+fn key_position(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// `(rank << 32) | position` keys of `feature` at the bootstrap positions
+/// of `indices`, in ascending order: a stable counting sort over the dense
+/// ranks, O(positions + ranks).
+fn presort(feature: &RankedFeature, indices: &[usize], starts: &mut Vec<usize>) -> Vec<u64> {
+    starts.clear();
+    starts.resize(feature.values.len() + 1, 0);
+    for &i in indices {
+        starts[feature.ranks[i] as usize + 1] += 1;
+    }
+    for r in 1..starts.len() {
+        starts[r] += starts[r - 1];
+    }
+    let mut sorted = vec![0u64; indices.len()];
+    for (pos, &i) in indices.iter().enumerate() {
+        let rank = feature.ranks[i];
+        let slot = &mut starts[rank as usize];
+        sorted[*slot] = (u64::from(rank) << 32) | pos as u64;
+        *slot += 1;
+    }
+    sorted
+}
+
+/// Stable-partition `list` by the flag of each item's position: flagged
+/// items first, each side in its original order. Branch-free, since the
+/// flags of a split follow no pattern a predictor could learn.
+fn stable_partition<T: Copy + Default>(
+    list: &mut [T],
+    flagged: impl Fn(T) -> bool,
+    scratch: &mut Vec<T>,
+) {
+    scratch.clear();
+    scratch.resize(list.len(), T::default());
+    let (mut left_n, mut right_n) = (0, 0);
+    for i in 0..list.len() {
+        let item = list[i];
+        let left = flagged(item);
+        list[left_n] = item;
+        scratch[right_n] = item;
+        left_n += usize::from(left);
+        right_n += usize::from(!left);
+    }
+    list[left_n..].copy_from_slice(&scratch[..right_n]);
 }
 
 impl Builder<'_> {
@@ -278,15 +350,15 @@ impl Builder<'_> {
         }
     }
 
-    /// Best `(feature, threshold, gain)` for the node, by one sorted sweep
-    /// per sampled feature — the hot path of every utility query.
+    /// Best `(feature, threshold, gain)` for the node, by one sweep of each
+    /// sampled feature's sorted range — the hot path of every utility
+    /// query.
     ///
-    /// Sorting `(rank << 32) | position` keys orders the node by value with
-    /// ties by position, exactly as a stable sort of its values in position
-    /// order would. Pass 1 counts the value boundaries (and sums the
-    /// regression totals in that order); pass 2 accumulates prefix
-    /// statistics and evaluates only the boundaries kept by the
-    /// `max_thresholds` downsampling.
+    /// The range orders the node by value with ties by position, exactly
+    /// as a stable sort of its values in position order would. Pass 1
+    /// records the value boundaries (and sums the regression totals in
+    /// that order); pass 2 accumulates prefix statistics up to each
+    /// boundary kept by the `max_thresholds` downsampling and evaluates it.
     fn best_split(
         &mut self,
         range: Range<usize>,
@@ -299,22 +371,21 @@ impl Builder<'_> {
             TreeTask::Regression => 0,
         };
         let Builder {
-            values,
-            cols,
+            features: ranked,
+            sorted,
             ys,
             classes,
             order,
-            keys,
+            cuts,
             counts,
             left_counts,
             config,
             ..
         } = self;
-        let node = &order[range];
         if n_classes > 0 {
             counts.clear();
             counts.resize(n_classes, 0);
-            for &p in node {
+            for &p in &order[range.clone()] {
                 let c = classes[p as usize];
                 if c < n_classes {
                     counts[c] += 1;
@@ -324,18 +395,18 @@ impl Builder<'_> {
         let mut best: Option<(usize, f64, f64)> = None;
 
         for &f in features {
-            let col = &cols[f];
-            keys.clear();
-            keys.extend(
-                node.iter()
-                    .map(|&p| (u64::from(col[p as usize]) << 32) | u64::from(p)),
-            );
-            keys.sort_unstable();
-            let rank = |i: usize| (keys[i] >> 32) as usize;
-            let position = |i: usize| keys[i] as u32 as usize;
+            let list = &sorted[f][range.clone()];
+            let rank = |i: usize| key_rank(list[i]);
+            let position = |i: usize| key_position(list[i]);
 
-            // Pass 1: value boundaries, and regression totals.
-            let boundaries = (1..n).filter(|&i| rank(i - 1) != rank(i)).count();
+            // Pass 1: value boundaries (the cut index after each), and
+            // regression totals.
+            cuts.resize(n.max(cuts.len()), 0);
+            let mut boundaries = 0;
+            for i in 1..n {
+                cuts[boundaries] = i as u32;
+                boundaries += usize::from(rank(i - 1) != rank(i));
+            }
             if boundaries == 0 {
                 continue; // constant feature
             }
@@ -355,65 +426,50 @@ impl Builder<'_> {
             } else {
                 (boundaries, None)
             };
-            if n_cuts == 0 {
-                continue;
-            }
             let ordinal = |k: usize| step.map_or(k, |step| (k as f64 * step) as usize);
 
-            // Pass 2: prefix statistics, evaluated at the kept boundaries.
+            // Pass 2: prefix statistics up to each kept boundary.
             left_counts.clear();
             left_counts.resize(n_classes, 0);
             let (mut left_sum, mut left_sq) = (0.0f64, 0.0f64);
-            let mut boundary = 0usize;
-            let mut evaluated = 0usize;
-            let mut next = ordinal(0);
-            for cut in 1..n {
-                let p = position(cut - 1);
-                if n_classes > 0 {
-                    let c = classes[p];
-                    if c < n_classes {
-                        left_counts[c] += 1;
+            let mut prefix = 0usize;
+            for k in 0..n_cuts {
+                let cut = cuts[ordinal(k)] as usize;
+                for i in prefix..cut {
+                    let p = position(i);
+                    if n_classes > 0 {
+                        let c = classes[p];
+                        if c < n_classes {
+                            left_counts[c] += 1;
+                        }
+                    } else {
+                        let y = ys[p];
+                        left_sum += y;
+                        left_sq += y * y;
                     }
-                } else {
-                    let y = ys[p];
-                    left_sum += y;
-                    left_sq += y * y;
                 }
-                if rank(cut - 1) == rank(cut) {
-                    continue;
-                }
-                let this = boundary;
-                boundary += 1;
-                if this != next {
-                    continue;
-                }
-                evaluated += 1;
-                if evaluated < n_cuts {
-                    next = ordinal(evaluated);
-                }
+                prefix = cut;
                 let left_n = cut;
                 let right_n = n - cut;
-                if left_n >= config.min_samples_leaf && right_n >= config.min_samples_leaf {
-                    let weighted = if n_classes > 0 {
-                        let right = counts.iter().zip(left_counts.iter()).map(|(&t, &l)| t - l);
-                        (left_n as f64 * gini(left_counts.iter().copied(), left_n)
-                            + right_n as f64 * gini(right, right_n))
-                            / n as f64
-                    } else {
-                        (left_n as f64 * variance(left_sum, left_sq, left_n)
-                            + right_n as f64
-                                * variance(total_sum - left_sum, total_sq - left_sq, right_n))
-                            / n as f64
-                    };
-                    let gain = parent_impurity - weighted;
-                    if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                        let distinct = &values[f];
-                        let threshold = (distinct[rank(cut - 1)] + distinct[rank(cut)]) / 2.0;
-                        best = Some((f, threshold, gain));
-                    }
+                if left_n < config.min_samples_leaf || right_n < config.min_samples_leaf {
+                    continue;
                 }
-                if evaluated == n_cuts {
-                    break;
+                let weighted = if n_classes > 0 {
+                    let right = counts.iter().zip(left_counts.iter()).map(|(&t, &l)| t - l);
+                    (left_n as f64 * gini(left_counts.iter().copied(), left_n)
+                        + right_n as f64 * gini(right, right_n))
+                        / n as f64
+                } else {
+                    (left_n as f64 * variance(left_sum, left_sq, left_n)
+                        + right_n as f64
+                            * variance(total_sum - left_sum, total_sq - left_sq, right_n))
+                        / n as f64
+                };
+                let gain = parent_impurity - weighted;
+                if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
+                    let distinct = &ranked[f].values;
+                    let threshold = (distinct[rank(cut - 1)] + distinct[rank(cut)]) / 2.0;
+                    best = Some((f, threshold, gain));
                 }
             }
         }
@@ -421,25 +477,44 @@ impl Builder<'_> {
     }
 
     /// Stable-partition the node's positions by `value <= threshold` on
-    /// `feature`; returns the size of the left part.
-    fn partition(&mut self, range: Range<usize>, feature: usize, threshold: f64) -> usize {
+    /// `feature`; returns the size of the left part. `order` is always
+    /// partitioned; the sorted lists only when `lists` (a child that can
+    /// never split reads none of them).
+    fn partition(
+        &mut self,
+        range: Range<usize>,
+        feature: usize,
+        threshold: f64,
+        lists: bool,
+    ) -> usize {
         // Distinct values ascend (NaN last), so the predicate holds for a
         // prefix of ranks.
-        let bound = self.values[feature].partition_point(|&v| v <= threshold) as u32;
-        let col = &self.cols[feature];
-        self.scratch.clear();
-        let mut left_end = range.start;
-        for i in range.clone() {
-            let p = self.order[i];
-            if col[p as usize] < bound {
-                self.order[left_end] = p;
-                left_end += 1;
-            } else {
-                self.scratch.push(p);
+        let bound = self.features[feature]
+            .values
+            .partition_point(|&v| v <= threshold);
+        // The feature's own list orders the node by rank: its left part is
+        // a prefix.
+        let node = &self.sorted[feature][range.clone()];
+        let left_n = node.partition_point(|&key| key_rank(key) < bound);
+        for (i, &key) in node.iter().enumerate() {
+            self.goes_left[key_position(key)] = i < left_n;
+        }
+        let goes_left = &self.goes_left;
+        stable_partition(
+            &mut self.order[range.clone()],
+            |p| goes_left[p as usize],
+            &mut self.scratch,
+        );
+        if lists {
+            for list in &mut self.sorted {
+                stable_partition(
+                    &mut list[range.clone()],
+                    |key| goes_left[key_position(key)],
+                    &mut self.scratch_keys,
+                );
             }
         }
-        self.order[left_end..range.end].copy_from_slice(&self.scratch);
-        left_end - range.start
+        left_n
     }
 
     fn build<R: Rng>(&mut self, range: Range<usize>, depth: usize, rng: &mut R) -> Node {
@@ -454,21 +529,23 @@ impl Builder<'_> {
                 prediction: self.leaf_prediction(range),
             };
         }
-        let mut features = std::mem::take(&mut self.features);
-        features.clear();
-        features.extend(0..self.cols.len());
+        let mut sampled = std::mem::take(&mut self.sampled);
+        sampled.clear();
+        sampled.extend(0..self.features.len());
         if self.sampling == FeatureSampling::Sqrt {
-            let k = ((features.len() as f64).sqrt().ceil() as usize).clamp(1, features.len());
-            features.shuffle(rng);
-            features.truncate(k);
-            features.sort_unstable(); // deterministic evaluation order
+            let k = ((sampled.len() as f64).sqrt().ceil() as usize).clamp(1, sampled.len());
+            sampled.shuffle(rng);
+            sampled.truncate(k);
+            sampled.sort_unstable(); // deterministic evaluation order
         }
-        let split = self.best_split(range.clone(), parent_impurity, &features);
-        self.features = features;
+        let split = self.best_split(range.clone(), parent_impurity, &sampled);
+        self.sampled = sampled;
         match split {
             Some((feature, threshold, gain)) => {
                 self.importances[feature] += gain * range.len() as f64 / self.n_total as f64;
-                let mid = range.start + self.partition(range.clone(), feature, threshold);
+                let children_split = depth + 1 < self.config.max_depth;
+                let mid =
+                    range.start + self.partition(range.clone(), feature, threshold, children_split);
                 let left_node = self.build(range.start..mid, depth + 1, rng);
                 let right_node = self.build(mid..range.end, depth + 1, rng);
                 Node::Split {
@@ -495,47 +572,61 @@ impl DecisionTree {
         sampling: FeatureSampling,
         rng: &mut R,
     ) -> Self {
-        let ranks = FeatureRanks::new(data);
-        Self::fit_ranked(data, &ranks, indices, task, config, sampling, rng)
+        let ranked = rank_features(data);
+        let features: Vec<&RankedFeature> = ranked.iter().collect();
+        Self::fit_ranked(
+            &features,
+            &data.targets,
+            indices,
+            task,
+            config,
+            sampling,
+            rng,
+        )
     }
 
-    /// [`DecisionTree::fit_on`] over ranks already computed for `data`
-    /// (a forest ranks its dataset once for all of its trees).
+    /// [`DecisionTree::fit_on`] over ranked feature columns and the
+    /// targets of the rows they rank (a forest ranks its dataset once for
+    /// all of its trees).
     pub(crate) fn fit_ranked<R: Rng>(
-        data: &MlDataset,
-        ranks: &FeatureRanks,
+        features: &[&RankedFeature],
+        targets: &[f64],
         indices: &[usize],
         task: TreeTask,
         config: TreeConfig,
         sampling: FeatureSampling,
         rng: &mut R,
     ) -> Self {
-        let ys: Vec<f64> = indices.iter().map(|&i| data.targets[i]).collect();
+        let n = indices.len();
+        let ys: Vec<f64> = indices.iter().map(|&i| targets[i]).collect();
+        let mut starts = Vec::new();
+        let sorted = features
+            .iter()
+            .map(|f| presort(f, indices, &mut starts))
+            .collect();
         let mut builder = Builder {
-            values: &ranks.values,
-            cols: ranks
-                .ranks
-                .iter()
-                .map(|rank_of| indices.iter().map(|&i| rank_of[i]).collect())
-                .collect(),
+            features,
+            sorted,
             classes: match task {
                 TreeTask::Classification { .. } => ys.iter().map(|&y| y as usize).collect(),
                 TreeTask::Regression => Vec::new(),
             },
             ys,
-            order: (0..indices.len() as u32).collect(),
-            scratch: Vec::new(),
-            keys: Vec::with_capacity(indices.len()),
+            order: (0..n as u32).collect(),
+            goes_left: vec![false; n],
+            scratch: Vec::with_capacity(n),
+            scratch_keys: Vec::with_capacity(n),
+            cuts: Vec::with_capacity(n),
             counts: Vec::new(),
             left_counts: Vec::new(),
-            features: Vec::new(),
+            sampled: Vec::new(),
             config,
             task,
             sampling,
-            importances: vec![0.0; data.n_features()],
-            n_total: indices.len().max(1),
+            importances: vec![0.0; features.len()],
+            n_total: n.max(1),
         };
-        let root = builder.build(0..indices.len(), 0, rng);
+        let root = builder.build(0..n, 0, rng);
         DecisionTree {
             root,
             task,

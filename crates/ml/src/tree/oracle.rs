@@ -38,7 +38,10 @@ fn draw_value(kind: usize, rng: &mut StdRng) -> f64 {
 
 /// A dataset of `n_features` columns of value `kind` (some duplicated
 /// from their left neighbour) whose target depends on the first two
-/// features plus noise. `n_classes == 0` means regression.
+/// features plus noise. `n_classes == 0` means regression. Most cases
+/// have 8–160 rows; one in four has 500–1000 rows of mostly distinct
+/// (continuous) values, so large nodes go through the presorted
+/// partition too.
 pub(crate) fn generate(
     n_features: usize,
     n_classes: usize,
@@ -48,7 +51,12 @@ pub(crate) fn generate(
     seed: u64,
 ) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_rows = rng.gen_range(8..160);
+    let large = rng.gen_range(0..4) == 0;
+    let n_rows = if large {
+        rng.gen_range(500..1000)
+    } else {
+        rng.gen_range(8..160)
+    };
     let duplicated: Vec<bool> = (0..n_features)
         .map(|f| f > 0 && rng.gen_range(0..4) == 0)
         .collect();
@@ -58,6 +66,7 @@ pub(crate) fn generate(
             for &dup in &duplicated {
                 let v = match row.last() {
                     Some(&prev) if dup => prev,
+                    _ if large && rng.gen_range(0..8) != 0 => draw_value(0, &mut rng),
                     _ => draw_value(kind, &mut rng),
                 };
                 row.push(v);

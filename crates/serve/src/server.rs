@@ -16,7 +16,7 @@
 //! `shutting_down` reply, then [`RunningServer::join`] returns.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -33,8 +33,9 @@ use crate::queue::JobQueue;
 use crate::registry::LakeRegistry;
 use crate::render::{load_counts, loads_json, profile_json};
 
-/// How often blocking loops (accept, connection reads) wake to check the
-/// stop flag and stop-file.
+/// How often the stop-file watcher looks for its file, and how long a
+/// connection read blocks before it checks the stop flag. (The acceptor
+/// blocks in `accept` and is woken by a self-connect.)
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Daemon tuning knobs.
@@ -147,9 +148,6 @@ pub fn bind(
 ) -> Result<RunningServer, ServeError> {
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError::internal(format!("cannot bind {}: {e}", config.addr)))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::internal(format!("cannot set nonblocking accept: {e}")))?;
     let addr = listener
         .local_addr()
         .map_err(|e| ServeError::internal(format!("cannot resolve bound address: {e}")))?;
@@ -165,10 +163,16 @@ pub fn bind(
         connections: Mutex::new(Vec::new()),
     });
 
-    let mut threads = Vec::with_capacity(workers + 1);
+    let mut threads = Vec::with_capacity(workers + 2);
     for _ in 0..workers {
         let shared = Arc::clone(&shared);
         threads.push(std::thread::spawn(move || worker_loop(&shared)));
+    }
+    if let Some(stop_file) = shared.config.stop_file.clone() {
+        let shared = Arc::clone(&shared);
+        threads.push(std::thread::spawn(move || {
+            watch_stop_file(&shared, &stop_file)
+        }));
     }
     {
         let shared = Arc::clone(&shared);
@@ -198,7 +202,15 @@ impl RunningServer {
     /// is the graceful-exit barrier the CLI sits on.
     pub fn join(self) {
         self.shared.queue.wait_idle();
-        self.shared.stopped.store(true, Ordering::Relaxed);
+        // The flag is set before the connect that wakes the acceptor.
+        // ordering: SeqCst, paired with the acceptor's load after accept.
+        self.shared.stopped.store(true, Ordering::SeqCst);
+        wake_acceptor(self.addr);
+        for handle in &self.threads {
+            // Cuts the stop-file watcher's sleep short; a no-op for the
+            // others, which never park.
+            handle.thread().unpark();
+        }
         for handle in self.threads {
             let _ = handle.join();
         }
@@ -216,32 +228,50 @@ impl RunningServer {
     }
 }
 
+/// Accept connections, blocking, until the stop flag is set; the
+/// connection that wakes it then ([`wake_acceptor`]) is dropped unread.
 fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
-    loop {
-        if shared.stopped.load(Ordering::Relaxed) {
+    for stream in listener.incoming() {
+        // ordering: SeqCst, paired with `join`'s store before its connect.
+        if shared.stopped.load(Ordering::SeqCst) {
             return;
         }
-        if let Some(stop_file) = &shared.config.stop_file {
-            if stop_file.exists() {
-                shared.queue.drain();
-            }
+        let Ok(stream) = stream else {
+            // A failed accept (say, out of file descriptors) must not
+            // spin the acceptor.
+            std::thread::sleep(POLL_INTERVAL);
+            continue;
+        };
+        let shared_for_conn = Arc::clone(shared);
+        let handle = std::thread::spawn(move || connection_loop(&shared_for_conn, stream));
+        let mut connections = shared
+            .connections
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        join_finished(&mut connections);
+        connections.push(handle);
+    }
+}
+
+/// Unblock the acceptor of a daemon bound to `addr` by connecting to it,
+/// over loopback when it is bound to every interface (`0.0.0.0`, `::`).
+/// If the connect fails the acceptor is not listening any more.
+fn wake_acceptor(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), Duration::from_secs(1));
+}
+
+/// Start the drain once `stop_file` exists; return when the daemon stops.
+fn watch_stop_file(shared: &Shared, stop_file: &std::path::Path) {
+    while !shared.stopped.load(Ordering::Relaxed) {
+        if stop_file.exists() {
+            shared.queue.drain();
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let shared_for_conn = Arc::clone(shared);
-                let handle = std::thread::spawn(move || connection_loop(&shared_for_conn, stream));
-                let mut connections = shared
-                    .connections
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                join_finished(&mut connections);
-                connections.push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
+        std::thread::park_timeout(POLL_INTERVAL);
     }
 }
 

@@ -4,14 +4,12 @@
 //! (augmented) table — the paper's Price/Schools setting.
 
 use metam_core::Task;
-use metam_ml::dataset::{encode_table, TargetKind};
-use metam_ml::forest::{RandomForest, RandomForestConfig};
-use metam_ml::metrics::f1_macro;
-use metam_ml::split::train_test_split;
-use metam_ml::tree::{TreeConfig, TreeTask};
+use metam_ml::dataset::TargetKind;
 use metam_table::Table;
 
-use crate::util::drop_idlike_columns;
+use crate::forest::ForestUtility;
+
+const NAME: &str = "classification";
 
 /// Classification task over a named target column.
 pub struct ClassificationTask {
@@ -41,43 +39,32 @@ impl ClassificationTask {
             repeats: 3,
         }
     }
+
+    fn forest(&self) -> ForestUtility {
+        ForestUtility {
+            target: self.target.clone(),
+            kind: TargetKind::Classification,
+            seed: self.seed,
+            n_trees: self.n_trees,
+            max_depth: self.max_depth,
+            repeats: self.repeats,
+        }
+    }
 }
 
 impl Task for ClassificationTask {
     fn name(&self) -> &str {
-        "classification"
+        NAME
     }
 
     fn utility(&self, table: &Table) -> f64 {
-        let clean = drop_idlike_columns(table, &[self.target.as_str()]);
-        let Ok(data) = encode_table(&clean, &self.target, TargetKind::Classification) else {
-            return 0.0;
-        };
-        if data.len() < 20 || data.n_features() == 0 {
-            return 0.0;
-        }
-        let n_classes = data.n_classes.unwrap_or(2).max(2);
-        let mut total = 0.0;
-        let repeats = self.repeats.max(1);
-        for r in 0..repeats {
-            let seed = self.seed ^ (r as u64).wrapping_mul(0x9E3779B9);
-            let (train, val) = train_test_split(&data, 0.3, seed);
-            let forest = RandomForest::fit(
-                &train,
-                TreeTask::Classification { n_classes },
-                RandomForestConfig {
-                    n_trees: self.n_trees,
-                    tree: TreeConfig {
-                        max_depth: self.max_depth,
-                        ..Default::default()
-                    },
-                    seed,
-                },
-            );
-            let preds = forest.predict_batch(&val.features);
-            total += f1_macro(&preds, &val.targets, n_classes);
-        }
-        total / repeats as f64
+        self.forest().utility_of(table)
+    }
+
+    /// Encodes `din`, splits its rows and ranks its features once; each
+    /// query then encodes and ranks only its candidate columns.
+    fn prepare(&self, din: &Table) -> Option<Box<dyn Task>> {
+        Some(self.forest().prepare(NAME, din))
     }
 }
 

@@ -29,6 +29,7 @@ pub mod classification;
 pub mod clustering;
 pub mod entity_linking;
 pub mod fairness;
+mod forest;
 pub mod howto;
 pub mod regression;
 pub mod unions;

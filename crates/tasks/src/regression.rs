@@ -4,14 +4,12 @@
 //! prediction setting.
 
 use metam_core::Task;
-use metam_ml::dataset::{encode_table, TargetKind};
-use metam_ml::forest::{RandomForest, RandomForestConfig};
-use metam_ml::metrics::regression_utility;
-use metam_ml::split::train_test_split;
-use metam_ml::tree::{TreeConfig, TreeTask};
+use metam_ml::dataset::TargetKind;
 use metam_table::Table;
 
-use crate::util::drop_idlike_columns;
+use crate::forest::ForestUtility;
+
+const NAME: &str = "regression";
 
 /// Regression task over a named numeric target.
 pub struct RegressionTask {
@@ -32,42 +30,32 @@ impl RegressionTask {
             repeats: 3,
         }
     }
+
+    fn forest(&self) -> ForestUtility {
+        ForestUtility {
+            target: self.target.clone(),
+            kind: TargetKind::Regression,
+            seed: self.seed,
+            n_trees: 8,
+            max_depth: 6,
+            repeats: self.repeats,
+        }
+    }
 }
 
 impl Task for RegressionTask {
     fn name(&self) -> &str {
-        "regression"
+        NAME
     }
 
     fn utility(&self, table: &Table) -> f64 {
-        let clean = drop_idlike_columns(table, &[self.target.as_str()]);
-        let Ok(data) = encode_table(&clean, &self.target, TargetKind::Regression) else {
-            return 0.0;
-        };
-        if data.len() < 20 || data.n_features() == 0 {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let repeats = self.repeats.max(1);
-        for r in 0..repeats {
-            let seed = self.seed ^ (r as u64).wrapping_mul(0x9E3779B9);
-            let (train, val) = train_test_split(&data, 0.3, seed);
-            let forest = RandomForest::fit(
-                &train,
-                TreeTask::Regression,
-                RandomForestConfig {
-                    n_trees: 8,
-                    tree: TreeConfig {
-                        max_depth: 6,
-                        ..Default::default()
-                    },
-                    seed,
-                },
-            );
-            let preds = forest.predict_batch(&val.features);
-            total += regression_utility(&preds, &val.targets);
-        }
-        total / repeats as f64
+        self.forest().utility_of(table)
+    }
+
+    /// Encodes `din`, splits its rows and ranks its features once; each
+    /// query then encodes and ranks only its candidate columns.
+    fn prepare(&self, din: &Table) -> Option<Box<dyn Task>> {
+        Some(self.forest().prepare(NAME, din))
     }
 }
 

@@ -1,25 +1,27 @@
 //! Shared helpers: feature hygiene and numeric extraction.
 
-use metam_table::{DataType, Table};
+use metam_table::{Column, DataType, Table};
 
-/// Drop id-like string columns (≥ 80 % distinct values) — join keys and
-/// row ids carry no signal and would let trees overfit on label-encoded
-/// noise. Columns named in `keep` survive regardless.
+/// Is `col` an id-like string column (≥ 80 % distinct values)? Join keys
+/// and row ids carry no signal and would let trees overfit on
+/// label-encoded noise.
+pub fn is_idlike(col: &Column) -> bool {
+    if col.dtype() != DataType::Str {
+        return false;
+    }
+    let non_null = col.len() - col.null_count();
+    non_null > 0 && col.distinct_count() * 5 >= non_null * 4
+}
+
+/// Drop id-like columns ([`is_idlike`]). Columns named in `keep` survive
+/// regardless.
 pub fn drop_idlike_columns(table: &Table, keep: &[&str]) -> Table {
     let mut indices = Vec::new();
     for (i, col) in table.columns().iter().enumerate() {
         let name = table.column_display_name(i);
-        if keep.contains(&name.as_str()) {
+        if keep.contains(&name.as_str()) || !is_idlike(col) {
             indices.push(i);
-            continue;
         }
-        if col.dtype() == DataType::Str {
-            let non_null = col.len() - col.null_count();
-            if non_null > 0 && col.distinct_count() * 5 >= non_null * 4 {
-                continue; // id-like, drop
-            }
-        }
-        indices.push(i);
     }
     // metam-analyze: allow(panic-in-lib): indices come from enumerating this table's own columns, so they are in range
     table.select(&indices).expect("indices are in range")
@@ -58,7 +60,6 @@ pub fn aug_matches(column_name: &str, attr: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metam_table::Column;
 
     #[test]
     fn idlike_strings_are_dropped() {

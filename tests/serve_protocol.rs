@@ -524,6 +524,62 @@ fn shutdown_drains_in_flight_work_before_refusing_new_requests() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The acceptor blocks in `accept`: a request on a new connection is
+/// answered without waiting out a poll interval, `shutdown()` + `join()`
+/// on an idle daemon returns at once (the acceptor is woken by a
+/// self-connect, over loopback when bound to every interface), and a
+/// stop-file still stops the daemon.
+#[test]
+fn idle_daemon_answers_new_connections_and_stops_promptly() {
+    let dir = tiny_lake("idle");
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = gated_server(
+            &dir,
+            ServeConfig {
+                addr: bind.to_string(),
+                ..ServeConfig::default()
+            },
+            Arc::new(Gate::default()),
+        );
+        let addr = SocketAddr::from(([127, 0, 0, 1], server.addr().port()));
+        let mut latencies: Vec<Duration> = (0..5)
+            .map(|_| {
+                let started = Instant::now();
+                assert_ok(&one_shot(addr, "{\"verb\":\"status\"}"));
+                started.elapsed()
+            })
+            .collect();
+        latencies.sort();
+        assert!(
+            latencies[2] < Duration::from_millis(50),
+            "{bind}: median status latency on a new connection {:?}",
+            latencies[2]
+        );
+        let started = Instant::now();
+        server.shutdown();
+        server.join();
+        assert!(
+            started.elapsed() < Duration::from_millis(50),
+            "{bind}: shutdown + join of an idle daemon took {:?}",
+            started.elapsed()
+        );
+    }
+
+    let stop_file = dir.join("stop");
+    let server = gated_server(
+        &dir,
+        ServeConfig {
+            stop_file: Some(stop_file.clone()),
+            ..ServeConfig::default()
+        },
+        Arc::new(Gate::default()),
+    );
+    assert_ok(&one_shot(server.addr(), "{\"verb\":\"status\"}"));
+    std::fs::write(&stop_file, "").expect("write the stop file");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Satellite 6 regression: concurrent sessions over one shared catalog
 // flush each load into the metrics registry exactly once.
