@@ -57,6 +57,9 @@ for SPAN in search.materialize search.fit; do
     grep -q "\"span\":\"$SPAN\"" "$TRACE_DIR/run.jsonl" || {
         echo "trace smoke: no $SPAN span in the trace"; exit 1; }
 done
+# Profile evaluation maps each first hop once; its span counts them.
+grep '"span":"prepare.profiles"' "$TRACE_DIR/run.jsonl" | grep -q '"first_hops":' || {
+    echo "trace smoke: the prepare.profiles span has no first_hops field"; exit 1; }
 # The catalog is one record per file: .metam/ holds the columnar cache and
 # the sketch records, nothing else (no catalog*.tsv manifest).
 META_LISTING=$(ls -A "$TRACE_DIR/lake/.metam" | tr '\n' ' ')

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use metam_discovery::path::PathConfig;
 use metam_discovery::{
-    candidates_on_paths, din_probes, enumerate_paths_from, path_runs, Candidate, DiscoveryIndex,
-    Materializer, MinHash, TableProvider,
+    candidates_on_paths, din_probes, enumerate_paths_from, first_hop_groups, path_runs, Candidate,
+    DiscoveryIndex, Materializer, MinHash, TableProvider,
 };
 use metam_obs::Span;
 use metam_profile::ProfileSet;
@@ -231,6 +231,7 @@ pub fn assemble(
         let mut span = metam_obs::span("prepare.profiles", &din.name);
         span.field("candidates", candidates.len() as f64);
         span.field("paths", path_runs(&candidates).count() as f64);
+        span.field("first_hops", first_hop_groups(&candidates).count() as f64);
         profile_set.evaluate_all(
             &din,
             target_column,

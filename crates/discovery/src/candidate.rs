@@ -92,6 +92,15 @@ pub fn path_runs(candidates: &[Candidate]) -> impl Iterator<Item = &[Candidate]>
     candidates.chunk_by(|a, b| a.path == b.path)
 }
 
+/// The groups of consecutive candidates whose paths share a first hop.
+/// Path enumeration extends each first hop's paths together, so a list
+/// from [`generate_candidates`] has one group per first hop, made of
+/// whole [`path_runs`]; [`Materializer::materialize_run`](crate::Materializer::materialize_run)
+/// joins `din` into a group's first table once.
+pub fn first_hop_groups(candidates: &[Candidate]) -> impl Iterator<Item = &[Candidate]> {
+    candidates.chunk_by(|a, b| a.path.hops[0] == b.path.hops[0])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,9 @@ pub mod materialize;
 pub mod minhash;
 pub mod path;
 
-pub use candidate::{candidates_on_paths, generate_candidates, path_runs, Candidate, CandidateId};
+pub use candidate::{
+    candidates_on_paths, first_hop_groups, generate_candidates, path_runs, Candidate, CandidateId,
+};
 pub use index::{ColumnDescriptor, ColumnRef, DiscoveryIndex, JoinSearch, TableDescriptor};
 pub use materialize::{Materializer, TableProvider};
 pub use minhash::{MinHash, SKETCH_SLOTS};

@@ -3,11 +3,11 @@
 //! Materializing `Γ(Din, P[j])` = chaining left joins along the path and
 //! projecting one column, keeping the result row-aligned with `Din`. The
 //! joins give a row mapping that depends on the path alone; every
-//! candidate of a path is a projection of it, so
-//! [`Materializer::materialize_run`] maps a run of same-path candidates
-//! once. Candidates are materialized many times across the search
-//! (profiles, repeated utility queries), so results are cached behind an
-//! `Arc`.
+//! candidate of a path is a projection of it, and paths with one first
+//! hop share that hop's mapping, so [`Materializer::materialize_run`] maps
+//! a group of such candidates once per first hop and once per path.
+//! Candidates are materialized many times across the search (profiles,
+//! repeated utility queries), so results are cached behind an `Arc`.
 //!
 //! The repository behind a materializer is a [`TableProvider`]: either the
 //! tables themselves (the in-memory path) or a deferred handle that loads
@@ -19,11 +19,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use metam_table::join::first_match_index;
-use metam_table::{Column, Table, TableError, Value};
+use metam_table::{Column, Table, TableError};
 use parking_lot::{Mutex, RwLock};
 
 use crate::candidate::{Candidate, CandidateId};
-use crate::path::JoinPath;
+use crate::path::{Hop, JoinPath};
 
 /// A source of repository table payloads, indexed like the
 /// [`crate::DiscoveryIndex`] that produced the candidates.
@@ -64,8 +64,9 @@ impl TableProvider for EagerTables {
     }
 }
 
-/// Where each `din` row lands in the final table of one join path: the
-/// chained first-match left joins, before any column is projected.
+/// Where each `din` row lands in the final table of one join path (or of
+/// a path's first hop): the chained first-match left joins, before any
+/// column is projected.
 struct RowMapping {
     /// The path's final table.
     table: Arc<Table>,
@@ -75,15 +76,13 @@ struct RowMapping {
 
 impl RowMapping {
     /// Project the candidate's value column through the mapping into a
-    /// `din`-aligned column.
+    /// `din`-aligned column. The column keeps the value column's type (an
+    /// all-null projection is a `Bool` column, see [`Column::gather`]).
     fn project(&self, candidate: &Candidate) -> metam_table::Result<Column> {
-        let value_col = self.table.column(candidate.value_column)?;
-        let values: Vec<Value> = self
-            .rows
-            .iter()
-            .map(|m| m.map_or(Value::Null, |row| value_col.get(row)))
-            .collect();
-        let mut col = Column::from_values(Some(candidate.column_name.clone()), values);
+        let mut col = self
+            .table
+            .column(candidate.value_column)?
+            .gather(self.rows.iter().copied());
         // Augmented columns are named uniquely so repeated augmentations
         // from different tables never collide inside the augmented Din.
         col.name = Some(format!("aug{}_{}", candidate.id, candidate.column_name));
@@ -185,30 +184,51 @@ impl Materializer {
         Ok(arc)
     }
 
-    /// Materialize a run of candidates that share one join path (a
-    /// [`path_runs`](crate::path_runs) run), returning per candidate what
-    /// [`materialize`](Self::materialize) would, cache hits included. The
-    /// row mapping is built at the first uncached candidate and lives
-    /// until the call returns. A failed mapping fails that candidate and
-    /// is retried at the next one, as separate calls would retry it; a
-    /// candidate on another path gets a mapping of its own.
+    /// Materialize a list of candidates, returning per candidate what
+    /// [`materialize`](Self::materialize) would, cache hits included.
+    ///
+    /// Consecutive candidates on one path share its row mapping, and
+    /// consecutive paths with one first hop share that hop's mapping, so a
+    /// [`first_hop_groups`](crate::first_hop_groups) group joins `din`
+    /// into its first table once and each of its paths once. Only the last
+    /// first hop and the last path are kept, and only until the call
+    /// returns. A failed mapping fails that candidate and is retried at
+    /// the next one, as separate calls would retry it.
     pub fn materialize_run(
         &self,
         din: &Table,
         run: &[Candidate],
     ) -> Vec<metam_table::Result<Arc<Column>>> {
-        let mut mapping: Option<(&JoinPath, RowMapping)> = None;
+        let mut first: Option<(Hop, RowMapping)> = None;
+        let mut last: Option<(&JoinPath, RowMapping)> = None;
         run.iter()
             .map(|candidate| {
                 if let Some(cached) = self.cache.read().get(&candidate.id) {
                     return Ok(Arc::clone(cached));
                 }
-                let current = match mapping.take() {
-                    Some((path, rows)) if *path == candidate.path => (path, rows),
-                    _ => (&candidate.path, self.row_mapping(din, &candidate.path)?),
+                let path = &candidate.path;
+                let hop = path.hops[0];
+                let first_rows = match first.take() {
+                    Some((h, rows)) if h == hop => first.insert((h, rows)),
+                    _ => first.insert((hop, self.first_hop(din, &hop)?)),
                 };
-                let (_, rows) = mapping.insert(current);
-                let arc = Arc::new(rows.project(candidate)?);
+                let mapping = match &path.hops[1..] {
+                    [] => &first_rows.1,
+                    [next, rest @ ..] => {
+                        let current = match last.take() {
+                            Some((p, rows)) if p == path => (p, rows),
+                            _ => {
+                                let mut rows = self.join_next(&first_rows.1, next)?;
+                                for hop in rest {
+                                    rows = self.join_next(&rows, hop)?;
+                                }
+                                (path, rows)
+                            }
+                        };
+                        &last.insert(current).1
+                    }
+                };
+                let arc = Arc::new(mapping.project(candidate)?);
                 self.cache.write().insert(candidate.id, Arc::clone(&arc));
                 Ok(arc)
             })
@@ -222,40 +242,47 @@ impl Materializer {
 
     /// Chain the path's first-match left joins from `din`.
     fn row_mapping(&self, din: &Table, path: &JoinPath) -> metam_table::Result<RowMapping> {
-        // Row mapping from Din rows into the current table of the chain.
-        let first = &path.hops[0];
-        let first_table = self.table(first.table)?;
-        let probe_keys = din.column(first.left_column)?.join_keys();
-        let index = first_match_index(first_table.column(first.key_column)?);
+        let mut mapping = self.first_hop(din, &path.hops[0])?;
+        for hop in &path.hops[1..] {
+            mapping = self.join_next(&mapping, hop)?;
+        }
+        Ok(mapping)
+    }
+
+    /// Left-join `din` into the first table of a path through `hop`.
+    fn first_hop(&self, din: &Table, hop: &Hop) -> metam_table::Result<RowMapping> {
+        let table = self.table(hop.table)?;
+        let probe_keys = din.column(hop.left_column)?.join_keys();
+        let index = first_match_index(table.column(hop.key_column)?);
         if index.is_empty() {
             return Err(TableError::EmptyJoinKey);
         }
-        let mut rows: Vec<Option<usize>> = probe_keys
+        let rows = probe_keys
             .into_iter()
             .map(|k| k.and_then(|k| index.get(&k).copied()))
             .collect();
-        let mut current_table = first_table;
+        Ok(RowMapping { table, rows })
+    }
 
-        for hop in &path.hops[1..] {
-            let bridge = current_table.column(hop.left_column)?;
-            let next_table = self.table(hop.table)?;
-            let next_index = first_match_index(next_table.column(hop.key_column)?);
-            if next_index.is_empty() {
-                return Err(TableError::EmptyJoinKey);
-            }
-            rows = rows
-                .into_iter()
-                .map(|m| {
-                    m.and_then(|row| bridge.get(row).join_key())
-                        .and_then(|k| next_index.get(&k).copied())
-                })
-                .collect();
-            current_table = next_table;
+    /// Extend `from` by one hop: a first-match left join of its table's
+    /// bridge column into the next table.
+    fn join_next(&self, from: &RowMapping, hop: &Hop) -> metam_table::Result<RowMapping> {
+        let bridge = from.table.column(hop.left_column)?;
+        let table = self.table(hop.table)?;
+        let index = first_match_index(table.column(hop.key_column)?);
+        if index.is_empty() {
+            return Err(TableError::EmptyJoinKey);
         }
-        Ok(RowMapping {
-            table: current_table,
-            rows,
-        })
+        let mut key = String::new();
+        let rows = from
+            .rows
+            .iter()
+            .map(|m| {
+                m.filter(|&row| bridge.write_join_key(row, &mut key))
+                    .and_then(|_| index.get(key.as_str()).copied())
+            })
+            .collect();
+        Ok(RowMapping { table, rows })
     }
 }
 
@@ -264,6 +291,7 @@ mod tests {
     use super::*;
     use crate::index::DiscoveryIndex;
     use crate::path::PathConfig;
+    use metam_table::Value;
 
     fn setup() -> (Table, DiscoveryIndex, Materializer, Vec<Candidate>) {
         let din = Table::from_columns(
@@ -372,8 +400,9 @@ mod tests {
     #[test]
     fn materialize_run_matches_per_candidate_materialize() {
         let (din, _idx, mat, mut cands) = setup();
-        // A table whose key column is all null: its candidates fail with
-        // `EmptyJoinKey`, one run of them between two healthy runs.
+        // A table whose key column is all null: a first hop into it fails
+        // each of its candidates with `EmptyJoinKey`, and so does a second
+        // hop into it after a healthy first hop.
         let empty = Table::from_columns(
             "void",
             vec![
@@ -385,36 +414,64 @@ mod tests {
         let void = mat.n_tables();
         let mut tables: Vec<Arc<Table>> = (0..void).map(|t| mat.table(t).unwrap()).collect();
         tables.push(Arc::new(empty));
+        let two_hop = cands
+            .iter()
+            .position(|c| c.path.len() == 2)
+            .expect("two-hop");
+        let healthy = cands[two_hop].clone();
+        let into_void = |hops: Vec<Hop>| {
+            let mut c = healthy.clone();
+            c.path = JoinPath { hops };
+            c.value_column = 1;
+            c
+        };
+        let void_hop = Hop {
+            left_column: 0,
+            table: void,
+            key_column: 0,
+        };
+        let bridge_hop = healthy.path.hops[1];
+        // Inside the healthy first hop's group: a failing second hop
+        // between two candidates of the healthy path.
+        cands.insert(two_hop + 1, into_void(vec![healthy.path.hops[0], void_hop]));
+        cands.insert(two_hop + 2, healthy.clone());
+        // A group whose first hop fails: 1- and 2-hop paths.
         let at = cands.len() / 2;
-        for value_column in [1, 1] {
-            let mut c = cands[0].clone();
-            c.path = JoinPath::single(0, void, 0);
-            c.value_column = value_column;
-            cands.insert(at, c);
-        }
+        cands.insert(at, into_void(vec![void_hop]));
+        cands.insert(at, into_void(vec![void_hop]));
+        cands.insert(at, into_void(vec![void_hop, bridge_hop]));
         for (id, c) in cands.iter_mut().enumerate() {
             c.id = id;
         }
-        assert!(cands.iter().any(|c| c.path.len() == 2), "two-hop paths");
+        let groups: Vec<&[Candidate]> = crate::first_hop_groups(&cands).collect();
+        assert!(
+            groups.len() < crate::path_runs(&cands).count(),
+            "some first hop carries several paths"
+        );
 
         let one_by_one = Materializer::new(tables.clone());
         let expected: Vec<_> = cands
             .iter()
             .map(|c| one_by_one.materialize(&din, c))
             .collect();
-        assert!(expected.contains(&Err(TableError::EmptyJoinKey)));
+        let failed = |c: &Candidate| c.path.hops.contains(&void_hop);
+        for (c, want) in cands.iter().zip(&expected) {
+            let want_err = failed(c).then_some(&TableError::EmptyJoinKey);
+            assert_eq!(want.as_ref().err(), want_err, "{:?}", c.path);
+        }
 
-        let by_run = Materializer::new(tables.clone());
+        let by_group = Materializer::new(tables.clone());
         let hit = expected.iter().rposition(Result::is_ok).unwrap();
-        let warm = by_run.materialize(&din, &cands[hit]).unwrap();
-        let got: Vec<_> = crate::path_runs(&cands)
-            .flat_map(|run| by_run.materialize_run(&din, run))
+        let warm = by_group.materialize(&din, &cands[hit]).unwrap();
+        let got: Vec<_> = groups
+            .iter()
+            .flat_map(|group| by_group.materialize_run(&din, group))
             .collect();
         assert_eq!(got, expected);
         assert!(Arc::ptr_eq(got[hit].as_ref().unwrap(), &warm), "cache hit");
-        assert_eq!(by_run.cache_len(), one_by_one.cache_len());
+        assert_eq!(by_group.cache_len(), one_by_one.cache_len());
 
-        // One call over candidates of many paths maps each path anew.
+        // One call over candidates of many first hops maps each anew.
         let mixed = Materializer::new(tables);
         assert_eq!(mixed.materialize_run(&din, &cands), expected);
     }

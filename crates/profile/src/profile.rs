@@ -2,11 +2,11 @@
 
 use std::sync::Arc;
 
-use metam_discovery::{path_runs, Candidate, Materializer};
+use metam_discovery::{first_hop_groups, Candidate, Materializer};
 use metam_table::sample::sample_indices;
 use metam_table::{Column, Table};
 
-use crate::embedding::{din_embedding, EMBED_DIM};
+use crate::embedding::{din_embedding, release_thread_memo, EMBED_DIM};
 use crate::metadata::din_metadata_tokens;
 use crate::vector::ProfileVector;
 
@@ -30,13 +30,10 @@ pub struct DinState<'a> {
     metadata_tokens: Vec<String>,
 }
 
-/// Numeric values of `col` at the sampled rows.
+/// Numeric values of `col` at the sampled rows (converting only those
+/// rows; the values are [`Column::as_f64`]'s at the same rows).
 fn sample_of(col: &Column, sample_indices: &[usize]) -> Vec<Option<f64>> {
-    let full = col.as_f64();
-    sample_indices
-        .iter()
-        .map(|&i| full.get(i).copied().flatten())
-        .collect()
+    sample_indices.iter().map(|&i| col.f64_at(i)).collect()
 }
 
 impl<'a> DinState<'a> {
@@ -182,10 +179,10 @@ impl ProfileSet {
     /// `sample_size` records (the paper's setting is 100).
     ///
     /// The `din` side ([`DinState`]) is computed once, and the candidates
-    /// are materialized a [`path_runs`] run at a time, so each join path
-    /// is mapped once. Candidates whose materialization fails get an
-    /// all-zero vector — they are the "erroneous" candidates the search
-    /// must discard on its own.
+    /// are materialized a [`first_hop_groups`] group at a time, so each
+    /// first hop and each join path is mapped once. Candidates whose
+    /// materialization fails get an all-zero vector — they are the
+    /// "erroneous" candidates the search must discard on its own.
     pub fn evaluate_all(
         &self,
         din: &Table,
@@ -197,13 +194,14 @@ impl ProfileSet {
     ) -> Vec<ProfileVector> {
         let indices = sample_indices(din.nrows(), sample_size, seed);
         let state = DinState::new(din, target_column, &indices);
-        let runs: Vec<&[Candidate]> = path_runs(candidates).collect();
+        let groups: Vec<&[Candidate]> = first_hop_groups(candidates).collect();
         let n_threads = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        metam_pool::map(&runs, n_threads, |run| {
-            let columns = materializer.materialize_run(din, run);
-            run.iter()
+        let vectors = metam_pool::map(&groups, n_threads, |group| {
+            let columns = materializer.materialize_run(din, group);
+            group
+                .iter()
                 .zip(columns)
                 .map(|(candidate, aug)| {
                     let aug: Option<Arc<Column>> = aug.ok();
@@ -214,10 +212,9 @@ impl ProfileSet {
                     })
                 })
                 .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        });
+        release_thread_memo();
+        vectors.into_iter().flatten().collect()
     }
 }
 

@@ -213,15 +213,87 @@ impl Column {
         match &self.data {
             ColumnData::Int(v) => v.iter().map(|x| x.map(|i| i as f64)).collect(),
             ColumnData::Float(v) => v.clone(),
-            ColumnData::Bool(v) => v
-                .iter()
-                .map(|x| x.map(|b| if b { 1.0 } else { 0.0 }))
-                .collect(),
-            ColumnData::Str(v) => v
-                .iter()
-                .map(|x| x.as_deref().and_then(|s| s.trim().parse::<f64>().ok()))
-                .collect(),
+            ColumnData::Bool(v) => v.iter().map(|x| x.map(bool_to_f64)).collect(),
+            ColumnData::Str(v) => v.iter().map(|x| x.as_deref().and_then(parse_f64)).collect(),
         }
+    }
+
+    /// One row of [`as_f64`](Self::as_f64), converting only that row
+    /// (out-of-bounds ⇒ `None`).
+    pub fn f64_at(&self, row: usize) -> Option<f64> {
+        match &self.data {
+            ColumnData::Int(v) => v.get(row).copied().flatten().map(|i| i as f64),
+            ColumnData::Float(v) => v.get(row).copied().flatten(),
+            ColumnData::Bool(v) => v.get(row).copied().flatten().map(bool_to_f64),
+            ColumnData::Str(v) => v.get(row).and_then(|x| x.as_deref()).and_then(parse_f64),
+        }
+    }
+
+    /// Write the normalized join key of `row` into `out`, replacing its
+    /// contents, and return `true`; return `false` (with `out` empty) where
+    /// [`Value::join_key`] of the row is `None`. The text equals
+    /// `self.get(row).join_key()`, without cloning the cell or allocating
+    /// the key.
+    pub fn write_join_key(&self, row: usize, out: &mut String) -> bool {
+        use std::fmt::Write as _;
+        out.clear();
+        // Writing into a `String` cannot fail.
+        match &self.data {
+            ColumnData::Int(v) => v
+                .get(row)
+                .copied()
+                .flatten()
+                .is_some_and(|i| write!(out, "{i}").is_ok()),
+            ColumnData::Float(v) => v.get(row).copied().flatten().is_some_and(|x| {
+                if x.fract() == 0.0 && x.abs() < 1e15 {
+                    write!(out, "{}", x as i64).is_ok()
+                } else {
+                    write!(out, "{x}").is_ok()
+                }
+            }),
+            ColumnData::Str(v) => {
+                if let Some(s) = v.get(row).and_then(|x| x.as_deref()) {
+                    out.push_str(s.trim());
+                    out.make_ascii_lowercase();
+                }
+                !out.is_empty()
+            }
+            ColumnData::Bool(v) => v
+                .get(row)
+                .copied()
+                .flatten()
+                .is_some_and(|b| write!(out, "{b}").is_ok()),
+        }
+    }
+
+    /// The rows of this column at `rows`, in order, with a null wherever
+    /// an entry is `None` or out of bounds. The result keeps this column's
+    /// type and name; an all-null result (an empty one too) is a `Bool`
+    /// column. That is exactly what [`Column::from_values`] infers from the
+    /// same rows' [`Value`]s, without building one per row.
+    pub fn gather(&self, rows: impl IntoIterator<Item = Option<usize>>) -> Column {
+        fn pick<T: Clone>(
+            v: &[Option<T>],
+            rows: impl Iterator<Item = Option<usize>>,
+        ) -> Vec<Option<T>> {
+            rows.map(|r| r.and_then(|r| v.get(r).cloned().flatten()))
+                .collect()
+        }
+        let rows = rows.into_iter();
+        let data = match &self.data {
+            ColumnData::Int(v) => ColumnData::Int(pick(v, rows)),
+            ColumnData::Float(v) => ColumnData::Float(pick(v, rows)),
+            ColumnData::Str(v) => ColumnData::Str(pick(v, rows)),
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, rows)),
+        };
+        let mut col = Column {
+            name: self.name.clone(),
+            data,
+        };
+        if col.null_count() == col.len() {
+            col.data = ColumnData::Bool(vec![None; col.len()]);
+        }
+        col
     }
 
     /// Normalized join keys per row (see [`Value::join_key`]).
@@ -282,8 +354,7 @@ impl Column {
 
     /// Keep only the rows at `indices` (cloning values), e.g. for sampling.
     pub fn take(&self, indices: &[usize]) -> Column {
-        let values: Vec<Value> = indices.iter().map(|&i| self.get(i)).collect();
-        Column::from_values(self.name.clone(), values)
+        self.gather(indices.iter().map(|&i| Some(i)))
     }
 
     /// Rename, builder style.
@@ -291,6 +362,18 @@ impl Column {
         self.name = Some(name.into());
         self
     }
+}
+
+fn bool_to_f64(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
+    }
+}
+
+fn parse_f64(s: &str) -> Option<f64> {
+    s.trim().parse::<f64>().ok()
 }
 
 #[cfg(test)]
@@ -369,6 +452,58 @@ mod tests {
     fn get_out_of_bounds_is_null() {
         let c = float_col(&[1.0]);
         assert_eq!(c.get(5), Value::Null);
+    }
+
+    /// One column of each type, with a null row among its values.
+    fn one_of_each_type() -> Vec<Column> {
+        vec![
+            Column::from_ints(Some("i".into()), vec![Some(-3), None, Some(i64::MIN)]),
+            Column::from_floats(Some("f".into()), vec![Some(1.5), Some(-0.0), None]),
+            Column::from_strings(
+                Some("s".into()),
+                vec![None, Some(" Ab ".into()), Some("".into())],
+            ),
+            Column::from_bools(Some("b".into()), vec![Some(true), None, Some(false)]),
+        ]
+    }
+
+    #[test]
+    fn gather_equals_from_values_of_the_same_rows() {
+        let row_sets: [&[Option<usize>]; 6] = [
+            &[Some(0), None, Some(2), Some(0)],
+            &[Some(2), Some(1)],
+            &[None, None, None],
+            &[Some(7), None],
+            &[Some(1)],
+            &[],
+        ];
+        for col in one_of_each_type() {
+            for rows in row_sets {
+                let values: Vec<Value> = rows
+                    .iter()
+                    .map(|r| r.map_or(Value::Null, |r| col.get(r)))
+                    .collect();
+                let expected = Column::from_values(col.name.clone(), values);
+                let got = col.gather(rows.iter().copied());
+                assert_eq!(got, expected, "{:?} at {rows:?}", col.dtype());
+            }
+        }
+    }
+
+    #[test]
+    fn f64_at_reads_one_row_of_the_numeric_view() {
+        let mut cols = one_of_each_type();
+        cols.push(Column::from_strings(
+            None,
+            vec![Some(" 2.5 ".into()), Some("x".into()), Some("-1e3".into())],
+        ));
+        for col in cols {
+            let full = col.as_f64();
+            for row in 0..full.len() + 2 {
+                let want = full.get(row).copied().flatten();
+                assert_eq!(col.f64_at(row).map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
     }
 
     #[test]

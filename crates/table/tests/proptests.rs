@@ -51,7 +51,96 @@ fn tricky_string_cell() -> impl Strategy<Value = Option<String>> {
     ]
 }
 
+/// Integers, `i64::MIN` and negatives included.
+fn int_cell() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        3 => (i64::MIN..i64::MAX).prop_map(Some),
+        2 => (-1000i64..1000).prop_map(Some),
+        1 => Just(Some(i64::MIN)),
+        1 => Just(None),
+    ]
+}
+
+/// Floats around every branch of the join-key spelling: signed zero,
+/// integral values either side of 1e15, tiny and fractional values and
+/// infinities.
+fn float_key_cell() -> impl Strategy<Value = Option<f64>> {
+    prop_oneof![
+        4 => prop_oneof![
+            Just(-0.0),
+            Just(0.0),
+            Just(1e15),
+            Just(1e15 - 1.0),
+            Just(1e15 + 2.0),
+            Just(-1e15 + 1.0),
+            Just(1e-7),
+            Just(-2.5),
+            Just(1e300),
+            Just(5e-324),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ].prop_map(Some),
+        2 => (-1e6f64..1e6).prop_map(Some),
+        2 => (-1_000_000i64..1_000_000).prop_map(|i| Some(i as f64)),
+        1 => Just(None),
+    ]
+}
+
+/// Text with mixed case, ASCII and Unicode whitespace, non-ASCII letters
+/// and punctuation, including strings that are empty once trimmed.
+fn str_key_cell() -> impl Strategy<Value = Option<String>> {
+    let piece = prop_oneof![
+        3 => "[a-z]{1,4}",
+        2 => "[A-Z]{1,3}",
+        1 => Just(" ".to_string()),
+        1 => Just("\t".to_string()),
+        1 => Just("\u{3000}".to_string()),
+        1 => Just("\u{a0}".to_string()),
+        1 => Just("Émile".to_string()),
+        1 => Just("straße".to_string()),
+        1 => Just("-_.,/".to_string()),
+        1 => Just("42".to_string()),
+    ];
+    prop_oneof![
+        6 => prop::collection::vec(piece, 0..6).prop_map(|p| Some(p.concat())),
+        1 => Just(Some(" \u{2003}\n".to_string())),
+        1 => Just(None),
+    ]
+}
+
+fn bool_cell() -> impl Strategy<Value = Option<bool>> {
+    prop_oneof![
+        2 => (0u32..2).prop_map(|b| Some(b == 1)),
+        1 => Just(None),
+    ]
+}
+
+/// `Column::write_join_key` spells every row's key exactly as
+/// `Value::join_key` does, and reports the rows without a key.
+fn assert_writer_matches_value_keys(col: &Column) {
+    let mut key = "stale".to_string();
+    for row in 0..col.len() + 1 {
+        let expected = col.get(row).join_key();
+        let written = col.write_join_key(row, &mut key);
+        assert_eq!(written, expected.is_some(), "row {row} of {col:?}");
+        assert_eq!(key, expected.unwrap_or_default(), "row {row} of {col:?}");
+    }
+}
+
 proptest! {
+    #[test]
+    fn join_key_writer_spells_value_join_keys(
+        ints in prop::collection::vec(int_cell(), 0..12),
+        floats in prop::collection::vec(float_key_cell(), 0..12),
+        strs in prop::collection::vec(str_key_cell(), 0..12),
+        bools in prop::collection::vec(bool_cell(), 0..6),
+    ) {
+        assert_writer_matches_value_keys(&Column::from_ints(None, ints));
+        assert_writer_matches_value_keys(&Column::from_floats(None, floats));
+        assert_writer_matches_value_keys(&Column::from_strings(None, strs));
+        assert_writer_matches_value_keys(&Column::from_bools(None, bools));
+    }
+
     #[test]
     fn csv_roundtrip_preserves_shape(rows in prop::collection::vec(
         (float_opt(), string_cell()), 0..40)) {
