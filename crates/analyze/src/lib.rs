@@ -19,7 +19,7 @@
 //! | `timing-outside-guard` | metam-core reads the clock only behind the observer gate |
 //! | `raw-thread-spawn` | threads only in the sanctioned worker-pool and serve daemon modules |
 //! | `unjustified-atomic-ordering` | non-`Relaxed` orderings carry an `// ordering:` note |
-//! | `env-read-outside-config` | env reads only in catalog/sink/bench/serve/CLI entry modules |
+//! | `env-read-outside-config` | env reads only in the trace sink, bench and binary entry modules |
 //! | `missing-forbid-unsafe` | every crate root carries `#![forbid(unsafe_code)]` |
 //! | `invalid-pragma` | suppressions are well-formed and carry a reason |
 //!

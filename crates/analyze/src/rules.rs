@@ -43,12 +43,7 @@ const SANCTIONED_SPAWN_MODULES: &[&str] = &["crates/pool/src/lib.rs", "crates/se
 
 /// Modules allowed to read process environment (configuration entry
 /// points; everything else must take config as arguments).
-const ENV_ALLOWED: &[&str] = &[
-    "crates/lake/src/catalog.rs",
-    "crates/obs/src/sink.rs",
-    "crates/serve/src/server.rs",
-    "src/cli.rs",
-];
+const ENV_ALLOWED: &[&str] = &["crates/obs/src/sink.rs"];
 const ENV_ALLOWED_PREFIXES: &[&str] = &["crates/bench/", "src/bin/"];
 
 /// How the file participates in the build.
@@ -576,7 +571,7 @@ fn rule_env_read(ctx: &FileContext, lines: &[Line], out: &mut Vec<Finding>) {
                 idx + 1,
                 line,
                 "environment read outside the config entry modules \
-                 (catalog/sink/bench/CLI) — thread the setting through as an \
+                 (trace sink/bench/binaries) — thread the setting through as an \
                  argument"
                     .into(),
             ));

@@ -16,11 +16,6 @@ pub struct Skeleton {
 }
 
 impl Skeleton {
-    /// Are `a` and `b` adjacent?
-    pub fn connected(&self, a: usize, b: usize) -> bool {
-        self.adjacency[a].contains(&b)
-    }
-
     /// Number of undirected edges.
     pub fn n_edges(&self) -> usize {
         self.adjacency.iter().map(Vec::len).sum::<usize>() / 2
@@ -134,10 +129,9 @@ mod tests {
         let x1: Vec<f64> = x0.iter().zip(&e1).map(|(a, e)| a + 0.3 * e).collect();
         let x2: Vec<f64> = x1.iter().zip(&e2).map(|(a, e)| a + 0.3 * e).collect();
         let s = pc_skeleton(&[x0, x1, x2], 0.05, 2);
-        assert!(s.connected(0, 1));
-        assert!(s.connected(1, 2));
-        assert!(
-            !s.connected(0, 2),
+        assert_eq!(
+            s.adjacency,
+            vec![vec![1], vec![0, 2], vec![1]],
             "indirect link must be cut by conditioning"
         );
     }

@@ -32,22 +32,6 @@ pub fn standardized_effects(columns: &[Vec<f64>], outcome: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Indices of columns whose standardized effect on the outcome exceeds
-/// `threshold`, sorted by effect size descending (ties by index).
-pub fn strong_effects(columns: &[Vec<f64>], outcome: &[f64], threshold: f64) -> Vec<usize> {
-    let effects = standardized_effects(columns, outcome);
-    let mut idx: Vec<usize> = (0..effects.len())
-        .filter(|&i| effects[i] > threshold)
-        .collect();
-    idx.sort_by(|&a, &b| {
-        effects[b]
-            .partial_cmp(&effects[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,25 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn strong_effects_ranked() {
-        let n = 300;
-        let strong = noise(4, n);
-        let weak = noise(5, n);
-        let e = noise(6, n);
-        let y: Vec<f64> = (0..n)
-            .map(|i| 3.0 * strong[i] + 0.5 * weak[i] + 0.1 * e[i])
-            .collect();
-        let ranked = strong_effects(&[weak.clone(), strong.clone()], &y, 0.05);
-        assert_eq!(
-            ranked.first(),
-            Some(&1),
-            "strongest cause first: {ranked:?}"
-        );
-    }
-
-    #[test]
     fn empty_inputs_are_safe() {
         assert!(standardized_effects(&[], &[]).is_empty());
-        assert!(strong_effects(&[], &[1.0], 0.1).is_empty());
     }
 }

@@ -98,24 +98,6 @@ impl Dag {
         out
     }
 
-    /// All strict ancestors of `node`, sorted.
-    pub fn ancestors(&self, node: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.n];
-        let mut queue = VecDeque::from([node]);
-        let mut out = Vec::new();
-        while let Some(u) = queue.pop_front() {
-            for &p in &self.parents[u] {
-                if !seen[p] {
-                    seen[p] = true;
-                    out.push(p);
-                    queue.push_back(p);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// A topological ordering (stable: among ready nodes, the smallest index
     /// first).
     pub fn topological_order(&self) -> Vec<usize> {
@@ -163,7 +145,6 @@ mod tests {
         assert!(g.is_ancestor(0, 3));
         assert!(!g.is_ancestor(3, 0));
         assert_eq!(g.descendants(0), vec![1, 2, 3]);
-        assert_eq!(g.ancestors(3), vec![0, 1, 2]);
         assert_eq!(g.descendants(3), Vec::<usize>::new());
     }
 

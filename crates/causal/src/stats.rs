@@ -42,22 +42,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (covariance(xs, ys) / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Correlation matrix of column-major data (each inner vec is one variable).
-pub fn correlation_matrix(columns: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let k = columns.len();
-    let mut m = vec![vec![0.0; k]; k];
-    #[allow(clippy::needless_range_loop)]
-    for i in 0..k {
-        m[i][i] = 1.0;
-        for j in (i + 1)..k {
-            let r = pearson(&columns[i], &columns[j]);
-            m[i][j] = r;
-            m[j][i] = r;
-        }
-    }
-    m
-}
-
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (max abs error ≈ 1.5e-7, plenty for p-value thresholding at 0.05).
 pub fn normal_cdf(x: f64) -> f64 {
@@ -96,24 +80,6 @@ mod tests {
     #[test]
     fn pearson_constant_is_zero() {
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    #[allow(clippy::needless_range_loop)]
-    fn correlation_matrix_symmetric_unit_diagonal() {
-        let cols = vec![
-            vec![1.0, 2.0, 3.0, 4.0],
-            vec![2.0, 1.0, 4.0, 3.0],
-            vec![0.0, 5.0, 1.0, 2.0],
-        ];
-        let m = correlation_matrix(&cols);
-        for i in 0..3 {
-            assert!((m[i][i] - 1.0).abs() < 1e-12);
-            for j in 0..3 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-12);
-                assert!(m[i][j].abs() <= 1.0 + 1e-12);
-            }
-        }
     }
 
     #[test]

@@ -67,8 +67,18 @@ impl fmt::Display for StopReason {
     }
 }
 
+/// Per-size cap of the group mechanism before `t` escalates.
+pub const GROUP_CAP: usize = 25;
+
+/// Safety bound on outer rounds ([`StopReason::MaxRounds`]).
+pub const MAX_ROUNDS: usize = 1000;
+
 /// Configuration of Algorithm 1. Defaults mirror §VI "Settings":
-/// ε = 0.05, τ = |C|, clustering + Thompson sampling + weight learning on.
+/// ε = 0.05, τ = |C|, clustering + Thompson sampling on.
+///
+/// Weight learning and P3 certification are always on; the group
+/// mechanism's per-size cap is [`GROUP_CAP`] and the outer-round safety
+/// bound is [`MAX_ROUNDS`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetamConfig {
     /// Cluster radius ε.
@@ -89,19 +99,11 @@ pub struct MetamConfig {
     /// `false` = the `Eq` ablation variant (clusters equally likely:
     /// the bandit posterior is never updated).
     pub use_thompson: bool,
-    /// Learn profile weights by ridge (`false` = fixed uniform weights).
-    pub learn_weights: bool,
     /// Run the log|C|-sample homogeneity test before searching (§IV-B
     /// "Generalization").
     pub check_homogeneity: bool,
-    /// Wrap the task with monotonicity certification (P3).
-    pub monotonic_certification: bool,
-    /// Per-size cap of the group mechanism before `t` escalates.
-    pub group_cap: usize,
     /// Run IDENTIFY-MINIMAL on the final solution.
     pub minimality: bool,
-    /// Safety bound on outer rounds.
-    pub max_rounds: usize,
 }
 
 impl Default for MetamConfig {
@@ -114,12 +116,8 @@ impl Default for MetamConfig {
             seed: 0,
             use_clustering: true,
             use_thompson: true,
-            learn_weights: true,
             check_homogeneity: false,
-            monotonic_certification: true,
-            group_cap: 25,
             minimality: true,
-            max_rounds: 1000,
         }
     }
 }
@@ -153,7 +151,7 @@ impl Metam {
         } else {
             Clustering::singletons(n)
         };
-        let mut quality = QualityModel::new(n, inputs.profile_names.len(), cfg.learn_weights);
+        let mut quality = QualityModel::new(n, inputs.profile_names.len());
         let mut sampler = ThompsonSampler::new(clustering.len());
 
         // Homogeneity probe (optional): if any cluster mixes utilities,
@@ -178,7 +176,7 @@ impl Metam {
             clustering: &clustering,
             quality,
             sampler,
-            group_state: GroupState::new(cfg.group_cap),
+            group_state: GroupState::new(GROUP_CAP),
             rng,
             t_star: BTreeSet::new(),
             t_star_c: BTreeSet::new(),
@@ -266,7 +264,7 @@ impl Search<'_, '_> {
         self.u_d = self.base_utility;
         let tau = self.cfg.tau.unwrap_or_else(|| self.clustering.len()).max(1);
 
-        for _round in 0..self.cfg.max_rounds {
+        for _round in 0..MAX_ROUNDS {
             if self.theta_reached() {
                 return Ok(StopReason::ThetaReached);
             }
@@ -344,10 +342,10 @@ impl Search<'_, '_> {
             // stays on this thread, and a wrong branch merely wastes a
             // worker's wall-clock.
             if engine.threads() > 1 {
-                let mut plans = vec![QueryPlan::extend(QueryKind::Sequential, &self.t_star, pmax)];
-                if self.cfg.monotonic_certification {
-                    plans.push(QueryPlan::new(QueryKind::Sequential, self.t_star.clone()));
-                }
+                let mut plans = vec![
+                    QueryPlan::extend(QueryKind::Sequential, &self.t_star, pmax),
+                    QueryPlan::new(QueryKind::Sequential, self.t_star.clone()),
+                ];
                 let cluster = self.clustering.cluster_of(pmax);
                 let branches: &[bool] = if self.cfg.use_thompson {
                     &[true, false]
@@ -372,8 +370,7 @@ impl Search<'_, '_> {
             }
 
             // Line 10: sequential query (with P3 certification).
-            let (effective, raw, _ignored) =
-                engine.utility_extend(&self.t_star, pmax, self.cfg.monotonic_certification)?;
+            let (effective, raw, _ignored) = engine.utility_extend(&self.t_star, pmax, true)?;
             let cluster = self.clustering.cluster_of(pmax);
             excluded_clusters.insert(cluster);
             self.tried.insert(pmax);

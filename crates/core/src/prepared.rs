@@ -102,10 +102,8 @@ pub fn enumerate_candidates(
 /// Assembly knobs shared by every data source.
 #[derive(Debug, Clone)]
 pub struct AssembleOptions {
-    /// Join-path enumeration limits for an eager repository (a
+    /// Cap on generated candidates for an eager repository (a
     /// [`Repository::Enumerated`] source applied its own).
-    pub path: PathConfig,
-    /// Cap on generated candidates, likewise.
     pub max_candidates: usize,
     /// Rows sampled for profile estimation (paper: 100).
     pub profile_sample: usize,
@@ -116,7 +114,6 @@ pub struct AssembleOptions {
 impl Default for AssembleOptions {
     fn default() -> Self {
         AssembleOptions {
-            path: PathConfig::default(),
             max_candidates: 100_000,
             profile_sample: 100,
             seed: 0,
@@ -189,10 +186,11 @@ impl Prepared {
 /// single assembly path behind `metam::session::Session`.
 ///
 /// The repository is either eager tables (a `Vec<Arc<Table>>` converts
-/// implicitly), indexed and enumerated here under `options.path` and
-/// `options.max_candidates`, or a [`Repository::Enumerated`] list the
-/// source enumerated with the same routine — so candidate generation is
-/// identical in both cases, only *when* table data loads differs.
+/// implicitly), indexed and enumerated here under the default join-path
+/// limits and `options.max_candidates`, or a [`Repository::Enumerated`]
+/// list the source enumerated with the same routine — so candidate
+/// generation is identical in both cases, only *when* table data loads
+/// differs.
 pub fn assemble(
     din: Table,
     repository: impl Into<Repository>,
@@ -216,7 +214,7 @@ pub fn assemble(
                 &din,
                 &din_probes(&din),
                 &index,
-                &options.path,
+                &PathConfig::default(),
                 options.max_candidates,
                 &mut span,
             );

@@ -32,13 +32,11 @@ pub struct QualityModel {
     /// Whether cluster propagation of utility scores is active (turned off
     /// when the homogeneity check fails, §IV-B Generalization).
     propagate: bool,
-    /// Whether weights are re-learned (ablation: fixed uniform otherwise).
-    learn_weights: bool,
 }
 
 impl QualityModel {
     /// New model with uniform weights over `n_profiles`.
-    pub fn new(n_candidates: usize, n_profiles: usize, learn_weights: bool) -> QualityModel {
+    pub fn new(n_candidates: usize, n_profiles: usize) -> QualityModel {
         let w = if n_profiles == 0 {
             0.0
         } else {
@@ -49,7 +47,6 @@ impl QualityModel {
             observations: Vec::new(),
             utility_scores: vec![0.0; n_candidates],
             propagate: true,
-            learn_weights,
         }
     }
 
@@ -96,7 +93,7 @@ impl QualityModel {
                 }
             }
         }
-        if self.learn_weights && self.observations.len().is_multiple_of(REFIT_INTERVAL) {
+        if self.observations.len().is_multiple_of(REFIT_INTERVAL) {
             self.refit_weights(profiles);
         }
     }
@@ -179,7 +176,7 @@ mod tests {
 
     #[test]
     fn initial_weights_uniform() {
-        let m = QualityModel::new(3, 2, true);
+        let m = QualityModel::new(3, 2);
         assert_eq!(m.weights(), &[0.5, 0.5]);
         assert_eq!(m.quality_score(0, &profiles()), 0.5);
     }
@@ -188,7 +185,7 @@ mod tests {
     fn gain_propagates_within_cluster_only() {
         let p = profiles();
         let clustering = cluster_partition(&p, 0.1, 0);
-        let mut m = QualityModel::new(3, 2, false);
+        let mut m = QualityModel::new(3, 2);
         m.record(0, 0.4, &p, &clustering);
         assert_eq!(m.utility_score(0), 0.4);
         assert!(
@@ -202,7 +199,7 @@ mod tests {
     fn propagation_can_be_disabled() {
         let p = profiles();
         let clustering = cluster_partition(&p, 0.1, 0);
-        let mut m = QualityModel::new(3, 2, false);
+        let mut m = QualityModel::new(3, 2);
         m.disable_propagation();
         m.record(0, 0.4, &p, &clustering);
         assert_eq!(m.utility_score(1), 0.0);
@@ -215,7 +212,7 @@ mod tests {
             .map(|i| vec![i as f64 / 20.0, ((i * 7) % 5) as f64 / 5.0])
             .collect();
         let clustering = Clustering::singletons(20);
-        let mut m = QualityModel::new(20, 2, true);
+        let mut m = QualityModel::new(20, 2);
         for i in 0..20 {
             m.record(i, p[i][0] * 0.5, &p, &clustering);
         }
@@ -230,7 +227,7 @@ mod tests {
     fn negative_gain_clamped() {
         let p = profiles();
         let clustering = Clustering::singletons(3);
-        let mut m = QualityModel::new(3, 2, false);
+        let mut m = QualityModel::new(3, 2);
         m.record(2, -0.5, &p, &clustering);
         assert_eq!(m.utility_score(2), 0.0);
     }
@@ -238,7 +235,7 @@ mod tests {
     #[test]
     fn best_candidate_prefers_high_scores() {
         let p = profiles();
-        let m = QualityModel::new(3, 2, false);
+        let m = QualityModel::new(3, 2);
         // Uniform weights: scores 0.5, 0.5, 0.5 → tie → smallest index.
         assert_eq!(m.best_candidate(0..3, &p), Some(0));
         assert_eq!(m.best_candidate(std::iter::empty(), &p), None);

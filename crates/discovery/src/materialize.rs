@@ -169,7 +169,7 @@ impl Materializer {
     ///
     /// The result is cached by candidate id; subsequent calls are `Arc`
     /// clones. The cache assumes one `din` per materializer (true for every
-    /// search run); `clear_cache` resets it otherwise.
+    /// search run).
     pub fn materialize(
         &self,
         din: &Table,
@@ -233,11 +233,6 @@ impl Materializer {
                 Ok(arc)
             })
             .collect()
-    }
-
-    /// Drop all cached columns.
-    pub fn clear_cache(&self) {
-        self.cache.write().clear();
     }
 
     /// Chain the path's first-match left joins from `din`.
@@ -380,8 +375,6 @@ mod tests {
         let b = mat.materialize(&din, c).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(mat.cache_len(), 1);
-        mat.clear_cache();
-        assert_eq!(mat.cache_len(), 0);
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //! ([`crate::sketch`]) carries the same fingerprint is a hit: its
 //! [`TableMeta`] is built from the record. Every other file is profiled
 //! ([`ColumnStats`] per column) **in parallel** across scoped worker
-//! threads (worker count = available parallelism, overridable via
-//! `METAM_SCAN_THREADS` or [`ScanOptions`]); results merge back in
-//! file-name order, so catalogs, records and cache counters are
-//! byte-identical with a sequential scan.
+//! threads (one per available core, [`metam_pool::available_threads`]);
+//! results merge back in file-name order, so catalogs, records and cache
+//! counters are byte-identical with a sequential scan.
 //!
 //! Persistence lives under `<root>/.metam/`, one pair of files per lake
 //! file:
@@ -148,38 +147,6 @@ impl LoadCounters {
     }
 }
 
-/// Tuning knobs for [`LakeCatalog::scan_with`].
-#[derive(Debug, Clone, Default)]
-pub struct ScanOptions {
-    /// Worker threads for profiling changed files. `None` (the default)
-    /// reads `METAM_SCAN_THREADS`, falling back to the machine's
-    /// available parallelism. Thread count never changes results — only
-    /// wall-clock.
-    pub threads: Option<usize>,
-}
-
-impl ScanOptions {
-    /// Sequential scan (one worker).
-    pub fn sequential() -> ScanOptions {
-        ScanOptions { threads: Some(1) }
-    }
-
-    fn resolve_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n.max(1);
-        }
-        if let Some(n) = std::env::var("METAM_SCAN_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            return n.max(1);
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
 /// A scanned lake directory: table registry + persisted profile cache.
 #[derive(Debug)]
 pub struct LakeCatalog {
@@ -262,10 +229,10 @@ fn profile_one(root: &Path, job: &MissJob) -> Result<TableMeta> {
 }
 
 /// Profile every queued file over the shared worker pool
-/// ([`metam_pool::try_map`]). Results come back in job (file-name) order,
+/// ([`metam_pool::map`]). Results come back in job (file-name) order,
 /// so the merged catalog is position-stable regardless of scheduling.
 fn profile_all(root: &Path, jobs: &[MissJob], threads: usize) -> Vec<Result<TableMeta>> {
-    metam_pool::try_map(jobs, threads, |job| profile_one(root, job))
+    metam_pool::map(jobs, threads, |job| profile_one(root, job))
 }
 
 impl LakeCatalog {
@@ -275,16 +242,16 @@ impl LakeCatalog {
         root.join(".metam")
     }
 
-    /// [`scan_with`](Self::scan_with) under default options (worker count
-    /// from `METAM_SCAN_THREADS` or the machine's parallelism).
-    pub fn scan(root: impl AsRef<Path>) -> Result<LakeCatalog> {
-        Self::scan_with(root, &ScanOptions::default())
-    }
-
     /// Scan `root` for CSV files: a file whose record matches its current
     /// fingerprint is reused as-is; new and changed files are profiled
     /// (in parallel), each writing its own `.mtc` and `.mks`.
-    pub fn scan_with(root: impl AsRef<Path>, options: &ScanOptions) -> Result<LakeCatalog> {
+    pub fn scan(root: impl AsRef<Path>) -> Result<LakeCatalog> {
+        Self::scan_threads(root, metam_pool::available_threads())
+    }
+
+    /// [`scan`](Self::scan) profiling on `threads` workers; the thread
+    /// count never changes the result.
+    pub(crate) fn scan_threads(root: impl AsRef<Path>, threads: usize) -> Result<LakeCatalog> {
         let root = root.as_ref().to_path_buf();
         let mut scan_span = metam_obs::span("scan", root.display().to_string());
         let files = csv_files(&root)?;
@@ -327,7 +294,7 @@ impl LakeCatalog {
 
         let cache_misses = jobs.len();
         let cache_hits = plan.len() - cache_misses;
-        let mut profiled = profile_all(&root, &jobs, options.resolve_threads())
+        let mut profiled = profile_all(&root, &jobs, threads)
             .into_iter()
             .map(Some)
             .collect::<Vec<_>>();
@@ -536,8 +503,8 @@ impl LakeCatalog {
     /// Unchanged files reuse their records exactly like any other scan;
     /// only drifted files re-profile. The refreshed catalog's candidate
     /// memo starts empty.
-    pub fn rescan(&self, options: &ScanOptions) -> Result<LakeCatalog> {
-        let mut fresh = Self::scan_with(&self.root, options)?;
+    pub fn rescan(&self) -> Result<LakeCatalog> {
+        let mut fresh = Self::scan(&self.root)?;
         fresh.load_counters = Arc::clone(&self.load_counters);
         fresh.sketch_counters = Arc::clone(&self.sketch_counters);
         Ok(fresh)
@@ -707,7 +674,7 @@ mod tests {
         fs::write(dir.join("b.csv"), "y\n9\n").unwrap();
         assert!(cat.is_stale(), "added file is drift");
 
-        let fresh = cat.rescan(&ScanOptions::sequential()).unwrap();
+        let fresh = cat.rescan().unwrap();
         assert!(!fresh.is_stale());
         assert_eq!(fresh.len(), 2, "rescan sees the added table");
         assert_eq!(fresh.get("a").unwrap().nrows, 2);
@@ -801,7 +768,7 @@ mod tests {
             )
             .unwrap();
         }
-        let sequential = LakeCatalog::scan_with(&dir, &ScanOptions::sequential()).unwrap();
+        let sequential = LakeCatalog::scan_threads(&dir, 1).unwrap();
         let records = |cat: &LakeCatalog| -> Vec<Vec<u8>> {
             cat.entries()
                 .iter()
@@ -812,7 +779,7 @@ mod tests {
 
         // Wipe all persisted state and rescan with many workers.
         fs::remove_dir_all(LakeCatalog::meta_dir(&dir)).unwrap();
-        let parallel = LakeCatalog::scan_with(&dir, &ScanOptions { threads: Some(4) }).unwrap();
+        let parallel = LakeCatalog::scan_threads(&dir, 4).unwrap();
         assert_eq!(parallel.entries(), sequential.entries());
         assert_eq!(parallel.cache_hits(), sequential.cache_hits());
         assert_eq!(parallel.cache_misses(), sequential.cache_misses());
@@ -823,7 +790,7 @@ mod tests {
         );
 
         // A warm parallel rescan hits everywhere, exactly like sequential.
-        let warm = LakeCatalog::scan_with(&dir, &ScanOptions { threads: Some(4) }).unwrap();
+        let warm = LakeCatalog::scan_threads(&dir, 4).unwrap();
         assert_eq!(warm.cache_hits(), 23);
         assert_eq!(warm.cache_misses(), 0);
         let _ = fs::remove_dir_all(&dir);

@@ -66,7 +66,7 @@ pub mod prepare;
 pub mod sketch;
 pub mod stats;
 
-pub use catalog::{LakeCatalog, LoadCounters, ScanOptions, TableMeta};
+pub use catalog::{LakeCatalog, LoadCounters, TableMeta};
 pub use export::export_scenario;
 pub use prepare::{parse_task, CatalogTableProvider, ParsedTask, TaskKind};
 pub use sketch::TableSketch;

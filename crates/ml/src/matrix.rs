@@ -23,15 +23,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, 1.0);
-        }
-        m
-    }
-
     /// Build from nested rows; panics on ragged input.
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let r = rows.len();
@@ -85,24 +76,6 @@ impl Matrix {
             }
         }
         t
-    }
-
-    /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch in matmul");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for r in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(r, k);
-                if a == 0.0 {
-                    continue;
-                }
-                for c in 0..other.cols {
-                    out.add_at(r, c, a * other.get(k, c));
-                }
-            }
-        }
-        out
     }
 
     /// Matrix-vector product.
@@ -225,13 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i), a);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(a.transpose().transpose(), a);
@@ -240,7 +206,14 @@ mod tests {
     #[test]
     fn gram_is_xtx() {
         let x = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
-        assert_eq!(x.gram(), x.transpose().matmul(&x));
+        let xt = x.transpose();
+        let mut xtx = Matrix::zeros(2, 2);
+        for r in 0..2 {
+            for c in 0..2 {
+                xtx.set(r, c, (0..3).map(|k| xt.get(r, k) * x.get(k, c)).sum());
+            }
+        }
+        assert_eq!(x.gram(), xtx);
     }
 
     #[test]

@@ -100,41 +100,6 @@ pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
         / predictions.len() as f64
 }
 
-/// Root mean squared error.
-pub fn rmse(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len());
-    if predictions.is_empty() {
-        return 0.0;
-    }
-    (predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, y)| (p - y) * (p - y))
-        .sum::<f64>()
-        / predictions.len() as f64)
-        .sqrt()
-}
-
-/// Coefficient of determination, clamped to `[0, 1]` so it can serve as a
-/// utility directly.
-pub fn r2_clamped(predictions: &[f64], targets: &[f64]) -> f64 {
-    assert_eq!(predictions.len(), targets.len());
-    if targets.is_empty() {
-        return 0.0;
-    }
-    let mean = targets.iter().sum::<f64>() / targets.len() as f64;
-    let ss_tot: f64 = targets.iter().map(|y| (y - mean) * (y - mean)).sum();
-    let ss_res: f64 = predictions
-        .iter()
-        .zip(targets)
-        .map(|(p, y)| (p - y) * (p - y))
-        .sum();
-    if ss_tot < 1e-12 {
-        return if ss_res < 1e-12 { 1.0 } else { 0.0 };
-    }
-    (1.0 - ss_res / ss_tot).clamp(0.0, 1.0)
-}
-
 /// The paper's regression utility: `1 − MAE` on targets normalized to
 /// `[0, 1]` (clamped for safety).
 pub fn regression_utility(predictions: &[f64], targets: &[f64]) -> f64 {
@@ -186,22 +151,10 @@ mod tests {
     }
 
     #[test]
-    fn mae_and_rmse() {
+    fn mae_averages_absolute_errors() {
         let pred = [1.0, 2.0];
         let targ = [2.0, 4.0];
         assert_eq!(mae(&pred, &targ), 1.5);
-        assert!((rmse(&pred, &targ) - (2.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn r2_perfect_and_clamped() {
-        let t = [1.0, 2.0, 3.0];
-        assert_eq!(r2_clamped(&t, &t), 1.0);
-        assert_eq!(
-            r2_clamped(&[100.0, -100.0, 50.0], &t),
-            0.0,
-            "worse than mean clamps to 0"
-        );
     }
 
     #[test]

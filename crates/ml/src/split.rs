@@ -27,31 +27,6 @@ pub fn train_test_indices(n: usize, test_fraction: f64, seed: u64) -> (Vec<usize
     (train, indices)
 }
 
-/// `k`-fold cross-validation index sets: `(train, validation)` per fold.
-pub fn k_folds(n: usize, k: usize, seed: u64) -> Vec<(Vec<usize>, Vec<usize>)> {
-    let k = k.max(2).min(n.max(2));
-    let mut indices: Vec<usize> = (0..n).collect();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    indices.shuffle(&mut rng);
-    let mut folds = Vec::with_capacity(k);
-    for f in 0..k {
-        let val: Vec<usize> = indices
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % k == f)
-            .map(|(_, &idx)| idx)
-            .collect();
-        let train: Vec<usize> = indices
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % k != f)
-            .map(|(_, &idx)| idx)
-            .collect();
-        folds.push((train, val));
-    }
-    folds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,18 +65,5 @@ mod tests {
         let (tr, te) = train_test_split(&d, 0.99, 1);
         assert!(!tr.is_empty());
         assert!(!te.is_empty());
-    }
-
-    #[test]
-    fn folds_cover_everything() {
-        let folds = k_folds(20, 4, 3);
-        assert_eq!(folds.len(), 4);
-        let mut seen: Vec<usize> = folds.iter().flat_map(|(_, v)| v.clone()).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..20).collect::<Vec<_>>());
-        for (train, val) in &folds {
-            assert_eq!(train.len() + val.len(), 20);
-            assert!(train.iter().all(|i| !val.contains(i)));
-        }
     }
 }

@@ -10,11 +10,11 @@
 //! `threads <= 1` (or a single item) takes a plain sequential loop with
 //! no thread machinery at all.
 //!
-//! This module (plus the raw-`Result` variant [`try_map`]) is the only
-//! place in the workspace allowed to spawn threads: `metam-analyze`'s
-//! `raw-thread-spawn` rule points offenders here. Workers must stay
-//! pure — no RNG, no shared mutable state, no I/O ordering assumptions —
-//! because callers rely on the sequential path being byte-identical.
+//! This module is the only place in the workspace allowed to spawn
+//! threads: `metam-analyze`'s `raw-thread-spawn` rule points offenders
+//! here. Workers must stay pure — no RNG, no shared mutable state, no
+//! I/O ordering assumptions — because callers rely on the sequential
+//! path being byte-identical.
 
 #![warn(missing_docs)]
 
@@ -58,17 +58,13 @@ where
         .collect()
 }
 
-/// [`map`] for fallible work: collects per-item `Result`s in input order
-/// without short-circuiting (the caller decides how to merge errors, the
-/// way the lake scan reports every failed file).
-pub fn try_map<I, T, E, F>(items: &[I], threads: usize, f: F) -> Vec<Result<T, E>>
-where
-    I: Sync,
-    T: Send,
-    E: Send,
-    F: Fn(&I) -> Result<T, E> + Sync,
-{
-    map(items, threads, f)
+/// The default worker count: the machine's available parallelism (1 when
+/// it cannot be determined). Lake scans and profile evaluation size their
+/// pools with it.
+pub fn available_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -105,9 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn try_map_reports_every_error_positionally() {
+    fn map_reports_every_error_positionally() {
         let items: Vec<usize> = (0..10).collect();
-        let out = try_map(&items, 3, |&x| if x % 3 == 0 { Err(x) } else { Ok(x) });
+        let out: Vec<Result<usize, usize>> =
+            map(&items, 3, |&x| if x % 3 == 0 { Err(x) } else { Ok(x) });
         for (i, r) in out.iter().enumerate() {
             if i % 3 == 0 {
                 assert_eq!(*r, Err(i));

@@ -17,10 +17,7 @@
 //!   cardinality),
 //! * [`task_specific`] — ARDA-style injection feature importance (Fig. 7),
 //! * [`synthetic`] — fixed informative/uninformative profiles for the
-//!   ablation experiments (Figs. 9–11),
-//! * [`rank_correlation`] — Spearman ρ, an extension profile (robust to
-//!   monotone transforms and outliers; §II-C "Extending to other data
-//!   profiles").
+//!   ablation experiments (Figs. 9–11).
 //!
 //! Profiles are computed on a seeded row sample (the paper uses 100
 //! records) and evaluated in parallel across candidates over the shared
@@ -34,7 +31,6 @@ pub mod metadata;
 pub mod mutual_info;
 pub mod overlap;
 pub mod profile;
-pub mod rank_correlation;
 pub mod synthetic;
 pub mod task_specific;
 pub mod vector;

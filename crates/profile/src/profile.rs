@@ -195,10 +195,7 @@ impl ProfileSet {
         let indices = sample_indices(din.nrows(), sample_size, seed);
         let state = DinState::new(din, target_column, &indices);
         let groups: Vec<&[Candidate]> = first_hop_groups(candidates).collect();
-        let n_threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let vectors = metam_pool::map(&groups, n_threads, |group| {
+        let vectors = metam_pool::map(&groups, metam_pool::available_threads(), |group| {
             let columns = materializer.materialize_run(din, group);
             group
                 .iter()

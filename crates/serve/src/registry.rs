@@ -14,7 +14,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use metam_lake::{LakeCatalog, ScanOptions};
+use metam_lake::LakeCatalog;
 
 use crate::protocol::{ErrorKind, ServeError};
 
@@ -118,7 +118,7 @@ impl LakeRegistry {
             return Ok(current);
         }
         let fresh =
-            Arc::new(current.rescan(&ScanOptions::default()).map_err(|e| {
+            Arc::new(current.rescan().map_err(|e| {
                 ServeError::internal(format!("rescanning lake {:?}: {e}", slot.name))
             })?);
         *slot.catalog.write().unwrap_or_else(PoisonError::into_inner) = Arc::clone(&fresh);

@@ -1,9 +1,9 @@
 //! The daemon: TCP acceptor, connection readers, and the worker pool.
 //!
-//! This module is the crate's sanctioned thread-spawn and env-read site
-//! (enforced by `metam-analyze`): the acceptor, per-connection readers
-//! and the fixed worker pool are long-lived service threads that the
-//! scoped fork-join pool in `metam-pool` cannot express.
+//! This module is the crate's sanctioned thread-spawn site (enforced by
+//! `metam-analyze`): the acceptor, per-connection readers and the fixed
+//! worker pool are long-lived service threads that the scoped fork-join
+//! pool in `metam-pool` cannot express.
 //!
 //! Request flow: a connection reader parses one NDJSON line at a time.
 //! Cheap introspection verbs (`lakes`, `status`, `shutdown`) answer
@@ -73,27 +73,6 @@ impl Default for ServeConfig {
             stop_file: None,
         }
     }
-}
-
-impl ServeConfig {
-    /// Overlay `METAM_SERVE_WORKERS` / `METAM_SERVE_QUEUE` from the
-    /// process environment (explicit CLI flags beat these; this module is
-    /// the crate's one sanctioned env-read site).
-    pub fn from_env(mut self) -> ServeConfig {
-        if let Some(n) = read_env_usize("METAM_SERVE_WORKERS") {
-            self.workers = n.max(1);
-        }
-        if let Some(n) = read_env_usize("METAM_SERVE_QUEUE") {
-            self.queue = n;
-        }
-        self
-    }
-}
-
-fn read_env_usize(key: &str) -> Option<usize> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
 }
 
 /// What the discover handler returns: the full `discover --json` report

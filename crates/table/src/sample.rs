@@ -4,8 +4,6 @@
 //! (§VI "Settings"); this module provides the deterministic sampler used
 //! for that.
 
-use crate::table::Table;
-
 /// Deterministic xorshift-style index shuffle. We avoid pulling `rand` into
 /// this leaf crate; sampling only needs a reproducible pseudo-random
 /// permutation, not statistical quality.
@@ -31,16 +29,9 @@ pub fn sample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
     indices
 }
 
-/// A reproducible row sample of up to `k` rows.
-pub fn sample_rows(table: &Table, k: usize, seed: u64) -> Table {
-    let indices = sample_indices(table.nrows(), k, seed);
-    table.take_rows(&indices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
 
     #[test]
     fn sample_is_deterministic() {
@@ -67,22 +58,6 @@ mod tests {
     fn oversized_k_returns_all() {
         let s = sample_indices(5, 100, 1);
         assert_eq!(s.len(), 5);
-    }
-
-    #[test]
-    fn sample_rows_keeps_schema() {
-        let t = Table::from_columns(
-            "t",
-            vec![Column::from_ints(
-                Some("a".into()),
-                (0..100).map(Some).collect(),
-            )],
-        )
-        .unwrap();
-        let s = sample_rows(&t, 10, 42);
-        assert_eq!(s.nrows(), 10);
-        assert_eq!(s.ncols(), 1);
-        assert_eq!(s.column_by_name("a").unwrap().null_count(), 0);
     }
 
     #[test]

@@ -102,16 +102,6 @@ impl Schema {
     pub fn push(&mut self, field: Field) {
         self.fields.push(field);
     }
-
-    /// Fraction of attributes with missing header values; a cheap noise
-    /// indicator used by metadata profiles.
-    pub fn missing_header_ratio(&self) -> f64 {
-        if self.fields.is_empty() {
-            return 0.0;
-        }
-        let missing = self.fields.iter().filter(|f| f.name.is_none()).count();
-        missing as f64 / self.fields.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -128,16 +118,6 @@ mod tests {
         assert_eq!(schema.index_of("price"), Some(2));
         assert_eq!(schema.index_of("zipcode"), Some(0));
         assert_eq!(schema.index_of("missing"), None);
-    }
-
-    #[test]
-    fn missing_header_ratio_counts_anonymous() {
-        let schema = Schema::new(vec![
-            Field::new("a", DataType::Int),
-            Field::anonymous(DataType::Str),
-        ]);
-        assert!((schema.missing_header_ratio() - 0.5).abs() < 1e-12);
-        assert_eq!(Schema::default().missing_header_ratio(), 0.0);
     }
 
     #[test]

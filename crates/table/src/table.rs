@@ -31,12 +31,6 @@ impl Table {
         }
     }
 
-    /// Set the provenance tag, builder style.
-    pub fn with_source(mut self, source: impl Into<String>) -> Self {
-        self.source = source.into();
-        self
-    }
-
     /// Build from columns; all columns must have equal length.
     pub fn from_columns(name: impl Into<String>, columns: Vec<Column>) -> Result<Self> {
         let nrows = columns.first().map_or(0, Column::len);
@@ -148,24 +142,6 @@ impl Table {
         Ok(t)
     }
 
-    /// Projection onto named columns.
-    pub fn select_by_name(&self, names: &[&str]) -> Result<Table> {
-        let indices: Result<Vec<usize>> = names.iter().map(|n| self.column_index(n)).collect();
-        self.select(&indices?)
-    }
-
-    /// New table without the column at `index`.
-    pub fn drop_column(&self, index: usize) -> Result<Table> {
-        if index >= self.columns.len() {
-            return Err(TableError::ColumnIndexOutOfBounds {
-                index,
-                len: self.columns.len(),
-            });
-        }
-        let indices: Vec<usize> = (0..self.columns.len()).filter(|&i| i != index).collect();
-        self.select(&indices)
-    }
-
     /// Keep only the rows at `indices` (cloning values).
     pub fn take_rows(&self, indices: &[usize]) -> Table {
         let columns = self.columns.iter().map(|c| c.take(indices)).collect();
@@ -259,17 +235,6 @@ mod tests {
         assert_eq!(t.column_index("price").unwrap(), 1);
         assert_eq!(t.column_by_name("beds").unwrap().get(1), Value::Int(3));
         assert!(t.column_by_name("nope").is_err());
-    }
-
-    #[test]
-    fn select_and_drop() {
-        let t = sample_table();
-        let p = t.select_by_name(&["price"]).unwrap();
-        assert_eq!(p.ncols(), 1);
-        assert_eq!(p.nrows(), 2);
-        let d = t.drop_column(0).unwrap();
-        assert_eq!(d.ncols(), 2);
-        assert!(d.column_by_name("zip").is_err());
     }
 
     #[test]

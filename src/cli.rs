@@ -57,15 +57,13 @@ task kinds: classification:<column> | regression:<column> | clustering:<k>
 streams on stderr).
 `--trace` (or METAM_TRACE=<path|stderr>) writes one JSONL telemetry line
 per span/query/round/finish event; tracing never changes results.
-`scan` profiles changed files in parallel (worker count from
-METAM_SCAN_THREADS, default: available cores).
-`discover --threads` (or METAM_SEARCH_THREADS) batches search queries
-over the same worker pool; results are byte-identical whatever the
-thread count (default 1).
+`scan` profiles changed files in parallel, one worker per available core.
+`discover --threads` batches search queries over the same worker pool;
+results are byte-identical whatever the thread count (default 1).
 `serve` binds loopback `127.0.0.1:0` by default and prints the bound
 address; verbs are discover/profile/scan/lakes/status/shutdown (see
 README \"Serving\"). `--workers`/`--queue` set the admission ceiling
-(defaults 2/16, env METAM_SERVE_WORKERS / METAM_SERVE_QUEUE);
+(defaults 2/16);
 `--max-budget` caps any single request's query budget; `--stop-file`
 drains and exits once the file appears (Ctrl-C-equivalent for scripts).
 `request` prints the daemon's reply line and exits 0 only on `ok`.";
@@ -342,17 +340,7 @@ fn cmd_discover(args: &[String]) -> CliResult<()> {
         _ => flags.get_num::<usize>("budget")?.unwrap_or(300),
     };
     let seed = flags.get_num::<u64>("seed")?.unwrap_or(0);
-    // Search worker count: explicit flag beats the environment; the
-    // default stays fully sequential. (Env reads live here in the CLI
-    // entry module only.)
-    let threads = match flags.get_num::<usize>("threads")? {
-        Some(n) => n,
-        None => std::env::var("METAM_SEARCH_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(1),
-    }
-    .max(1);
+    let threads = flags.get_num::<usize>("threads")?.unwrap_or(1).max(1);
     let json = flags.has("json");
 
     let catalog = LakeCatalog::scan(dir)?;
@@ -421,8 +409,7 @@ fn cmd_serve(args: &[String]) -> CliResult<()> {
         })
         .collect();
 
-    // Environment defaults first, explicit flags on top.
-    let mut config = metam_serve::ServeConfig::default().from_env();
+    let mut config = metam_serve::ServeConfig::default();
     if let Some(addr) = flags.get("addr") {
         config.addr = addr.to_string();
     }

@@ -49,7 +49,6 @@ use std::time::Instant;
 use metam_core::prepared::{assemble, AssembleOptions};
 use metam_core::{run_method, MetamConfig, Method, Task};
 use metam_datagen::Scenario;
-use metam_discovery::path::PathConfig;
 use metam_lake::{parse_task, LakeCatalog, LakeError};
 use metam_profile::{default_profiles, ProfileSet};
 
@@ -65,7 +64,6 @@ pub struct Session {
     theta: Option<f64>,
     budget: usize,
     seed: u64,
-    path: PathConfig,
     max_candidates: usize,
     profile_sample: usize,
     threads: usize,
@@ -85,7 +83,6 @@ impl Session {
             theta: None,
             budget: usize::MAX,
             seed: 0,
-            path: PathConfig::default(),
             max_candidates: 100_000,
             profile_sample: 100,
             threads: 1,
@@ -183,12 +180,6 @@ impl Session {
         self
     }
 
-    /// Join-path enumeration limits.
-    pub fn path_config(mut self, path: PathConfig) -> Session {
-        self.path = path;
-        self
-    }
-
     /// Cap on generated candidates (default 100 000).
     pub fn max_candidates(mut self, cap: usize) -> Session {
         self.max_candidates = cap;
@@ -243,7 +234,6 @@ impl Session {
             target,
             profile_set,
             seed,
-            path,
             max_candidates,
             profile_sample,
             threads,
@@ -253,7 +243,6 @@ impl Session {
         let mut data = source.load(&SourceRequest {
             seed,
             input,
-            path,
             max_candidates,
         })?;
 
@@ -300,7 +289,6 @@ impl Session {
             task,
             &profile_set,
             &AssembleOptions {
-                path,
                 max_candidates,
                 profile_sample,
                 seed,

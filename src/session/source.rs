@@ -8,6 +8,11 @@
 //! with planted truth and [`LakeSource`] for on-disk CSV lakes — and any
 //! third-party backend (a warehouse, a sharded catalog, an HTTP data
 //! portal) plugs in by implementing the same trait.
+//!
+//! A [`LakeSource`] over a directory scans it with one worker per
+//! available core, and enumerates candidates under the default join-path
+//! limits ([`PathConfig::default`]); only the candidate cap
+//! ([`SourceRequest::max_candidates`]) comes from the session.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -16,7 +21,7 @@ use metam_core::{Repository, Task};
 use metam_datagen::{GroundTruth, Scenario};
 use metam_discovery::path::PathConfig;
 use metam_lake::catalog::read_table_file;
-use metam_lake::{LakeCatalog, LakeError, ScanOptions};
+use metam_lake::{LakeCatalog, LakeError};
 use metam_table::Table;
 use metam_tasks::build_task;
 
@@ -30,10 +35,9 @@ pub struct SourceRequest {
     /// The requested input dataset, when the user named one (`.din(...)`).
     /// Sources that own exactly one input (scenarios) may ignore it.
     pub input: Option<String>,
-    /// Join-path enumeration limits, for sources that enumerate their own
-    /// candidates ([`Repository::Enumerated`]).
-    pub path: PathConfig,
-    /// Cap on enumerated candidates, likewise.
+    /// Cap on enumerated candidates, for sources that enumerate their own
+    /// candidates ([`Repository::Enumerated`]) under the default
+    /// join-path limits ([`PathConfig::default`]).
     pub max_candidates: usize,
 }
 
@@ -102,8 +106,8 @@ impl DataSource for ScenarioSource {
 }
 
 enum LakeBacking {
-    /// Scan the directory at prepare time (with these scan options).
-    Path(PathBuf, ScanOptions),
+    /// Scan the directory at prepare time.
+    Path(PathBuf),
     /// An already-scanned catalog (shared, so the lazy table provider
     /// keeps resolving loads through the very same counters).
     Catalog(Arc<LakeCatalog>),
@@ -123,17 +127,11 @@ pub struct LakeSource {
 
 impl LakeSource {
     /// Lake at a directory path; scanned when the session prepares
-    /// (changed files profile in parallel — worker count from
-    /// `METAM_SCAN_THREADS` or the machine's available parallelism).
+    /// ([`LakeCatalog::scan`]: changed files profile in parallel, one
+    /// worker per available core).
     pub fn from_path(path: impl Into<PathBuf>) -> LakeSource {
-        LakeSource::from_path_with(path, ScanOptions::default())
-    }
-
-    /// Lake at a directory path with explicit [`ScanOptions`] (e.g. a
-    /// pinned worker count for reproducible benchmarking).
-    pub fn from_path_with(path: impl Into<PathBuf>, options: ScanOptions) -> LakeSource {
         LakeSource {
-            backing: LakeBacking::Path(path.into(), options),
+            backing: LakeBacking::Path(path.into()),
         }
     }
 
@@ -155,7 +153,7 @@ impl LakeSource {
 impl DataSource for LakeSource {
     fn describe(&self) -> String {
         match &self.backing {
-            LakeBacking::Path(p, _) => format!("CSV lake at {}", p.display()),
+            LakeBacking::Path(p) => format!("CSV lake at {}", p.display()),
             LakeBacking::Catalog(c) => {
                 format!("CSV lake at {} ({} tables)", c.root().display(), c.len())
             }
@@ -164,7 +162,7 @@ impl DataSource for LakeSource {
 
     fn load(&self, request: &SourceRequest) -> Result<SourceData, SessionError> {
         let catalog: Arc<LakeCatalog> = match &self.backing {
-            LakeBacking::Path(p, options) => Arc::new(LakeCatalog::scan_with(p, options)?),
+            LakeBacking::Path(p) => Arc::new(LakeCatalog::scan(p)?),
             LakeBacking::Catalog(c) => Arc::clone(c),
         };
         let input = request.input.as_deref().ok_or(SessionError::MissingInput)?;
@@ -188,7 +186,7 @@ impl DataSource for LakeSource {
             &catalog,
             &din,
             Some(&excluded),
-            &request.path,
+            &PathConfig::default(),
             request.max_candidates,
         )?;
         // Surface the .mtc-vs-CSV load split in the metrics registry.

@@ -205,9 +205,14 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
     );
 
     let din = catalog.load_table("din").expect("din");
-    let (candidates, provider) =
-        repository_candidates(&catalog, &din, None, &options.path, options.max_candidates)
-            .expect("sketches");
+    let (candidates, provider) = repository_candidates(
+        &catalog,
+        &din,
+        None,
+        &PathConfig::default(),
+        options.max_candidates,
+    )
+    .expect("sketches");
     let lazy = assemble(
         din,
         Repository::Enumerated {
