@@ -57,14 +57,39 @@ for SPAN in search.materialize search.fit; do
     grep -q "\"span\":\"$SPAN\"" "$TRACE_DIR/run.jsonl" || {
         echo "trace smoke: no $SPAN span in the trace"; exit 1; }
 done
-# Profile evaluation maps each first hop once; its span counts them.
-grep '"span":"prepare.profiles"' "$TRACE_DIR/run.jsonl" | grep -q '"first_hops":' || {
-    echo "trace smoke: the prepare.profiles span has no first_hops field"; exit 1; }
+# Profile evaluation maps each first hop once, and shares each later
+# hop's key index across the groups; its span counts both.
+for FIELD in first_hops next_indexes; do
+    grep '"span":"prepare.profiles"' "$TRACE_DIR/run.jsonl" | grep -q "\"$FIELD\":" || {
+        echo "trace smoke: the prepare.profiles span has no $FIELD field"; exit 1; }
+done
 # The catalog is one record per file: .metam/ holds the columnar cache and
 # the sketch records, nothing else (no catalog*.tsv manifest).
 META_LISTING=$(ls -A "$TRACE_DIR/lake/.metam" | tr '\n' ' ')
 [ "$META_LISTING" = "cache sketches " ] || {
     echo "trace smoke: unexpected .metam/ contents: $META_LISTING"; exit 1; }
+
+echo "== threads smoke: a discover reports the same at --threads 1 and 2 =="
+# At --threads 2 two workers fit queries on one prepared forest plan. The
+# reports must agree once the thread count, the wall-clock *_secs fields
+# and the metrics block (timings) are scrubbed.
+for THREADS in 1 2; do
+    ./target/release/metam discover "$TRACE_DIR/lake" --din din \
+        --task classification:label --budget 200 --seed 7 \
+        --threads "$THREADS" --json 2>/dev/null |
+        awk '
+            skip { if ($0 ~ /^  [}]/) skip = 0; next }
+            /^  "metrics": / { print "  \"metrics\": 0,"; if ($0 ~ /[{]$/) skip = 1; next }
+            { print }
+        ' |
+        sed -e 's/^  "threads": [0-9]*/  "threads": 0/' \
+            -e 's/"\([a-z_]*_secs\)": [^,]*/"\1": 0/' \
+        > "$TRACE_DIR/threads-$THREADS.json"
+done
+grep -q '"trace": \[' "$TRACE_DIR/threads-1.json" || {
+    echo "threads smoke: no report"; exit 1; }
+cmp "$TRACE_DIR/threads-1.json" "$TRACE_DIR/threads-2.json" || {
+    echo "threads smoke: the report depends on --threads"; exit 1; }
 
 echo "== serve smoke: daemon answers status/discover over TCP, then drains =="
 SERVE_LOG="$TRACE_DIR/serve.log"

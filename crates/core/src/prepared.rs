@@ -12,7 +12,7 @@ use std::sync::Arc;
 use metam_discovery::path::PathConfig;
 use metam_discovery::{
     candidates_on_paths, din_probes, enumerate_paths_from, first_hop_groups, path_runs, Candidate,
-    DiscoveryIndex, Materializer, MinHash, TableProvider,
+    DiscoveryIndex, Materializer, MinHash, NextIndexes, TableProvider,
 };
 use metam_obs::Span;
 use metam_profile::ProfileSet;
@@ -230,6 +230,7 @@ pub fn assemble(
         span.field("candidates", candidates.len() as f64);
         span.field("paths", path_runs(&candidates).count() as f64);
         span.field("first_hops", first_hop_groups(&candidates).count() as f64);
+        span.field("next_indexes", NextIndexes::new(&candidates).len() as f64);
         profile_set.evaluate_all(
             &din,
             target_column,

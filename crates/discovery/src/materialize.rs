@@ -5,7 +5,11 @@
 //! joins give a row mapping that depends on the path alone; every
 //! candidate of a path is a projection of it, and paths with one first
 //! hop share that hop's mapping, so [`Materializer::materialize_run`] maps
-//! a group of such candidates once per first hop and once per path.
+//! a group of such candidates once per first hop and once per path. A
+//! later hop joins through a key index of its table's key column; many
+//! paths, across first-hop groups, join the same `(table, key_column)`,
+//! so one pass over a candidate list shares those indexes
+//! ([`NextIndexes`]), each until the last path run that joins it.
 //! Candidates are materialized many times across the search (profiles,
 //! repeated utility queries), so results are cached behind an `Arc`.
 //!
@@ -16,13 +20,14 @@
 //! actually win candidacy).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use metam_table::join::first_match_index;
+use metam_table::join::KeyIndex;
 use metam_table::{Column, Table, TableError};
 use parking_lot::{Mutex, RwLock};
 
-use crate::candidate::{Candidate, CandidateId};
+use crate::candidate::{path_runs, Candidate, CandidateId};
 use crate::path::{Hop, JoinPath};
 
 /// A source of repository table payloads, indexed like the
@@ -87,6 +92,91 @@ impl RowMapping {
         // from different tables never collide inside the augmented Din.
         col.name = Some(format!("aug{}_{}", candidate.id, candidate.column_name));
         Ok(col)
+    }
+}
+
+/// The key indexes that one pass of [`Materializer::materialize_run`]
+/// calls over a candidate list shares: one per `(table, key_column)` pair
+/// that a path joins after its first hop, built by the first path that
+/// needs it (racing workers wait for that one build, as
+/// [`Materializer::table`] does for a fetch) and dropped after the last
+/// path run that joins it, or with this value. A failed build is retried
+/// by the next path that needs the pair.
+pub struct NextIndexes {
+    /// `(table, key_column)` pairs, sorted.
+    pairs: Vec<(usize, usize)>,
+    /// Per pair: its index once built, and how many path runs have yet to
+    /// join it.
+    slots: Vec<Mutex<(Option<Arc<KeyIndex>>, usize)>>,
+    /// Indexes built so far.
+    builds: AtomicUsize,
+}
+
+impl NextIndexes {
+    /// Empty slots for every pair that a path of `candidates` joins after
+    /// its first hop.
+    pub fn new(candidates: &[Candidate]) -> NextIndexes {
+        let mut joins: Vec<(usize, usize)> = path_runs(candidates)
+            .flat_map(|run| &run[0].path.hops[1..])
+            .map(|hop| (hop.table, hop.key_column))
+            .collect();
+        joins.sort_unstable();
+        let mut pairs = joins.clone();
+        pairs.dedup();
+        NextIndexes {
+            slots: joins
+                .chunk_by(|a, b| a == b)
+                .map(|runs| Mutex::new((None, runs.len())))
+                .collect(),
+            pairs,
+            builds: AtomicUsize::new(0),
+        }
+    }
+
+    /// Number of pairs: the indexes a pass over the candidates builds at
+    /// most.
+    pub fn len(&self) -> usize {
+        self.pairs.len()
+    }
+
+    /// `true` when no path of the candidates has a second hop.
+    pub fn is_empty(&self) -> bool {
+        self.pairs.is_empty()
+    }
+
+    /// Number of indexes built so far.
+    pub fn builds(&self) -> usize {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// The index of `hop`'s pair: the one a path of this pass built, or
+    /// the one `build` makes now for the paths after it. `None` for a pair
+    /// the candidates never join after a first hop.
+    fn index(
+        &self,
+        hop: &Hop,
+        build: impl FnOnce() -> metam_table::Result<KeyIndex>,
+    ) -> Option<metam_table::Result<Arc<KeyIndex>>> {
+        let at = self
+            .pairs
+            .binary_search(&(hop.table, hop.key_column))
+            .ok()?;
+        let mut slot = self.slots[at].lock();
+        let (held, runs_left) = &mut *slot;
+        *runs_left = runs_left.saturating_sub(1);
+        let index = match held {
+            Some(index) => Ok(Arc::clone(index)),
+            None => build().map(|index| {
+                let index = Arc::new(index);
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                *held = Some(Arc::clone(&index));
+                index
+            }),
+        };
+        if *runs_left == 0 {
+            *held = None;
+        }
+        Some(index)
     }
 }
 
@@ -192,12 +282,15 @@ impl Materializer {
     /// [`first_hop_groups`](crate::first_hop_groups) group joins `din`
     /// into its first table once and each of its paths once. Only the last
     /// first hop and the last path are kept, and only until the call
-    /// returns. A failed mapping fails that candidate and is retried at
-    /// the next one, as separate calls would retry it.
+    /// returns. Later hops take their key index from `indexes`, which the
+    /// caller shares across the calls of one pass. A failed mapping fails
+    /// that candidate and is retried at the next one, as separate calls
+    /// would retry it.
     pub fn materialize_run(
         &self,
         din: &Table,
         run: &[Candidate],
+        indexes: &NextIndexes,
     ) -> Vec<metam_table::Result<Arc<Column>>> {
         let mut first: Option<(Hop, RowMapping)> = None;
         let mut last: Option<(&JoinPath, RowMapping)> = None;
@@ -218,9 +311,10 @@ impl Materializer {
                         let current = match last.take() {
                             Some((p, rows)) if p == path => (p, rows),
                             _ => {
-                                let mut rows = self.join_next(&first_rows.1, next)?;
+                                let mut rows =
+                                    self.join_next(&first_rows.1, next, Some(indexes))?;
                                 for hop in rest {
-                                    rows = self.join_next(&rows, hop)?;
+                                    rows = self.join_next(&rows, hop, Some(indexes))?;
                                 }
                                 (path, rows)
                             }
@@ -239,7 +333,7 @@ impl Materializer {
     fn row_mapping(&self, din: &Table, path: &JoinPath) -> metam_table::Result<RowMapping> {
         let mut mapping = self.first_hop(din, &path.hops[0])?;
         for hop in &path.hops[1..] {
-            mapping = self.join_next(&mapping, hop)?;
+            mapping = self.join_next(&mapping, hop, None)?;
         }
         Ok(mapping)
     }
@@ -247,24 +341,34 @@ impl Materializer {
     /// Left-join `din` into the first table of a path through `hop`.
     fn first_hop(&self, din: &Table, hop: &Hop) -> metam_table::Result<RowMapping> {
         let table = self.table(hop.table)?;
-        let probe_keys = din.column(hop.left_column)?.join_keys();
-        let index = first_match_index(table.column(hop.key_column)?);
+        let probe = din.column(hop.left_column)?;
+        let index = KeyIndex::new(table.column(hop.key_column)?);
         if index.is_empty() {
             return Err(TableError::EmptyJoinKey);
         }
-        let rows = probe_keys
-            .into_iter()
-            .map(|k| k.and_then(|k| index.get(&k).copied()))
+        let mut key = String::new();
+        let rows = (0..probe.len())
+            .map(|row| index.find_row(probe, row, &mut key))
             .collect();
         Ok(RowMapping { table, rows })
     }
 
     /// Extend `from` by one hop: a first-match left join of its table's
-    /// bridge column into the next table.
-    fn join_next(&self, from: &RowMapping, hop: &Hop) -> metam_table::Result<RowMapping> {
+    /// bridge column into the next table, through the key index that
+    /// `indexes` shares for the hop's pair (or one of its own).
+    fn join_next(
+        &self,
+        from: &RowMapping,
+        hop: &Hop,
+        indexes: Option<&NextIndexes>,
+    ) -> metam_table::Result<RowMapping> {
         let bridge = from.table.column(hop.left_column)?;
         let table = self.table(hop.table)?;
-        let index = first_match_index(table.column(hop.key_column)?);
+        let build = || Ok(KeyIndex::new(table.column(hop.key_column)?));
+        let index = match indexes.and_then(|indexes| indexes.index(hop, build)) {
+            Some(index) => index?,
+            None => Arc::new(build()?),
+        };
         if index.is_empty() {
             return Err(TableError::EmptyJoinKey);
         }
@@ -272,10 +376,7 @@ impl Materializer {
         let rows = from
             .rows
             .iter()
-            .map(|m| {
-                m.filter(|&row| bridge.write_join_key(row, &mut key))
-                    .and_then(|_| index.get(key.as_str()).copied())
-            })
+            .map(|m| m.and_then(|row| index.find_row(bridge, row, &mut key)))
             .collect();
         Ok(RowMapping { table, rows })
     }
@@ -456,9 +557,10 @@ mod tests {
         let by_group = Materializer::new(tables.clone());
         let hit = expected.iter().rposition(Result::is_ok).unwrap();
         let warm = by_group.materialize(&din, &cands[hit]).unwrap();
+        let indexes = NextIndexes::new(&cands);
         let got: Vec<_> = groups
             .iter()
-            .flat_map(|group| by_group.materialize_run(&din, group))
+            .flat_map(|group| by_group.materialize_run(&din, group, &indexes))
             .collect();
         assert_eq!(got, expected);
         assert!(Arc::ptr_eq(got[hit].as_ref().unwrap(), &warm), "cache hit");
@@ -466,7 +568,68 @@ mod tests {
 
         // One call over candidates of many first hops maps each anew.
         let mixed = Materializer::new(tables);
-        assert_eq!(mixed.materialize_run(&din, &cands), expected);
+        let indexes = NextIndexes::new(&cands);
+        assert_eq!(mixed.materialize_run(&din, &cands, &indexes), expected);
+    }
+
+    #[test]
+    fn a_pass_builds_each_next_hop_index_once() {
+        let (din, _idx, mat, _cands) = setup();
+        // A second first-hop table that bridges into `districts` too.
+        let blocks = Table::from_columns(
+            "blocks",
+            vec![
+                Column::from_strings(
+                    Some("zip".into()),
+                    (0..40).rev().map(|i| Some(format!("Z{i}"))).collect(),
+                ),
+                Column::from_strings(
+                    Some("district".into()),
+                    (0..40)
+                        .map(|i| Some(format!("D{}", (i * 7) % 40)))
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap();
+        let mut tables: Vec<Arc<Table>> =
+            (0..mat.n_tables()).map(|t| mat.table(t).unwrap()).collect();
+        tables.push(Arc::new(blocks));
+        let index = DiscoveryIndex::build(tables.clone());
+        let cfg = PathConfig {
+            containment_threshold: 0.05,
+            ..Default::default()
+        };
+        let cands = crate::candidate::generate_candidates(&din, &index, &cfg, 100);
+        let second_hop_paths = crate::path_runs(&cands)
+            .filter(|run| run[0].path.len() >= 2)
+            .count();
+        let indexes = NextIndexes::new(&cands);
+        assert!(
+            second_hop_paths > indexes.len() && !indexes.is_empty(),
+            "paths of several first hops share a next-hop index"
+        );
+
+        let one_by_one = Materializer::new(tables.clone());
+        let expected: Vec<_> = cands
+            .iter()
+            .map(|c| one_by_one.materialize(&din, c))
+            .collect();
+        // Every group on its own worker, all racing through one pass.
+        let by_group = Materializer::new(tables);
+        let groups: Vec<&[Candidate]> = crate::first_hop_groups(&cands).collect();
+        let got: Vec<_> = std::thread::scope(|scope| {
+            let workers: Vec<_> = groups
+                .iter()
+                .map(|group| scope.spawn(|| by_group.materialize_run(&din, group, &indexes)))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert_eq!(got, expected);
+        assert_eq!(indexes.builds(), indexes.len(), "one build per pair");
     }
 
     /// Counts fetches per table and dawdles inside each, so racing

@@ -11,19 +11,31 @@
 //! dataset ([`RankedFeature`]: a dense `u32` rank per row plus the sorted
 //! distinct values, in a total order where `-0.0` ties `0.0` and NaN sorts
 //! after every number). A tree addresses its rows by bootstrap *position*;
-//! every node owns one contiguous range of the position array `order`,
-//! kept in ascending position order, and the same range of one *sorted
-//! list* per feature: the node's `(rank << 32) | position` keys in
-//! ascending order. The lists are built once per tree by a counting sort
-//! over the dense ranks, O(rows + distinct values) each, and a split
-//! stable-partitions `order` and every list by the same per-position
-//! left/right flag, so each child's ranges keep both orders (a split
-//! whose children cannot split again partitions `order` only). No node
-//! sorts anything. At a node, one pass over a sampled feature's range
-//! records its value boundaries (and sums regression totals), a second
-//! accumulates prefix statistics up to each boundary the `max_thresholds`
-//! downsampling keeps and evaluates it there. Buffers are reused across
-//! nodes.
+//! every node owns one contiguous range of one *sorted list* per feature:
+//! the node's `(rank << 32) | position` keys in ascending order. The lists
+//! are built once per tree sample by a counting sort over the dense ranks,
+//! O(rows + distinct values) each; a forest plan keeps the lists of the
+//! features every fit shares (see [`crate::forest`]). A split
+//! stable-partitions every list but the split feature's own (whose left
+//! part is already a prefix) by the same per-position left/right flag, so
+//! each child's ranges keep their order (a split whose children cannot
+//! split again partitions no list). No node sorts anything. At a node, one
+//! pass over a sampled feature's range records its value boundaries (and
+//! sums regression totals), a second accumulates prefix statistics up to
+//! each boundary the `max_thresholds` downsampling keeps and evaluates it
+//! there. Buffers are reused across nodes.
+//!
+//! A classification node takes its class counts from its parent's split:
+//! the partition counts the left child's classes as it walks the split
+//! feature's left part, and the right child's are the parent's minus
+//! those. Regression sums its node statistics in position order, so it
+//! also keeps one position array (`order`) partitioned alongside. A fitted
+//! tree is one flat vector of nodes in preorder.
+//!
+//! A split's threshold is the midpoint of the two values around its cut
+//! when that lies in `[lo, hi)`, else `lo + 0.0`, so `value <= threshold`
+//! sends exactly the evaluated cut's rows left even for adjacent doubles,
+//! overflowing sums and infinite or NaN upper values.
 //!
 //! **Exactness contract.** A node's range of a sorted list is exactly a
 //! stable sort of the node's values in position order: by value, ties
@@ -78,6 +90,8 @@ impl Default for TreeConfig {
     }
 }
 
+/// One node of a flat tree. Nodes are stored in preorder: a split's left
+/// child is the node right after it.
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
@@ -86,15 +100,16 @@ enum Node {
     Split {
         feature: usize,
         threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
+        /// Index of the right child.
+        right: usize,
     },
 }
 
 /// A fitted decision tree.
 #[derive(Debug, Clone)]
 pub struct DecisionTree {
-    root: Node,
+    /// Every node, in preorder (the root first).
+    nodes: Vec<Node>,
     task: TreeTask,
     /// Total impurity decrease attributed to each feature.
     importances: Vec<f64>,
@@ -193,10 +208,72 @@ fn variance(sum: f64, sum_sq: f64, n: usize) -> f64 {
     (sum_sq / nf - (sum / nf).powi(2)).max(0.0)
 }
 
+/// The threshold a split between adjacent distinct values `lo < hi` stores:
+/// their midpoint when it lies in `[lo, hi)`, else `lo + 0.0`. A midpoint
+/// can round to `hi` (adjacent doubles), overflow to an infinity or be NaN
+/// (`hi` infinite or NaN); `value <= threshold` must still send exactly
+/// `lo` and below left. The `+ 0.0` turns a `-0.0` into `0.0`, so the
+/// threshold does not depend on which member of a signed-zero tie
+/// represents the rank.
+fn split_threshold(lo: f64, hi: f64) -> f64 {
+    let mid = (lo + hi) / 2.0;
+    if lo <= mid && mid < hi {
+        mid
+    } else {
+        lo + 0.0
+    }
+}
+
+/// One tree's bootstrap sample, set up for growing: the row at each
+/// bootstrap *position*, the targets and classes there, and the sorted
+/// key lists of the features set up so far. A forest keeps one per tree
+/// and grows the tree any number of times over more features
+/// ([`DecisionTree::grow`]).
+#[derive(Debug, Clone)]
+pub(crate) struct TreeSample {
+    /// `indices[pos]`: the row drawn at bootstrap position `pos`.
+    indices: Vec<u32>,
+    /// Target at each position (regression only).
+    ys: Vec<f64>,
+    /// Class index at each position (classification only).
+    classes: Vec<usize>,
+    /// `sorted[f]`: the key list of feature `f` over every position.
+    pub(crate) sorted: Vec<Vec<u64>>,
+}
+
+impl TreeSample {
+    /// The sample of rows `indices`, with the key lists of `features`.
+    pub(crate) fn new(
+        features: &[&RankedFeature],
+        targets: &[f64],
+        indices: Vec<u32>,
+        task: TreeTask,
+    ) -> TreeSample {
+        let ys = indices.iter().map(|&i| targets[i as usize]);
+        let (ys, classes) = match task {
+            TreeTask::Classification { .. } => (Vec::new(), ys.map(|y| y as usize).collect()),
+            TreeTask::Regression => (ys.collect(), Vec::new()),
+        };
+        let mut starts = Vec::new();
+        let sorted = features
+            .iter()
+            .map(|f| presort(f, &indices, &mut starts))
+            .collect();
+        TreeSample {
+            indices,
+            ys,
+            classes,
+            sorted,
+        }
+    }
+}
+
 /// One tree's growth state. Rows are addressed by bootstrap *position*
-/// (`0..indices.len()`); every node owns one contiguous range of `order`
-/// (ascending position order) and the same range of every list in
-/// `sorted` (ascending key order). All buffers are reused across nodes.
+/// (`0..n`); every node owns one contiguous range of every list in
+/// `sorted` (ascending key order) and, for regression, the same range of
+/// `order` (ascending position order). A classification node's class
+/// counts come from its parent's split. All buffers are reused across
+/// nodes.
 struct Builder<'a> {
     /// The ranked features the tree is fitted on.
     features: &'a [&'a RankedFeature],
@@ -204,11 +281,12 @@ struct Builder<'a> {
     /// node's range in ascending order; partitioned in place as the tree
     /// splits.
     sorted: Vec<Vec<u64>>,
-    /// Target at each position.
-    ys: Vec<f64>,
+    /// Target at each position (regression only).
+    ys: &'a [f64],
     /// Class index at each position (classification only).
-    classes: Vec<usize>,
-    /// Positions, partitioned in place as the tree splits.
+    classes: &'a [usize],
+    /// Positions, partitioned in place as the tree splits (regression
+    /// only: its sums run in position order).
     order: Vec<u32>,
     /// `goes_left[pos]`: the side of the split being applied.
     goes_left: Vec<bool>,
@@ -218,11 +296,19 @@ struct Builder<'a> {
     /// Cut indices of one node and feature: where its sorted range
     /// changes value.
     cuts: Vec<u32>,
-    /// Class counts: per node, and the left prefix of a sweep.
-    counts: Vec<usize>,
+    /// Classes counted: `n_classes.max(1)` for classification, 0 for
+    /// regression.
+    n_counts: usize,
+    /// Class counts of the nodes on the current root path, `n_counts` per
+    /// slot: a node at depth `d` reads slot `2d` (a left child, and the
+    /// root) or `2d + 1` (a right child).
+    node_counts: Vec<usize>,
+    /// The left prefix of a sweep.
     left_counts: Vec<usize>,
     /// Features sampled at the current node.
     sampled: Vec<usize>,
+    /// The tree so far, in preorder.
+    nodes: Vec<Node>,
     config: TreeConfig,
     task: TreeTask,
     sampling: FeatureSampling,
@@ -243,18 +329,18 @@ fn key_position(key: u64) -> usize {
 /// `(rank << 32) | position` keys of `feature` at the bootstrap positions
 /// of `indices`, in ascending order: a stable counting sort over the dense
 /// ranks, O(positions + ranks).
-fn presort(feature: &RankedFeature, indices: &[usize], starts: &mut Vec<usize>) -> Vec<u64> {
+fn presort(feature: &RankedFeature, indices: &[u32], starts: &mut Vec<usize>) -> Vec<u64> {
     starts.clear();
     starts.resize(feature.values.len() + 1, 0);
     for &i in indices {
-        starts[feature.ranks[i] as usize + 1] += 1;
+        starts[feature.ranks[i as usize] as usize + 1] += 1;
     }
     for r in 1..starts.len() {
         starts[r] += starts[r - 1];
     }
     let mut sorted = vec![0u64; indices.len()];
     for (pos, &i) in indices.iter().enumerate() {
-        let rank = feature.ranks[i];
+        let rank = feature.ranks[i as usize];
         let slot = &mut starts[rank as usize];
         sorted[*slot] = (u64::from(rank) << 32) | pos as u64;
         *slot += 1;
@@ -285,20 +371,19 @@ fn stable_partition<T: Copy + Default>(
 }
 
 impl Builder<'_> {
-    /// Impurity of the node, summed in position order.
-    fn node_impurity(&mut self, range: Range<usize>) -> f64 {
+    /// The class counts of the node in `slot`.
+    fn counts(&self, slot: usize) -> &[usize] {
+        &self.node_counts[slot * self.n_counts..(slot + 1) * self.n_counts]
+    }
+
+    /// Impurity of the node in `slot`; regression sums in position order.
+    fn node_impurity(&self, range: Range<usize>, slot: usize) -> f64 {
         let n = range.len();
         match self.task {
+            // Classes at or above `n_classes` count in no impurity (with
+            // `n_classes == 0` the counts hold one class nothing reads).
             TreeTask::Classification { n_classes } => {
-                self.counts.clear();
-                self.counts.resize(n_classes, 0);
-                for &p in &self.order[range] {
-                    let c = self.classes[p as usize];
-                    if c < n_classes {
-                        self.counts[c] += 1;
-                    }
-                }
-                gini(self.counts.iter().copied(), n)
+                gini(self.counts(slot)[..n_classes].iter().copied(), n)
             }
             TreeTask::Regression => {
                 let (mut s, mut sq) = (0.0, 0.0);
@@ -312,23 +397,15 @@ impl Builder<'_> {
         }
     }
 
-    fn leaf_prediction(&mut self, range: Range<usize>) -> f64 {
+    fn leaf_prediction(&self, range: Range<usize>, slot: usize) -> f64 {
         let n = range.len();
         match self.task {
-            TreeTask::Classification { n_classes } => {
-                self.counts.clear();
-                self.counts.resize(n_classes.max(1), 0);
-                for &p in &self.order[range] {
-                    let c = self.classes[p as usize];
-                    if c < self.counts.len() {
-                        self.counts[c] += 1;
-                    }
-                }
+            TreeTask::Classification { .. } => {
                 // First-max wins so ties (and empty nodes) predict the
                 // smallest class index deterministically.
                 let mut best_cls = 0usize;
                 let mut best_cnt = 0usize;
-                for (cls, &c) in self.counts.iter().enumerate() {
+                for (cls, &c) in self.counts(slot).iter().enumerate() {
                     if c > best_cnt {
                         best_cnt = c;
                         best_cls = cls;
@@ -350,9 +427,9 @@ impl Builder<'_> {
         }
     }
 
-    /// Best `(feature, threshold, gain)` for the node, by one sweep of each
-    /// sampled feature's sorted range — the hot path of every utility
-    /// query.
+    /// Best `(feature, threshold, gain)` for the node in `slot`, by one
+    /// sweep of each sampled feature's sorted range — the hot path of
+    /// every utility query.
     ///
     /// The range orders the node by value with ties by position, exactly
     /// as a stable sort of its values in position order would. Pass 1
@@ -362,36 +439,24 @@ impl Builder<'_> {
     fn best_split(
         &mut self,
         range: Range<usize>,
+        slot: usize,
         parent_impurity: f64,
         features: &[usize],
     ) -> Option<(usize, f64, f64)> {
         let n = range.len();
-        let n_classes = match self.task {
-            TreeTask::Classification { n_classes } => n_classes.max(1),
-            TreeTask::Regression => 0,
-        };
+        let n_classes = self.n_counts;
         let Builder {
             features: ranked,
             sorted,
             ys,
             classes,
-            order,
             cuts,
-            counts,
+            node_counts,
             left_counts,
             config,
             ..
         } = self;
-        if n_classes > 0 {
-            counts.clear();
-            counts.resize(n_classes, 0);
-            for &p in &order[range.clone()] {
-                let c = classes[p as usize];
-                if c < n_classes {
-                    counts[c] += 1;
-                }
-            }
-        }
+        let counts = &node_counts[slot * n_classes..(slot + 1) * n_classes];
         let mut best: Option<(usize, f64, f64)> = None;
 
         for &f in features {
@@ -468,7 +533,7 @@ impl Builder<'_> {
                 let gain = parent_impurity - weighted;
                 if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
                     let distinct = &ranked[f].values;
-                    let threshold = (distinct[rank(cut - 1)] + distinct[rank(cut)]) / 2.0;
+                    let threshold = split_threshold(distinct[rank(cut - 1)], distinct[rank(cut)]);
                     best = Some((f, threshold, gain));
                 }
             }
@@ -476,13 +541,17 @@ impl Builder<'_> {
         best
     }
 
-    /// Stable-partition the node's positions by `value <= threshold` on
-    /// `feature`; returns the size of the left part. `order` is always
-    /// partitioned; the sorted lists only when `lists` (a child that can
-    /// never split reads none of them).
+    /// Stable-partition the node in `slot` by `value <= threshold` on
+    /// `feature`, and count the children's classes into slots `child` (left)
+    /// and `child + 1` (right); returns the size of the left part. The
+    /// sorted lists are partitioned only when `lists` (a child that can
+    /// never split reads none of them), and never `feature`'s own: it
+    /// orders the node by rank, so its left part is already a prefix.
     fn partition(
         &mut self,
         range: Range<usize>,
+        slot: usize,
+        child: usize,
         feature: usize,
         threshold: f64,
         lists: bool,
@@ -492,42 +561,77 @@ impl Builder<'_> {
         let bound = self.features[feature]
             .values
             .partition_point(|&v| v <= threshold);
-        // The feature's own list orders the node by rank: its left part is
-        // a prefix.
-        let node = &self.sorted[feature][range.clone()];
+        let k = self.n_counts;
+        let Builder {
+            sorted,
+            classes,
+            order,
+            goes_left,
+            scratch,
+            scratch_keys,
+            node_counts,
+            ..
+        } = self;
+        let node = &sorted[feature][range.clone()];
         let left_n = node.partition_point(|&key| key_rank(key) < bound);
-        for (i, &key) in node.iter().enumerate() {
-            self.goes_left[key_position(key)] = i < left_n;
+        if node_counts.len() < (child + 2) * k {
+            node_counts.resize((child + 2) * k, 0);
         }
-        let goes_left = &self.goes_left;
-        stable_partition(
-            &mut self.order[range.clone()],
-            |p| goes_left[p as usize],
-            &mut self.scratch,
-        );
+        let (parent, children) = node_counts.split_at_mut(child * k);
+        let parent = &parent[slot * k..(slot + 1) * k];
+        let (left, right) = children[..2 * k].split_at_mut(k);
+        left.fill(0);
+        for &key in &node[..left_n] {
+            let p = key_position(key);
+            goes_left[p] = true;
+            if k > 0 {
+                let c = classes[p];
+                if c < k {
+                    left[c] += 1;
+                }
+            }
+        }
+        for &key in &node[left_n..] {
+            goes_left[key_position(key)] = false;
+        }
+        for ((r, &t), &l) in right.iter_mut().zip(parent).zip(left.iter()) {
+            *r = t - l;
+        }
+        let goes_left = &*goes_left;
+        if k == 0 {
+            stable_partition(
+                &mut order[range.clone()],
+                |p| goes_left[p as usize],
+                scratch,
+            );
+        }
         if lists {
-            for list in &mut self.sorted {
-                stable_partition(
-                    &mut list[range.clone()],
-                    |key| goes_left[key_position(key)],
-                    &mut self.scratch_keys,
-                );
+            for (f, list) in sorted.iter_mut().enumerate() {
+                if f != feature {
+                    stable_partition(
+                        &mut list[range.clone()],
+                        |key| goes_left[key_position(key)],
+                        scratch_keys,
+                    );
+                }
             }
         }
         left_n
     }
 
-    fn build<R: Rng>(&mut self, range: Range<usize>, depth: usize, rng: &mut R) -> Node {
+    /// Grow the subtree of the node over `range` at `depth`, whose class
+    /// counts are in `slot`, appending its nodes in preorder.
+    fn build<R: Rng>(&mut self, range: Range<usize>, depth: usize, slot: usize, rng: &mut R) {
+        let leaf = |builder: &mut Self| {
+            let prediction = builder.leaf_prediction(range.clone(), slot);
+            builder.nodes.push(Node::Leaf { prediction });
+        };
         if depth >= self.config.max_depth || range.len() < self.config.min_samples_split {
-            return Node::Leaf {
-                prediction: self.leaf_prediction(range),
-            };
+            return leaf(self);
         }
-        let parent_impurity = self.node_impurity(range.clone());
+        let parent_impurity = self.node_impurity(range.clone(), slot);
         if parent_impurity < 1e-12 {
-            return Node::Leaf {
-                prediction: self.leaf_prediction(range),
-            };
+            return leaf(self);
         }
         let mut sampled = std::mem::take(&mut self.sampled);
         sampled.clear();
@@ -538,27 +642,35 @@ impl Builder<'_> {
             sampled.truncate(k);
             sampled.sort_unstable(); // deterministic evaluation order
         }
-        let split = self.best_split(range.clone(), parent_impurity, &sampled);
+        let split = self.best_split(range.clone(), slot, parent_impurity, &sampled);
         self.sampled = sampled;
-        match split {
-            Some((feature, threshold, gain)) => {
-                self.importances[feature] += gain * range.len() as f64 / self.n_total as f64;
-                let children_split = depth + 1 < self.config.max_depth;
-                let mid =
-                    range.start + self.partition(range.clone(), feature, threshold, children_split);
-                let left_node = self.build(range.start..mid, depth + 1, rng);
-                let right_node = self.build(mid..range.end, depth + 1, rng);
-                Node::Split {
-                    feature,
-                    threshold,
-                    left: Box::new(left_node),
-                    right: Box::new(right_node),
-                }
-            }
-            None => Node::Leaf {
-                prediction: self.leaf_prediction(range),
-            },
+        let Some((feature, threshold, gain)) = split else {
+            return leaf(self);
+        };
+        self.importances[feature] += gain * range.len() as f64 / self.n_total as f64;
+        let at = self.nodes.len();
+        self.nodes.push(Node::Split {
+            feature,
+            threshold,
+            right: 0,
+        });
+        let child = 2 * (depth + 1);
+        let children_split = depth + 1 < self.config.max_depth;
+        let mid = range.start
+            + self.partition(
+                range.clone(),
+                slot,
+                child,
+                feature,
+                threshold,
+                children_split,
+            );
+        self.build(range.start..mid, depth + 1, child, rng);
+        let right = self.nodes.len();
+        if let Node::Split { right: r, .. } = &mut self.nodes[at] {
+            *r = right;
         }
+        self.build(mid..range.end, depth + 1, child + 1, rng);
     }
 }
 
@@ -574,61 +686,70 @@ impl DecisionTree {
     ) -> Self {
         let ranked = rank_features(data);
         let features: Vec<&RankedFeature> = ranked.iter().collect();
-        Self::fit_ranked(
-            &features,
-            &data.targets,
-            indices,
-            task,
-            config,
-            sampling,
-            rng,
-        )
+        let indices = indices.iter().map(|&i| i as u32).collect();
+        let mut sample = TreeSample::new(&features, &data.targets, indices, task);
+        let sorted = std::mem::take(&mut sample.sorted);
+        Self::grow(&features, &sample, sorted, task, config, sampling, rng)
     }
 
-    /// [`DecisionTree::fit_on`] over ranked feature columns and the
-    /// targets of the rows they rank (a forest ranks its dataset once for
-    /// all of its trees).
-    pub(crate) fn fit_ranked<R: Rng>(
+    /// Grow a tree on `sample` over `features`. `sorted` holds the key
+    /// lists of `features`' leading ones over the sample (the sample's
+    /// own, taken or copied: growing partitions them); the lists of the
+    /// rest are presorted here.
+    pub(crate) fn grow<R: Rng>(
         features: &[&RankedFeature],
-        targets: &[f64],
-        indices: &[usize],
+        sample: &TreeSample,
+        mut sorted: Vec<Vec<u64>>,
         task: TreeTask,
         config: TreeConfig,
         sampling: FeatureSampling,
         rng: &mut R,
     ) -> Self {
-        let n = indices.len();
-        let ys: Vec<f64> = indices.iter().map(|&i| targets[i]).collect();
+        let n = sample.indices.len();
         let mut starts = Vec::new();
-        let sorted = features
-            .iter()
-            .map(|f| presort(f, indices, &mut starts))
-            .collect();
+        let tail = &features[sorted.len()..];
+        sorted.extend(
+            tail.iter()
+                .map(|f| presort(f, &sample.indices, &mut starts)),
+        );
+        let n_counts = match task {
+            TreeTask::Classification { n_classes } => n_classes.max(1),
+            TreeTask::Regression => 0,
+        };
+        let mut node_counts = vec![0usize; n_counts];
+        for &c in &sample.classes {
+            if c < n_counts {
+                node_counts[c] += 1;
+            }
+        }
         let mut builder = Builder {
             features,
             sorted,
-            classes: match task {
-                TreeTask::Classification { .. } => ys.iter().map(|&y| y as usize).collect(),
-                TreeTask::Regression => Vec::new(),
+            ys: &sample.ys,
+            classes: &sample.classes,
+            order: if n_counts == 0 {
+                (0..n as u32).collect()
+            } else {
+                Vec::new()
             },
-            ys,
-            order: (0..n as u32).collect(),
             goes_left: vec![false; n],
             scratch: Vec::with_capacity(n),
             scratch_keys: Vec::with_capacity(n),
             cuts: Vec::with_capacity(n),
-            counts: Vec::new(),
+            n_counts,
+            node_counts,
             left_counts: Vec::new(),
             sampled: Vec::new(),
+            nodes: Vec::new(),
             config,
             task,
             sampling,
             importances: vec![0.0; features.len()],
             n_total: n.max(1),
         };
-        let root = builder.build(0..n, 0, rng);
+        builder.build(0..n, 0, 0, rng);
         DecisionTree {
-            root,
+            nodes: builder.nodes,
             task,
             importances: builder.importances,
         }
@@ -644,21 +765,25 @@ impl DecisionTree {
 
     /// Predict one row.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let mut node = &self.root;
+        self.predict_with(|f| row.get(f).copied().unwrap_or(0.0))
+    }
+
+    /// Predict the row whose feature `f` is `value(f)`.
+    pub(crate) fn predict_with(&self, value: impl Fn(usize) -> f64) -> f64 {
+        let mut at = 0;
         loop {
-            match node {
-                Node::Leaf { prediction } => return *prediction,
+            match self.nodes[at] {
+                Node::Leaf { prediction } => return prediction,
                 Node::Split {
                     feature,
                     threshold,
-                    left,
                     right,
                 } => {
-                    node = if row.get(*feature).copied().unwrap_or(0.0) <= *threshold {
-                        left
+                    at = if value(feature) <= threshold {
+                        at + 1
                     } else {
                         right
-                    };
+                    }
                 }
             }
         }
@@ -681,13 +806,10 @@ impl DecisionTree {
 
     /// Number of decision nodes (for tests/diagnostics).
     pub fn n_splits(&self) -> usize {
-        fn count(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        self.nodes
+            .iter()
+            .filter(|node| matches!(node, Node::Split { .. }))
+            .count()
     }
 }
 
@@ -699,6 +821,7 @@ pub(crate) mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn xor_dataset() -> MlDataset {
         // y = x0 AND x1 — needs two levels but each greedy split has
@@ -808,6 +931,75 @@ mod tests {
             7,
         );
         assert_eq!(t1.predict_batch(&d.features), t2.predict_batch(&d.features));
+    }
+
+    /// Value pairs whose midpoint is not strictly between them: adjacent
+    /// doubles (half of them round the midpoint up to `hi`), a sum that
+    /// overflows either way, and an infinite or NaN upper value.
+    fn tight_pairs() -> Vec<(f64, f64)> {
+        let mut pairs: Vec<(f64, f64)> = (0..10)
+            .map(|k| {
+                let lo = f64::from_bits(1.0f64.to_bits() + k);
+                (lo, f64::from_bits(lo.to_bits() + 1))
+            })
+            .collect();
+        pairs.extend([
+            (f64::MAX / 2.0, f64::MAX),
+            (-f64::MAX, -f64::MAX / 2.0),
+            (1.0, f64::INFINITY),
+            (f64::NEG_INFINITY, f64::INFINITY),
+            (-0.0, f64::NAN),
+            (2.0, f64::NAN),
+        ]);
+        pairs
+    }
+
+    #[test]
+    fn each_child_holds_exactly_the_rows_of_its_evaluated_cut() {
+        for (lo, hi) in tight_pairs() {
+            // Rows at `lo` are class 0, rows at `hi` class 1: the one
+            // split worth making separates them.
+            let features: Vec<Vec<f64>> = (0..20).map(|i| vec![[lo, hi][i % 2]]).collect();
+            let targets: Vec<f64> = (0..20).map(|i| (i % 2) as f64).collect();
+            let data = MlDataset {
+                features,
+                feature_names: vec!["x".into()],
+                targets,
+                n_classes: Some(2),
+            };
+            let task = TreeTask::Classification { n_classes: 2 };
+            let indices: Vec<usize> = (0..data.len()).collect();
+            let fit = |reference_builder: bool| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+                if reference_builder {
+                    let all = FeatureSampling::All;
+                    reference::fit_on(&data, &indices, task, TreeConfig::default(), all, &mut rng)
+                } else {
+                    DecisionTree::fit(&data, task, TreeConfig::default(), 0)
+                }
+            };
+            // The reference builder finds no cut below a NaN (its sort
+            // has no order for one).
+            let trees = if hi.is_nan() {
+                vec![fit(false)]
+            } else {
+                vec![fit(false), fit(true)]
+            };
+            for tree in trees {
+                let [Node::Split { threshold, .. }, Node::Leaf { prediction: left }, Node::Leaf { prediction: right }] =
+                    tree.nodes[..]
+                else {
+                    panic!("({lo:e}, {hi:e}): not one split: {tree:?}");
+                };
+                assert!(
+                    lo <= threshold && (threshold < hi || hi.is_nan()),
+                    "({lo:e}, {hi:e}): {threshold:e}"
+                );
+                assert_eq!((left, right), (0.0, 1.0), "({lo:e}, {hi:e})");
+                assert_eq!(tree.predict(&[lo]), 0.0);
+                assert_eq!(tree.predict(&[hi]), 1.0);
+            }
+        }
     }
 
     #[test]

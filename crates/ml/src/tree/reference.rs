@@ -1,5 +1,8 @@
 //! The per-node-sort CART builder the rank-keyed builder replaced, kept
-//! verbatim as the test oracle: every fit must come out bit-identical.
+//! as the test oracle: every fit must come out bit-identical. It changed
+//! only with the builder's contract: it lays its nodes out flat in
+//! preorder, and a split's threshold is the midpoint of its two values
+//! only when that lies in `[lo, hi)`.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -39,6 +42,8 @@ struct Builder<'a> {
     sampling: FeatureSampling,
     importances: Vec<f64>,
     n_total: usize,
+    /// The tree so far, in preorder.
+    nodes: Vec<Node>,
 }
 
 impl<'a> Builder<'a> {
@@ -191,7 +196,10 @@ impl<'a> Builder<'a> {
                 };
                 let gain = parent_impurity - weighted;
                 if gain > 1e-12 && best.is_none_or(|(_, _, g)| gain > g) {
-                    let threshold = (sorted[cut - 1].0 + sorted[cut].0) / 2.0;
+                    // The midpoint, unless it falls outside `[lo, hi)`.
+                    let (lo, hi) = (sorted[cut - 1].0, sorted[cut].0);
+                    let mid = (lo + hi) / 2.0;
+                    let threshold = if lo <= mid && mid < hi { mid } else { lo + 0.0 };
                     best = Some((f, threshold, gain));
                 }
             }
@@ -210,14 +218,15 @@ impl<'a> Builder<'a> {
         Some((f, threshold, left, right, gain))
     }
 
-    fn build<R: Rng>(&mut self, idx: &[usize], depth: usize, rng: &mut R) -> Node {
+    /// Grow the subtree over `idx`, appending its nodes in preorder.
+    fn build<R: Rng>(&mut self, idx: &[usize], depth: usize, rng: &mut R) {
         if depth >= self.config.max_depth
             || idx.len() < self.config.min_samples_split
             || self.node_impurity(idx) < 1e-12
         {
-            return Node::Leaf {
-                prediction: self.leaf_prediction(idx),
-            };
+            let prediction = self.leaf_prediction(idx);
+            self.nodes.push(Node::Leaf { prediction });
+            return;
         }
         let all: Vec<usize> = (0..self.data.n_features()).collect();
         let features: Vec<usize> = match self.sampling {
@@ -234,18 +243,23 @@ impl<'a> Builder<'a> {
         match self.best_split(idx, &features) {
             Some((feature, threshold, left, right, gain)) => {
                 self.importances[feature] += gain * idx.len() as f64 / self.n_total as f64;
-                let left_node = self.build(&left, depth + 1, rng);
-                let right_node = self.build(&right, depth + 1, rng);
-                Node::Split {
+                let at = self.nodes.len();
+                self.nodes.push(Node::Split {
                     feature,
                     threshold,
-                    left: Box::new(left_node),
-                    right: Box::new(right_node),
+                    right: 0,
+                });
+                self.build(&left, depth + 1, rng);
+                let right_at = self.nodes.len();
+                if let Node::Split { right: r, .. } = &mut self.nodes[at] {
+                    *r = right_at;
                 }
+                self.build(&right, depth + 1, rng);
             }
-            None => Node::Leaf {
-                prediction: self.leaf_prediction(idx),
-            },
+            None => {
+                let prediction = self.leaf_prediction(idx);
+                self.nodes.push(Node::Leaf { prediction });
+            }
         }
     }
 }
@@ -266,10 +280,11 @@ pub(crate) fn fit_on<R: Rng>(
         sampling,
         importances: vec![0.0; data.n_features()],
         n_total: indices.len().max(1),
+        nodes: Vec::new(),
     };
-    let root = builder.build(indices, 0, rng);
+    builder.build(indices, 0, rng);
     DecisionTree {
-        root,
+        nodes: builder.nodes,
         task,
         importances: builder.importances,
     }

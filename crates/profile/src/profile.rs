@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use metam_discovery::{first_hop_groups, Candidate, Materializer};
+use metam_discovery::{first_hop_groups, Candidate, Materializer, NextIndexes};
 use metam_table::sample::sample_indices;
 use metam_table::{Column, Table};
 
@@ -180,7 +180,8 @@ impl ProfileSet {
     ///
     /// The `din` side ([`DinState`]) is computed once, and the candidates
     /// are materialized a [`first_hop_groups`] group at a time, so each
-    /// first hop and each join path is mapped once. Candidates whose
+    /// first hop and each join path is mapped once; the groups share the
+    /// key indexes of later hops ([`NextIndexes`]), none past the call. Candidates whose
     /// materialization fails get an all-zero vector — they are the
     /// "erroneous" candidates the search must discard on its own.
     pub fn evaluate_all(
@@ -195,8 +196,9 @@ impl ProfileSet {
         let indices = sample_indices(din.nrows(), sample_size, seed);
         let state = DinState::new(din, target_column, &indices);
         let groups: Vec<&[Candidate]> = first_hop_groups(candidates).collect();
+        let indexes = NextIndexes::new(candidates);
         let vectors = metam_pool::map(&groups, metam_pool::available_threads(), |group| {
-            let columns = materializer.materialize_run(din, group);
+            let columns = materializer.materialize_run(din, group, &indexes);
             group
                 .iter()
                 .zip(columns)

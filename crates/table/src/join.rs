@@ -6,8 +6,6 @@
 //! First-match semantics keeps the augmented table row-aligned with `Din`,
 //! which the paper's `Γ(Din, P[j])` projection requires.
 
-use std::collections::HashMap;
-
 use crate::column::Column;
 use crate::error::TableError;
 use crate::table::Table;
@@ -23,51 +21,126 @@ pub struct JoinSpec {
     pub right_key: usize,
 }
 
-/// Build a first-match lookup from normalized key to row index.
+/// A first-match lookup from normalized join key ([`Value::join_key`]) to
+/// the first row holding it, stored compactly: the distinct keys' bytes in
+/// one buffer and an open-addressing table over them, with no allocation
+/// per key. Built and probed through [`Column::write_join_key`], so
+/// neither side allocates a key. Rows and key bytes count in `u32`: an
+/// indexed column holds fewer than 2^32 rows and key bytes.
 ///
 /// Exposed because multi-hop materialization in the discovery crate chains
 /// row mappings through intermediate tables.
-pub fn first_match_index(col: &Column) -> HashMap<String, usize> {
-    key_index(col)
+#[derive(Debug, Clone)]
+pub struct KeyIndex {
+    /// The distinct keys, concatenated in first-seen order.
+    text: String,
+    /// Per distinct key: where it ends in `text` (it starts where the
+    /// previous one ends), and its first row.
+    entries: Vec<(u32, u32)>,
+    /// Open addressing with linear probing: entry number + 1 per slot,
+    /// 0 when empty. A power of two, at most half full.
+    slots: Vec<u32>,
 }
 
-fn key_index(col: &Column) -> HashMap<String, usize> {
-    let keys = col.join_keys();
-    let mut map = HashMap::with_capacity(keys.len());
-    for (row, key) in keys.into_iter().enumerate() {
-        if let Some(k) = key {
-            map.entry(k).or_insert(row);
+/// FNV-1a over the key's bytes.
+fn key_hash(key: &[u8]) -> u64 {
+    key.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+impl KeyIndex {
+    /// Index the join keys of `col`.
+    pub fn new(col: &Column) -> KeyIndex {
+        let mut index = KeyIndex {
+            text: String::new(),
+            entries: Vec::new(),
+            slots: vec![0; (2 * col.len()).next_power_of_two()],
+        };
+        let mut key = String::new();
+        for row in 0..col.len() {
+            if !col.write_join_key(row, &mut key) {
+                continue;
+            }
+            if let Err(slot) = index.find(key.as_bytes()) {
+                index.text.push_str(&key);
+                index.entries.push((index.text.len() as u32, row as u32));
+                index.slots[slot] = index.entries.len() as u32;
+            }
+        }
+        index.text.shrink_to_fit();
+        index.entries.shrink_to_fit();
+        index
+    }
+
+    /// The entry holding `key`, or the empty slot where it would go.
+    fn find(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = (key_hash(key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => return Err(slot),
+                n => {
+                    let entry = n as usize - 1;
+                    let start = entry
+                        .checked_sub(1)
+                        .map_or(0, |prev| self.entries[prev].0 as usize);
+                    let end = self.entries[entry].0 as usize;
+                    if &self.text.as_bytes()[start..end] == key {
+                        return Ok(entry);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
         }
     }
-    map
+
+    /// The first row whose join key is `key`.
+    pub fn get(&self, key: &str) -> Option<usize> {
+        let entry = self.find(key.as_bytes()).ok()?;
+        Some(self.entries[entry].1 as usize)
+    }
+
+    /// The first row whose join key is `column`'s at `row` (none for a
+    /// row without one); `key` is scratch.
+    pub fn find_row(&self, column: &Column, row: usize, key: &mut String) -> Option<usize> {
+        if column.write_join_key(row, key) {
+            self.get(key)
+        } else {
+            None
+        }
+    }
+
+    /// `true` when the column holds no join key.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
 }
 
 /// For each left row, the matching right row (first match), if any.
 pub fn match_rows(left_key: &Column, right_key: &Column) -> Result<Vec<Option<usize>>> {
-    let index = key_index(right_key);
+    let index = KeyIndex::new(right_key);
     if index.is_empty() {
         return Err(TableError::EmptyJoinKey);
     }
-    Ok(left_key
-        .join_keys()
-        .into_iter()
-        .map(|k| k.and_then(|k| index.get(&k).copied()))
+    let mut key = String::new();
+    Ok((0..left_key.len())
+        .map(|row| index.find_row(left_key, row, &mut key))
         .collect())
 }
 
 /// Fraction of left keys that find a match on the right; the *dataset
 /// overlap* statistic used by the overlap profile and the Overlap baseline.
 pub fn match_ratio(left_key: &Column, right_key: &Column) -> f64 {
-    let index = key_index(right_key);
+    let index = KeyIndex::new(right_key);
     if left_key.is_empty() || index.is_empty() {
         return 0.0;
     }
-    let keys = left_key.join_keys();
-    let hits = keys
-        .iter()
-        .filter(|k| k.as_ref().is_some_and(|k| index.contains_key(k)))
+    let mut key = String::new();
+    let hits = (0..left_key.len())
+        .filter(|&row| index.find_row(left_key, row, &mut key).is_some())
         .count();
-    hits as f64 / keys.len() as f64
+    hits as f64 / left_key.len() as f64
 }
 
 /// Left-join a single value column: for every left row, the value of
@@ -123,6 +196,58 @@ pub fn join_tables(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_index_finds_what_the_first_match_map_finds() {
+        let columns = [
+            Column::from_strings(
+                Some("s".into()),
+                vec![
+                    Some(" Z1 ".into()),
+                    Some("z1".into()),
+                    None,
+                    Some("".into()),
+                    Some("  ".into()),
+                    Some("é".into()),
+                    Some("z2".into()),
+                    Some("Z10".into()),
+                ],
+            ),
+            Column::from_ints(
+                Some("i".into()),
+                (0..300).map(|i| (i % 7 != 0).then_some(i % 120)).collect(),
+            ),
+            Column::from_floats(
+                Some("f".into()),
+                vec![
+                    Some(1.0),
+                    Some(1.5),
+                    Some(-0.0),
+                    Some(0.0),
+                    Some(1e16),
+                    None,
+                ],
+            ),
+            Column::from_ints(Some("none".into()), vec![None; 4]),
+            Column::from_ints(Some("empty".into()), Vec::new()),
+        ];
+        for col in &columns {
+            let index = KeyIndex::new(col);
+            let mut map = std::collections::HashMap::new();
+            for (row, key) in col.join_keys().into_iter().enumerate() {
+                if let Some(key) = key {
+                    map.entry(key).or_insert(row);
+                }
+            }
+            assert_eq!(index.is_empty(), map.is_empty(), "{:?}", col.name);
+            for (key, &row) in &map {
+                assert_eq!(index.get(key), Some(row), "{key:?}");
+            }
+            for missing in ["", "z", "z1 ", "Z1", "1.50", "-0", "121", "zz1"] {
+                assert_eq!(index.get(missing), map.get(missing).copied(), "{missing:?}");
+            }
+        }
+    }
 
     fn left() -> Table {
         Table::from_columns(

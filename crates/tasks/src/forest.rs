@@ -5,9 +5,14 @@
 //! rows and codes, every other column encoded), splits the rows
 //! `repeats` times into train and validation sets, ranks every feature on
 //! each train set, fits a forest per split and averages the scores. Every
-//! step but the fit works column by column, so the part of it that covers a
-//! table's leading columns — a [`Block`] — depends on those columns only.
-//! A query encodes and ranks just the columns after its block.
+//! step works column by column, and a forest's per-tree setup (bootstrap
+//! draws, targets, the presorted key lists of its first features) depends
+//! on its first features only, so the part of a query that covers a
+//! table's leading columns — a [`Block`], with one [`ForestPlan`] per
+//! split — depends on those columns only. A query encodes, ranks and
+//! presorts just the columns after its block, fits each split's plan with
+//! them, and predicts the validation rows straight from the encoded
+//! columns.
 //!
 //! [`Task::prepare`] builds `din`'s block once; a query whose table starts
 //! with columns bit-equal to `din`'s (every search query does) reuses it.
@@ -21,7 +26,7 @@
 
 use metam_core::Task;
 use metam_ml::dataset::{encode_feature, encode_target, TargetKind};
-use metam_ml::forest::{RandomForest, RandomForestConfig};
+use metam_ml::forest::{ForestPlan, RandomForestConfig};
 use metam_ml::metrics::{f1_macro, regression_utility};
 use metam_ml::split::train_test_indices;
 use metam_ml::tree::{RankedFeature, TreeConfig, TreeTask};
@@ -73,8 +78,8 @@ struct Split {
     /// Positions into the block's rows, in the order the fit sees them.
     train: Vec<usize>,
     test: Vec<usize>,
-    /// The block's features ranked over `train`.
-    ranked: Vec<RankedFeature>,
+    /// The forest plan over the block's features ranked over `train`.
+    plan: ForestPlan<RankedFeature>,
 }
 
 /// `column` restricted to `rows` and ranked.
@@ -108,6 +113,16 @@ impl ForestUtility {
             .collect()
     }
 
+    /// The tree task of targets with `n_classes` classes.
+    fn tree_task(&self, n_classes: Option<usize>) -> TreeTask {
+        match self.kind {
+            TargetKind::Classification => TreeTask::Classification {
+                n_classes: n_classes.unwrap_or(2).max(2),
+            },
+            TargetKind::Regression => TreeTask::Regression,
+        }
+    }
+
     /// The block covering every column of `table`; `None` when it has no
     /// target column.
     fn block(&self, table: &Table) -> Option<Block> {
@@ -119,11 +134,18 @@ impl ForestUtility {
                 let (train, test) =
                     train_test_indices(rows.len(), TEST_FRACTION, self.repeat_seed(r));
                 let ranked = features.iter().map(|c| rank_rows(c, &train)).collect();
-                Split {
-                    train,
-                    test,
-                    ranked,
-                }
+                let train_targets: Vec<f64> = train.iter().map(|&i| targets[i]).collect();
+                let config = RandomForestConfig {
+                    n_trees: self.n_trees,
+                    tree: TreeConfig {
+                        max_depth: self.max_depth,
+                        ..Default::default()
+                    },
+                    seed: self.repeat_seed(r),
+                };
+                let plan =
+                    ForestPlan::new(ranked, &train_targets, self.tree_task(n_classes), config);
+                Split { train, test, plan }
             })
             .collect();
         Some(Block {
@@ -160,40 +182,26 @@ impl ForestUtility {
         if block.rows.len() < 20 || block.features.len() + tail.len() == 0 {
             return 0.0;
         }
-        let n_classes = block.n_classes.unwrap_or(2).max(2);
-        let task = match self.kind {
-            TargetKind::Classification => TreeTask::Classification { n_classes },
-            TargetKind::Regression => TreeTask::Regression,
-        };
+        let task = self.tree_task(block.n_classes);
+        let columns: Vec<&[f64]> = block
+            .features
+            .iter()
+            .chain(&tail)
+            .map(Vec::as_slice)
+            .collect();
         let mut total = 0.0;
-        for (r, split) in block.splits.iter().enumerate() {
+        for split in &block.splits {
             let tail_ranked: Vec<RankedFeature> =
                 tail.iter().map(|c| rank_rows(c, &split.train)).collect();
-            let ranked: Vec<&RankedFeature> = split.ranked.iter().chain(&tail_ranked).collect();
-            let train_targets: Vec<f64> = split.train.iter().map(|&i| block.targets[i]).collect();
-            let forest = RandomForest::fit_ranked(
-                &ranked,
-                &train_targets,
-                task,
-                RandomForestConfig {
-                    n_trees: self.n_trees,
-                    tree: TreeConfig {
-                        max_depth: self.max_depth,
-                        ..Default::default()
-                    },
-                    seed: self.repeat_seed(r),
-                },
-            );
-            let rows: Vec<Vec<f64>> = split
-                .test
-                .iter()
-                .map(|&i| block.features.iter().chain(&tail).map(|c| c[i]).collect())
-                .collect();
-            let preds = forest.predict_batch(&rows);
+            let tail_ranked: Vec<&RankedFeature> = tail_ranked.iter().collect();
+            let forest = split.plan.fit(&tail_ranked);
+            let preds = forest.predict_columns(&columns, &split.test);
             let test_targets: Vec<f64> = split.test.iter().map(|&i| block.targets[i]).collect();
-            total += match self.kind {
-                TargetKind::Classification => f1_macro(&preds, &test_targets, n_classes),
-                TargetKind::Regression => regression_utility(&preds, &test_targets),
+            total += match task {
+                TreeTask::Classification { n_classes } => {
+                    f1_macro(&preds, &test_targets, n_classes)
+                }
+                TreeTask::Regression => regression_utility(&preds, &test_targets),
             };
         }
         total / block.splits.len() as f64

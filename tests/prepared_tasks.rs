@@ -4,7 +4,7 @@
 //! NaN-normalized), through the query engine at one and two threads, and
 //! tables whose leading columns only look like `din`'s (reordered, one
 //! value changed, `-0.0` where `din` holds `0.0`), which take the
-//! unprepared path.
+//! unprepared path. The forest utilities' bits on fixed tables are pinned.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -244,4 +244,79 @@ fn a_din_without_the_target_prepares_to_the_unprepared_task() {
         .expect("same rows");
     let u = assert_same(&task, prepared.as_ref(), &with_target, "target after din");
     assert!(u > 0.0);
+}
+
+/// `price_classification(7)`'s `din` plus `extra` of three fixed columns:
+/// a float column with a null, -0.0 and a NaN, an integer column and a
+/// string column.
+fn pinned_table(extra: usize) -> Table {
+    let din = metam_datagen::repo::price_classification(7).din;
+    let n = din.nrows();
+    let columns = [
+        Column::from_floats(
+            Some("aug0_f".to_string()),
+            (0..n)
+                .map(|i| match i % 97 {
+                    0 => None,
+                    1 => Some(-0.0),
+                    2 => Some(f64::NAN),
+                    _ => Some(((i * 37) % 101) as f64 / 10.0),
+                })
+                .collect(),
+        ),
+        Column::from_ints(
+            Some("aug1_i".to_string()),
+            (0..n).map(|i| Some((i % 7) as i64)).collect(),
+        ),
+        Column::from_strings(
+            Some("aug2_s".to_string()),
+            (0..n)
+                .map(|i| Some(["north", "south", "east"][(i * 5 / 3) % 3].to_string()))
+                .collect(),
+        ),
+    ];
+    columns.into_iter().take(extra).fold(din, |table, column| {
+        table.with_column(column).expect("same rows")
+    })
+}
+
+/// The forest utilities' bits on fixed tables, prepared and unprepared: a
+/// drift in the fit that moves both paths alike fails here.
+#[test]
+fn forest_utility_bits_are_pinned() {
+    let pins: [(Box<dyn Task>, [u64; 4]); 2] = [
+        (
+            Box::new(ClassificationTask::new("label", 7)),
+            [
+                0x3fe2_8677_51b1_4737,
+                0x3fe2_39a9_dba0_93b0,
+                0x3fe2_aaed_3279_f3c7,
+                0x3fe2_8183_638a_8b85,
+            ],
+        ),
+        (
+            Box::new(RegressionTask::new("aux_metric", 7)),
+            [
+                0x3fe7_f8c5_67c0_a357,
+                0x3fe7_e63b_380d_4873,
+                0x3fe7_fe40_c42a_e073,
+                0x3fe7_f92d_cb2d_79c4,
+            ],
+        ),
+    ];
+    for (task, bits) in &pins {
+        let din = pinned_table(0);
+        let prepared = task.prepare(&din).expect("forest tasks prepare");
+        for (extra, &pinned) in bits.iter().enumerate() {
+            let table = pinned_table(extra);
+            let plain = task.utility(&table).to_bits();
+            assert_eq!(plain, pinned, "{} with {extra} columns", task.name());
+            assert_eq!(
+                prepared.utility(&table).to_bits(),
+                pinned,
+                "{} prepared, with {extra} columns",
+                task.name()
+            );
+        }
+    }
 }
