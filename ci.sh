@@ -76,7 +76,8 @@ echo "== threads smoke: a discover reports the same at --threads 1 and 2 =="
 for THREADS in 1 2; do
     ./target/release/metam discover "$TRACE_DIR/lake" --din din \
         --task classification:label --budget 200 --seed 7 \
-        --threads "$THREADS" --json 2>/dev/null |
+        --threads "$THREADS" --json 2>"$TRACE_DIR/threads-$THREADS.err" |
+        tee "$TRACE_DIR/threads-$THREADS.raw" |
         awk '
             skip { if ($0 ~ /^  [}]/) skip = 0; next }
             /^  "metrics": / { print "  \"metrics\": 0,"; if ($0 ~ /[{]$/) skip = 1; next }
@@ -90,6 +91,18 @@ grep -q '"trace": \[' "$TRACE_DIR/threads-1.json" || {
     echo "threads smoke: no report"; exit 1; }
 cmp "$TRACE_DIR/threads-1.json" "$TRACE_DIR/threads-2.json" || {
     echo "threads smoke: the report depends on --threads"; exit 1; }
+# The report counts every table load the discover made, the search's lazy
+# loads included: its lake.load.mtc_hits equals the CLI's stderr line
+# "table cache: N load(s) from .mtc".
+for THREADS in 1 2; do
+    LOADS=$(sed -n 's/^table cache: \([0-9]*\) load(s) from .*/\1/p' \
+        "$TRACE_DIR/threads-$THREADS.err")
+    REPORTED=$(sed -n 's/^ *"lake\.load\.mtc_hits": \([0-9]*\).*/\1/p' \
+        "$TRACE_DIR/threads-$THREADS.raw")
+    [ -n "$LOADS" ] && [ "$LOADS" = "$REPORTED" ] || {
+        echo "threads smoke: the report counts ${REPORTED:-no} .mtc load(s), the CLI $LOADS"
+        exit 1; }
+done
 
 echo "== serve smoke: daemon answers status/discover over TCP, then drains =="
 SERVE_LOG="$TRACE_DIR/serve.log"

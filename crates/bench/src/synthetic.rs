@@ -13,15 +13,11 @@ use metam::core::task::LinearSyntheticTask;
 use metam::discovery::{Candidate, JoinPath, Materializer};
 use metam::NoopObserver;
 use metam::Prepared;
+use metam_table::sample::splitmix64;
 use metam_table::{Column, Table};
 
 fn splitmix(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    z as f64 / u64::MAX as f64
+    splitmix64(state) as f64 / u64::MAX as f64
 }
 
 /// Build a fixture with `n_candidates` candidates, `n_profiles` profile

@@ -49,11 +49,6 @@ impl GroupState {
         }
     }
 
-    /// How many distinct groups of the current size have been tried.
-    pub fn tried_count(&self) -> usize {
-        self.tried.len()
-    }
-
     /// Propose the next group of candidates, or `None` when no fresh group
     /// can be built (e.g. every candidate shares one cluster and t > 1).
     ///

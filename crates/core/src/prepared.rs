@@ -1,18 +1,20 @@
 //! The unified "everything materialized for searching" bundle.
 //!
 //! Every data world — synthetic scenarios, on-disk CSV lakes, custom
-//! [`DataSource`](https://docs.rs/metam) implementations — funnels into one
-//! [`Prepared`] value via [`assemble`]: enumerate candidate augmentations
-//! (Definition 4) with [`enumerate_candidates`], evaluate the profile
-//! vectors on a seeded row sample (§VI "Settings"), and bundle the
-//! downstream task. Search methods then borrow [`Prepared::inputs`].
+//! [`DataSource`](https://docs.rs/metam) implementations — hands over one
+//! [`Repository`]: the candidate augmentations of `din` (Definition 4),
+//! enumerated with [`enumerate_candidates`], plus a materializer over the
+//! tables they join. [`assemble`] turns it into one [`Prepared`] value:
+//! it evaluates the profile vectors on a seeded row sample (§VI
+//! "Settings") and bundles the downstream task. Search methods then
+//! borrow [`Prepared::inputs`].
 
 use std::sync::Arc;
 
 use metam_discovery::path::PathConfig;
 use metam_discovery::{
     candidates_on_paths, din_probes, enumerate_paths_from, first_hop_groups, path_runs, Candidate,
-    DiscoveryIndex, Materializer, MinHash, NextIndexes, TableProvider,
+    DiscoveryIndex, Materializer, MinHash, NextIndexes,
 };
 use metam_obs::Span;
 use metam_profile::ProfileSet;
@@ -21,58 +23,45 @@ use metam_table::Table;
 use crate::engine::SearchInputs;
 use crate::task::Task;
 
-/// The repository a prepare run searches over, in either of its two
-/// forms: tables already in memory (the scenario path), whose candidates
-/// [`assemble`] enumerates, or the candidates a source already enumerated
-/// plus a deferred [`TableProvider`] (the sketch-backed catalog path,
-/// where a lake snapshot enumerates once per input and table data loads
-/// lazily only when a candidate materializes). [`assemble`] accepts
-/// `impl Into<Repository>`, so `Vec<Arc<Table>>` call sites read as-is.
-pub enum Repository {
-    /// Materialized repository tables, indexed in order.
-    Eager(Vec<Arc<Table>>),
-    /// Candidates enumerated by the source with [`enumerate_candidates`],
-    /// plus a provider resolving their table indices to payloads on
-    /// demand.
-    Enumerated {
-        /// The candidate list, shared with the source's memo.
-        candidates: Arc<Vec<Candidate>>,
-        /// Lazy source of the repository's table payloads.
-        provider: Box<dyn TableProvider>,
-    },
+/// The repository a prepare run searches over: the candidate
+/// augmentations of `din`, enumerated once with [`enumerate_candidates`],
+/// and a materializer over the tables they join. A lake snapshot hands
+/// over its memoized candidates and a lazy materializer, whose tables
+/// load only when a candidate materializes; [`Repository::eager`] builds
+/// both from tables already in memory.
+pub struct Repository {
+    /// The candidate list, shared with the source's memo.
+    pub candidates: Arc<Vec<Candidate>>,
+    /// Materializer over the repository tables, indexed like the
+    /// [`DiscoveryIndex`] that produced the candidates.
+    pub materializer: Materializer,
 }
 
 impl Repository {
-    /// Number of repository tables.
-    pub fn len(&self) -> usize {
-        match self {
-            Repository::Eager(tables) => tables.len(),
-            Repository::Enumerated { provider, .. } => provider.len(),
+    /// The repository of in-memory `tables` (the scenario path): index
+    /// them (`prepare.index`), enumerate `din`'s candidates under the
+    /// default join-path limits and `max_candidates`
+    /// (`prepare.candidates`), and materialize from the tables. The index
+    /// is dropped once the candidates are enumerated.
+    pub fn eager(din: &Table, tables: Vec<Arc<Table>>, max_candidates: usize) -> Repository {
+        let index = {
+            let mut span = metam_obs::span("prepare.index", &din.name);
+            span.field("tables", tables.len() as f64);
+            DiscoveryIndex::build(tables.clone())
+        };
+        let mut span = metam_obs::span("prepare.candidates", &din.name);
+        let candidates = enumerate_candidates(
+            din,
+            &din_probes(din),
+            &index,
+            &PathConfig::default(),
+            max_candidates,
+            &mut span,
+        );
+        Repository {
+            candidates: Arc::new(candidates),
+            materializer: Materializer::new(tables),
         }
-    }
-
-    /// `true` when the repository holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl std::fmt::Debug for Repository {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Repository::Eager(tables) => f.debug_tuple("Eager").field(&tables.len()).finish(),
-            Repository::Enumerated { candidates, .. } => f
-                .debug_struct("Enumerated")
-                .field("candidates", &candidates.len())
-                .field("tables", &self.len())
-                .finish_non_exhaustive(),
-        }
-    }
-}
-
-impl From<Vec<Arc<Table>>> for Repository {
-    fn from(tables: Vec<Arc<Table>>) -> Repository {
-        Repository::Eager(tables)
     }
 }
 
@@ -81,8 +70,8 @@ impl From<Vec<Arc<Table>>> for Repository {
 /// candidate per projected column (Definition 4), capped at
 /// `max_candidates`. The search's cost (`probes`, `postings_hops`) and the
 /// candidate count go on `span`, the caller's `prepare.candidates`. This
-/// is the one enumeration routine: [`assemble`] runs it over an eager
-/// repository, and a lake snapshot runs it when its memo misses.
+/// is the one enumeration routine: [`Repository::eager`] runs it over
+/// in-memory tables, and a lake snapshot runs it when its memo misses.
 pub fn enumerate_candidates(
     din: &Table,
     probes: &[(usize, MinHash)],
@@ -102,9 +91,6 @@ pub fn enumerate_candidates(
 /// Assembly knobs shared by every data source.
 #[derive(Debug, Clone)]
 pub struct AssembleOptions {
-    /// Cap on generated candidates for an eager repository (a
-    /// [`Repository::Enumerated`] source applied its own).
-    pub max_candidates: usize,
     /// Rows sampled for profile estimation (paper: 100).
     pub profile_sample: usize,
     /// Seed for profile sampling.
@@ -114,7 +100,6 @@ pub struct AssembleOptions {
 impl Default for AssembleOptions {
     fn default() -> Self {
         AssembleOptions {
-            max_candidates: 100_000,
             profile_sample: 100,
             seed: 0,
         }
@@ -181,50 +166,24 @@ impl Prepared {
 }
 
 /// Assemble search inputs from a resolved input dataset and repository:
-/// enumerate candidates, evaluate profiles, bundle the task (in its
+/// evaluate the candidates' profiles, bundle the task (in its
 /// [`Task::prepare`]d form for `din` when it has one). This is the
-/// single assembly path behind `metam::session::Session`.
-///
-/// The repository is either eager tables (a `Vec<Arc<Table>>` converts
-/// implicitly), indexed and enumerated here under the default join-path
-/// limits and `options.max_candidates`, or a [`Repository::Enumerated`]
-/// list the source enumerated with the same routine — so candidate
-/// generation is identical in both cases, only *when* table data loads
-/// differs.
+/// single assembly path behind `metam::session::Session`; every source
+/// enumerated its candidates with [`enumerate_candidates`], so candidate
+/// generation is identical whatever the source, and only *when* table
+/// data loads differs.
 pub fn assemble(
     din: Table,
-    repository: impl Into<Repository>,
+    repository: Repository,
     target_column: Option<usize>,
     task: Box<dyn Task>,
     profile_set: &ProfileSet,
     options: &AssembleOptions,
 ) -> Prepared {
-    let (candidates, materializer) = match repository.into() {
-        Repository::Eager(tables) => {
-            let index = {
-                let mut span = metam_obs::span("prepare.index", &din.name);
-                span.field("tables", tables.len() as f64);
-                DiscoveryIndex::build(tables.clone())
-            };
-            // The index (and the slot postings a search may build in it)
-            // is done once the candidates are; it is dropped before
-            // profiles evaluate.
-            let mut span = metam_obs::span("prepare.candidates", &din.name);
-            let candidates = enumerate_candidates(
-                &din,
-                &din_probes(&din),
-                &index,
-                &PathConfig::default(),
-                options.max_candidates,
-                &mut span,
-            );
-            (Arc::new(candidates), Materializer::new(tables))
-        }
-        Repository::Enumerated {
-            candidates,
-            provider,
-        } => (candidates, Materializer::lazy(provider)),
-    };
+    let Repository {
+        candidates,
+        materializer,
+    } = repository;
     let profiles = {
         let mut span = metam_obs::span("prepare.profiles", &din.name);
         span.field("candidates", candidates.len() as f64);
@@ -297,9 +256,10 @@ mod tests {
             base: 0.5,
             weights: vec![0.1],
         });
+        let repository = Repository::eager(&din, vec![Arc::new(ext)], 100_000);
         let prepared = assemble(
             din,
-            vec![Arc::new(ext)],
+            repository,
             Some(1),
             task,
             &default_profiles(),

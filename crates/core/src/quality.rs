@@ -60,11 +60,6 @@ impl QualityModel {
         self.propagate = false;
     }
 
-    /// Is propagation active?
-    pub fn propagation_enabled(&self) -> bool {
-        self.propagate
-    }
-
     /// Record the outcome of querying `candidate`: `gain` = utility
     /// increase over the pre-query dataset (clamped at 0 — a harmful
     /// augmentation has no *positive* evidence). Updates the candidate's

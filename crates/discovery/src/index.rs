@@ -9,6 +9,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use metam_table::schema::display_name;
 use metam_table::Table;
 
 use crate::minhash::{MinHash, SKETCH_SLOTS};
@@ -46,6 +47,20 @@ pub struct ColumnDescriptor {
     pub keyish: bool,
 }
 
+impl ColumnDescriptor {
+    /// Describe a column with `non_null` non-null values from its name and
+    /// sketch, whose cardinality is the exact distinct count. Descriptors
+    /// built in memory and from persisted sketch records both come from
+    /// here, so they agree exactly.
+    pub fn new(name: Option<String>, sketch: MinHash, non_null: usize) -> ColumnDescriptor {
+        ColumnDescriptor {
+            name,
+            keyish: non_null > 0 && sketch.cardinality * 2 >= non_null,
+            sketch,
+        }
+    }
+}
+
 /// Everything the index needs to know about one table, payload-free.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableDescriptor {
@@ -69,13 +84,8 @@ impl TableDescriptor {
             .columns()
             .iter()
             .map(|col| {
-                let keys = col.distinct_keys();
-                let non_null = col.len() - col.null_count();
-                ColumnDescriptor {
-                    name: col.name.clone(),
-                    keyish: non_null > 0 && keys.len() * 2 >= non_null,
-                    sketch: MinHash::from_keys(&keys),
-                }
+                let sketch = MinHash::from_keys(&col.distinct_keys());
+                ColumnDescriptor::new(col.name.clone(), sketch, col.len() - col.null_count())
             })
             .collect();
         TableDescriptor {
@@ -89,10 +99,7 @@ impl TableDescriptor {
     /// Display name of column `i` (anonymous columns render as `_colN`,
     /// matching [`Table::column_display_name`]).
     pub fn column_display_name(&self, i: usize) -> String {
-        self.columns
-            .get(i)
-            .and_then(|c| c.name.clone())
-            .unwrap_or_else(|| format!("_col{i}"))
+        display_name(self.columns.get(i).and_then(|c| c.name.as_deref()), i)
     }
 }
 
@@ -488,14 +495,8 @@ pub(crate) mod tests {
         assert_eq!(idx.n_tables(), 2);
     }
 
-    /// splitmix64, the seeded generator of the randomized tests.
-    pub(crate) fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
+    /// The seeded generator of the randomized tests.
+    pub(crate) use metam_table::sample::splitmix64 as next;
 
     /// A random key set: none (an empty sketch), a range of keys of its
     /// own (`own` keeps it disjoint from every other set), or a range of

@@ -1,17 +1,21 @@
 //! Candidate materialization with caching.
 //!
-//! Materializing `Γ(Din, P[j])` = chaining left joins along the path and
-//! projecting one column, keeping the result row-aligned with `Din`. The
-//! joins give a row mapping that depends on the path alone; every
-//! candidate of a path is a projection of it, and paths with one first
-//! hop share that hop's mapping, so [`Materializer::materialize_run`] maps
-//! a group of such candidates once per first hop and once per path. A
-//! later hop joins through a key index of its table's key column; many
-//! paths, across first-hop groups, join the same `(table, key_column)`,
-//! so one pass over a candidate list shares those indexes
-//! ([`NextIndexes`]), each until the last path run that joins it.
-//! Candidates are materialized many times across the search (profiles,
-//! repeated utility queries), so results are cached behind an `Arc`.
+//! Materializing `Γ(Din, P[j])` chains first-match left joins along the
+//! path and projects one column, keeping the result row-aligned with
+//! `Din`. There is one routine for it: every hop maps rows through
+//! [`KeyIndex::map_rows`], the first hop by [`match_rows`] from `din`'s
+//! join column, each later hop through the key index of its table's key
+//! column. The joins give a row mapping that depends on the path alone,
+//! and every candidate of a path is a projection of it.
+//! [`Materializer::materialize_run`] walks a list of candidates, keeping
+//! the last first-hop and path mappings so that consecutive candidates
+//! share them; many paths, across first-hop groups, join the same
+//! `(table, key_column)` after their first hop, so one pass over a
+//! candidate list shares those key indexes ([`NextIndexes`]), each until
+//! the last path run that joins it. [`Materializer::materialize`] is a
+//! run of one. Candidates are materialized many times across the search
+//! (profiles, repeated utility queries), so results are cached behind an
+//! `Arc`.
 //!
 //! The repository behind a materializer is a [`TableProvider`]: either the
 //! tables themselves (the in-memory path) or a deferred handle that loads
@@ -23,7 +27,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use metam_table::join::KeyIndex;
+use metam_table::join::{match_rows, KeyIndex};
 use metam_table::{Column, Table, TableError};
 use parking_lot::{Mutex, RwLock};
 
@@ -255,11 +259,12 @@ impl Materializer {
         self.cache.read().len()
     }
 
-    /// Materialize the candidate into a `din`-aligned column.
+    /// Materialize the candidate into a `din`-aligned column: a run of
+    /// one through [`materialize_run`](Self::materialize_run)'s code.
     ///
     /// The result is cached by candidate id; subsequent calls are `Arc`
-    /// clones. The cache assumes one `din` per materializer (true for every
-    /// search run).
+    /// clones that allocate nothing. The cache assumes one `din` per
+    /// materializer (true for every search run).
     pub fn materialize(
         &self,
         din: &Table,
@@ -268,10 +273,8 @@ impl Materializer {
         if let Some(cached) = self.cache.read().get(&candidate.id) {
             return Ok(Arc::clone(cached));
         }
-        let column = self.row_mapping(din, &candidate.path)?.project(candidate)?;
-        let arc = Arc::new(column);
-        self.cache.write().insert(candidate.id, Arc::clone(&arc));
-        Ok(arc)
+        let indexes = NextIndexes::new(std::slice::from_ref(candidate));
+        self.materialize_next(din, candidate, &indexes, &mut None, &mut None)
     }
 
     /// Materialize a list of candidates, returning per candidate what
@@ -292,92 +295,79 @@ impl Materializer {
         run: &[Candidate],
         indexes: &NextIndexes,
     ) -> Vec<metam_table::Result<Arc<Column>>> {
-        let mut first: Option<(Hop, RowMapping)> = None;
-        let mut last: Option<(&JoinPath, RowMapping)> = None;
+        let (mut first, mut last) = (None, None);
         run.iter()
-            .map(|candidate| {
-                if let Some(cached) = self.cache.read().get(&candidate.id) {
-                    return Ok(Arc::clone(cached));
-                }
-                let path = &candidate.path;
-                let hop = path.hops[0];
-                let first_rows = match first.take() {
-                    Some((h, rows)) if h == hop => first.insert((h, rows)),
-                    _ => first.insert((hop, self.first_hop(din, &hop)?)),
-                };
-                let mapping = match &path.hops[1..] {
-                    [] => &first_rows.1,
-                    [next, rest @ ..] => {
-                        let current = match last.take() {
-                            Some((p, rows)) if p == path => (p, rows),
-                            _ => {
-                                let mut rows =
-                                    self.join_next(&first_rows.1, next, Some(indexes))?;
-                                for hop in rest {
-                                    rows = self.join_next(&rows, hop, Some(indexes))?;
-                                }
-                                (path, rows)
-                            }
-                        };
-                        &last.insert(current).1
-                    }
-                };
-                let arc = Arc::new(mapping.project(candidate)?);
-                self.cache.write().insert(candidate.id, Arc::clone(&arc));
-                Ok(arc)
-            })
+            .map(|candidate| self.materialize_next(din, candidate, indexes, &mut first, &mut last))
             .collect()
     }
 
-    /// Chain the path's first-match left joins from `din`.
-    fn row_mapping(&self, din: &Table, path: &JoinPath) -> metam_table::Result<RowMapping> {
-        let mut mapping = self.first_hop(din, &path.hops[0])?;
-        for hop in &path.hops[1..] {
-            mapping = self.join_next(&mapping, hop, None)?;
+    /// Materialize the next candidate of a run: a cache hit, or its
+    /// path's row mapping projected and cached. `first` and `last` hold
+    /// the run's last first-hop and path mappings, reused when the
+    /// candidate shares them and replaced when it does not.
+    fn materialize_next<'r>(
+        &self,
+        din: &Table,
+        candidate: &'r Candidate,
+        indexes: &NextIndexes,
+        first: &mut Option<(Hop, RowMapping)>,
+        last: &mut Option<(&'r JoinPath, RowMapping)>,
+    ) -> metam_table::Result<Arc<Column>> {
+        if let Some(cached) = self.cache.read().get(&candidate.id) {
+            return Ok(Arc::clone(cached));
         }
-        Ok(mapping)
+        let path = &candidate.path;
+        let hop = path.hops[0];
+        let first_rows = match first.take() {
+            Some((h, rows)) if h == hop => first.insert((h, rows)),
+            _ => first.insert((hop, self.first_hop(din, &hop)?)),
+        };
+        let mapping = match &path.hops[1..] {
+            [] => &first_rows.1,
+            [next, rest @ ..] => {
+                let current = match last.take() {
+                    Some((p, rows)) if p == path => (p, rows),
+                    _ => {
+                        let mut rows = self.join_next(&first_rows.1, next, indexes)?;
+                        for hop in rest {
+                            rows = self.join_next(&rows, hop, indexes)?;
+                        }
+                        (path, rows)
+                    }
+                };
+                &last.insert(current).1
+            }
+        };
+        let arc = Arc::new(mapping.project(candidate)?);
+        self.cache.write().insert(candidate.id, Arc::clone(&arc));
+        Ok(arc)
     }
 
     /// Left-join `din` into the first table of a path through `hop`.
     fn first_hop(&self, din: &Table, hop: &Hop) -> metam_table::Result<RowMapping> {
         let table = self.table(hop.table)?;
-        let probe = din.column(hop.left_column)?;
-        let index = KeyIndex::new(table.column(hop.key_column)?);
-        if index.is_empty() {
-            return Err(TableError::EmptyJoinKey);
-        }
-        let mut key = String::new();
-        let rows = (0..probe.len())
-            .map(|row| index.find_row(probe, row, &mut key))
-            .collect();
+        let rows = match_rows(din.column(hop.left_column)?, table.column(hop.key_column)?)?;
         Ok(RowMapping { table, rows })
     }
 
     /// Extend `from` by one hop: a first-match left join of its table's
     /// bridge column into the next table, through the key index that
-    /// `indexes` shares for the hop's pair (or one of its own).
+    /// `indexes` shares for the hop's pair (or one of its own for a pair
+    /// that `indexes` does not hold).
     fn join_next(
         &self,
         from: &RowMapping,
         hop: &Hop,
-        indexes: Option<&NextIndexes>,
+        indexes: &NextIndexes,
     ) -> metam_table::Result<RowMapping> {
         let bridge = from.table.column(hop.left_column)?;
         let table = self.table(hop.table)?;
         let build = || Ok(KeyIndex::new(table.column(hop.key_column)?));
-        let index = match indexes.and_then(|indexes| indexes.index(hop, build)) {
+        let index = match indexes.index(hop, build) {
             Some(index) => index?,
             None => Arc::new(build()?),
         };
-        if index.is_empty() {
-            return Err(TableError::EmptyJoinKey);
-        }
-        let mut key = String::new();
-        let rows = from
-            .rows
-            .iter()
-            .map(|m| m.and_then(|row| index.find_row(bridge, row, &mut key)))
-            .collect();
+        let rows = index.map_rows(bridge, from.rows.iter().copied())?;
         Ok(RowMapping { table, rows })
     }
 }

@@ -11,9 +11,10 @@
 
 use std::path::{Path, PathBuf};
 
-use metam_table::{colbin, Table};
+use metam_table::colbin::{self, Reader};
+use metam_table::Table;
 
-use crate::catalog::Fingerprint;
+use crate::catalog::{put_fingerprint, read_fingerprint, Fingerprint};
 use crate::TableMeta;
 
 /// Cache-file prefix; bump on breaking layout changes.
@@ -29,13 +30,10 @@ pub fn cache_path(root: &Path, file_name: &str) -> PathBuf {
     cache_dir(root).join(format!("{file_name}.mtc"))
 }
 
-fn encode(fp: Fingerprint, table: &Table) -> Vec<u8> {
-    let (size, mtime_s, mtime_ns) = fp;
+pub(crate) fn encode(fp: Fingerprint, table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(CACHE_MAGIC);
-    out.extend_from_slice(&size.to_le_bytes());
-    out.extend_from_slice(&mtime_s.to_le_bytes());
-    out.extend_from_slice(&mtime_ns.to_le_bytes());
+    put_fingerprint(&mut out, fp);
     out.extend_from_slice(&colbin::to_bytes(table));
     out
 }
@@ -54,19 +52,13 @@ pub fn store(root: &Path, file_name: &str, fp: Fingerprint, table: &Table) -> st
 /// `None` on any mismatch or damage — never an error.
 pub fn load(root: &Path, entry: &TableMeta) -> Option<Table> {
     let bytes = std::fs::read(cache_path(root, &entry.file_name)).ok()?;
-    let header_len = CACHE_MAGIC.len() + 8 + 8 + 4;
-    if bytes.len() < header_len || &bytes[..4] != CACHE_MAGIC {
+    let mut header = Reader::new(&bytes);
+    if header.take(CACHE_MAGIC.len()).ok()? != CACHE_MAGIC
+        || read_fingerprint(&mut header)? != entry.fingerprint()
+    {
         return None;
     }
-    // The length guard above makes these slices exact-width, but a
-    // corrupt cache must degrade to a CSV fallback, never abort.
-    let size = u64::from_le_bytes(bytes.get(4..12)?.try_into().ok()?);
-    let mtime_s = u64::from_le_bytes(bytes.get(12..20)?.try_into().ok()?);
-    let mtime_ns = u32::from_le_bytes(bytes.get(20..24)?.try_into().ok()?);
-    if (size, mtime_s, mtime_ns) != (entry.file_size, entry.mtime_s, entry.mtime_ns) {
-        return None;
-    }
-    let mut table = colbin::read_table(&bytes[header_len..]).ok()?;
+    let mut table = colbin::read_table(header.rest()).ok()?;
     // Pin identity to the *current* catalog view (a renamed lake directory
     // changes the provenance tag; the stem is authoritative for the name).
     table.name = entry.name.clone();

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use metam_discovery::TableDescriptor;
+use metam_table::colbin::Reader;
 use metam_table::csv::read_csv;
 use metam_table::Table;
 
@@ -95,6 +96,19 @@ impl TableMeta {
 /// File size + mtime, the cache-invalidation key.
 pub type Fingerprint = (u64, u64, u32);
 
+/// Append `fp` the way `.mtc` cache files and `.mks` sketch records embed
+/// it: size `u64`, mtime seconds `u64`, mtime nanoseconds `u32`.
+pub(crate) fn put_fingerprint(out: &mut Vec<u8>, (size, mtime_s, mtime_ns): Fingerprint) {
+    out.extend_from_slice(&size.to_le_bytes());
+    out.extend_from_slice(&mtime_s.to_le_bytes());
+    out.extend_from_slice(&mtime_ns.to_le_bytes());
+}
+
+/// Read a fingerprint written by [`put_fingerprint`].
+pub(crate) fn read_fingerprint(cur: &mut Reader) -> Option<Fingerprint> {
+    Some((cur.u64().ok()?, cur.u64().ok()?, cur.u32().ok()?))
+}
+
 /// A hit/miss counter pair shared behind an [`Arc`] so callers (the CLI,
 /// benches) can keep observing after the catalog moves into a `Session`.
 /// Used for `.mtc`-vs-CSV table loads ([`LakeCatalog::load_counters`])
@@ -104,12 +118,6 @@ pub type Fingerprint = (u64, u64, u32);
 pub struct LoadCounters {
     hits: AtomicUsize,
     misses: AtomicUsize,
-    /// Events not yet consumed by [`take_unflushed`](Self::take_unflushed).
-    /// Kept separate from the lifetime totals so periodic flushing (e.g.
-    /// into the metrics registry once per prepare) never double-counts
-    /// when many concurrent prepares share one catalog.
-    unflushed_hits: AtomicUsize,
-    unflushed_misses: AtomicUsize,
 }
 
 impl LoadCounters {
@@ -123,27 +131,12 @@ impl LoadCounters {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Drain the `(hits, misses)` recorded since the last drain. Each load
-    /// is handed out exactly once across all callers (the unflushed pair
-    /// is swapped to zero atomically per counter), so flushing deltas into
-    /// a global registry from N concurrent prepares sums to the lifetime
-    /// totals — never more. Lifetime [`hits`](Self::hits) /
-    /// [`misses`](Self::misses) are unaffected.
-    pub fn take_unflushed(&self) -> (usize, usize) {
-        (
-            self.unflushed_hits.swap(0, Ordering::Relaxed),
-            self.unflushed_misses.swap(0, Ordering::Relaxed),
-        )
-    }
-
     pub(crate) fn add_hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        self.unflushed_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn add_miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.unflushed_misses.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -392,12 +385,19 @@ impl LakeCatalog {
         self.load_entry(entry)
     }
 
+    /// Load one table, counting the load on
+    /// [`load_counters`](Self::load_counters) and, as
+    /// `lake.load.mtc_hits` / `lake.load.csv_fallbacks`, in the metrics
+    /// registry, where it happens: a lazy provider's loads during a search
+    /// count like the input dataset's.
     fn load_entry(&self, entry: &TableMeta) -> Result<Table> {
         if let Some(table) = cache::load(&self.root, entry) {
             self.load_counters.add_hit();
+            metam_obs::counter_add("lake.load.mtc_hits", 1);
             return Ok(table);
         }
         self.load_counters.add_miss();
+        metam_obs::counter_add("lake.load.csv_fallbacks", 1);
         let path = self.root.join(&entry.file_name);
         let table = read_table_file(&path)?;
         // Heal the cache — but only when the file still matches the
@@ -626,33 +626,6 @@ mod tests {
         let cat = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat.len(), 1);
         assert!(cat.get("b").is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn take_unflushed_hands_each_load_out_once() {
-        let dir = tmp_dir("unflushed");
-        fs::write(dir.join("a.csv"), "x\n1\n2\n").unwrap();
-        fs::write(dir.join("b.csv"), "y\n3\n").unwrap();
-        let cat = LakeCatalog::scan(&dir).unwrap();
-        let counters = cat.load_counters();
-
-        cat.load_table("a").unwrap();
-        cat.load_table("b").unwrap();
-        let first = counters.take_unflushed();
-        assert_eq!(first.0 + first.1, 2, "both loads in the first drain");
-        assert_eq!(
-            counters.take_unflushed(),
-            (0, 0),
-            "a second drain with no new loads hands out nothing"
-        );
-        // Lifetime totals are untouched by draining.
-        assert_eq!(counters.hits() + counters.misses(), 2);
-
-        cat.load_table("a").unwrap();
-        let second = counters.take_unflushed();
-        assert_eq!(second.0 + second.1, 1, "only the new load is unflushed");
-        assert_eq!(counters.hits() + counters.misses(), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -38,6 +38,7 @@
 //! use metam_core::prepared::{assemble, AssembleOptions, Repository};
 //! use metam_core::{Metam, NoopObserver};
 //! use metam_discovery::path::PathConfig;
+//! use metam_discovery::Materializer;
 //! use metam_lake::{parse_task, prepare::repository_candidates, LakeCatalog};
 //! use metam_profile::default_profiles;
 //!
@@ -47,7 +48,8 @@
 //! let target_column = parsed.target.as_deref().and_then(|t| din.column_index(t).ok());
 //! let (candidates, provider) =
 //!     repository_candidates(&catalog, &din, None, &PathConfig::default(), 100_000)?;
-//! let repository = Repository::Enumerated { candidates, provider: Box::new(provider) };
+//! let materializer = Materializer::lazy(Box::new(provider));
+//! let repository = Repository { candidates, materializer };
 //! let prepared = assemble(
 //!     din, repository, target_column, parsed.task,
 //!     &default_profiles(), &AssembleOptions::default(),

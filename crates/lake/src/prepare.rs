@@ -190,7 +190,7 @@ pub fn parse_task(spec: &str, seed: u64) -> Result<ParsedTask> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metam_core::prepared::{assemble, AssembleOptions};
+    use metam_core::prepared::{assemble, AssembleOptions, Repository};
     use metam_profile::default_profiles;
     use std::fs;
     use std::path::PathBuf;
@@ -226,9 +226,10 @@ mod tests {
             .map(|name| Arc::new(catalog.load_table(name).unwrap()))
             .collect();
         assert_eq!(tables.len(), 1, "din itself is withheld");
+        let repository = Repository::eager(&din, tables, 100_000);
         let prepared = assemble(
             din,
-            tables,
+            repository,
             target_column,
             parsed.task,
             &default_profiles(),

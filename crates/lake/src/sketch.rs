@@ -28,6 +28,10 @@
 //! fnv1a-64 checksum of everything above: u64
 //! ```
 //!
+//! Strings, dtype tags and the checksum trailer are written and read by
+//! the `.mtc` record codec ([`metam_table::colbin`]); the fingerprint is
+//! encoded as the `.mtc` cache file's prefix encodes it.
+//!
 //! Invalidation uses the same key as the `.mtc` cache: the embedded
 //! fingerprint must match the file's current size + mtime. A record from
 //! another format version, a stale fingerprint, truncation or a checksum
@@ -39,10 +43,10 @@
 use std::path::{Path, PathBuf};
 
 use metam_discovery::{ColumnDescriptor, MinHash, TableDescriptor, SKETCH_SLOTS};
-use metam_table::colbin::fnv1a;
-use metam_table::{DataType, Table};
+use metam_table::colbin::{dtype_from_tag, dtype_tag, put_str, seal, Reader};
+use metam_table::Table;
 
-use crate::catalog::{table_name, Fingerprint};
+use crate::catalog::{put_fingerprint, read_fingerprint, table_name, Fingerprint};
 use crate::stats::ColumnStats;
 
 /// First four bytes of every sketch record.
@@ -97,9 +101,10 @@ impl TableSketch {
     }
 
     /// Rebuild the payload-free descriptor the discovery index consumes.
-    /// `keyish` is recomputed from the persisted counts with the same
-    /// formula `DiscoveryIndex::build` uses, so a catalog-backed index is
-    /// byte-identical to an in-memory one.
+    /// Each column is described by [`ColumnDescriptor::new`] from the
+    /// persisted counts, as `DiscoveryIndex::build` describes it in
+    /// memory, so a catalog-backed index is byte-identical to an
+    /// in-memory one.
     pub fn to_descriptor(&self) -> TableDescriptor {
         let columns = self
             .columns
@@ -107,11 +112,7 @@ impl TableSketch {
             .zip(&self.minhashes)
             .map(|(c, minhash)| {
                 let non_null = self.nrows.saturating_sub(c.null_count);
-                ColumnDescriptor {
-                    name: c.name.clone(),
-                    keyish: non_null > 0 && c.distinct_count * 2 >= non_null,
-                    sketch: minhash.clone(),
-                }
+                ColumnDescriptor::new(c.name.clone(), minhash.clone(), non_null)
             })
             .collect();
         TableDescriptor {
@@ -121,11 +122,6 @@ impl TableSketch {
             columns,
         }
     }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
@@ -138,34 +134,20 @@ fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
     }
 }
 
-fn dtype_tag(dtype: DataType) -> u8 {
-    match dtype {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-    }
-}
-
-fn dtype_from_tag(tag: u8) -> Option<DataType> {
-    match tag {
-        0 => Some(DataType::Int),
-        1 => Some(DataType::Float),
-        2 => Some(DataType::Str),
-        3 => Some(DataType::Bool),
+fn read_opt_f64(cur: &mut Reader) -> Option<Option<f64>> {
+    match cur.u8().ok()? {
+        0 => Some(None),
+        1 => Some(Some(f64::from_bits(cur.u64().ok()?))),
         _ => None,
     }
 }
 
 /// Serialize a sketch record (with its invalidation fingerprint) to bytes.
 pub fn encode(fp: Fingerprint, sketch: &TableSketch) -> Vec<u8> {
-    let (size, mtime_s, mtime_ns) = fp;
     let mut out = Vec::new();
     out.extend_from_slice(SKETCH_MAGIC);
     out.extend_from_slice(&SKETCH_VERSION.to_le_bytes());
-    out.extend_from_slice(&size.to_le_bytes());
-    out.extend_from_slice(&mtime_s.to_le_bytes());
-    out.extend_from_slice(&mtime_ns.to_le_bytes());
+    put_fingerprint(&mut out, fp);
     put_str(&mut out, &sketch.name);
     put_str(&mut out, &sketch.source);
     out.extend_from_slice(&(sketch.approx_bytes as u64).to_le_bytes());
@@ -189,112 +171,57 @@ pub fn encode(fp: Fingerprint, sketch: &TableSketch) -> Vec<u8> {
             out.extend_from_slice(&slot.to_le_bytes());
         }
     }
-    let sum = fnv1a(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    seal(&mut out);
     out
-}
-
-/// Bounds-checked little reader over a record body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len())?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn str(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn opt_f64(&mut self) -> Option<Option<f64>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => Some(Some(f64::from_bits(self.u64()?))),
-            _ => None,
-        }
-    }
 }
 
 /// Deserialize a sketch record, verifying magic, version and checksum.
 /// `None` on any mismatch or damage — never an error (callers re-profile).
 pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
-    if bytes.len() < SKETCH_MAGIC.len() + 8 {
+    let mut cur = Reader::open(bytes, SKETCH_MAGIC).ok()?;
+    if cur.u32().ok()? != SKETCH_VERSION {
         return None;
     }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().ok()?);
-    if fnv1a(body) != stored {
-        return None;
-    }
-    let mut cur = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if cur.take(4)? != SKETCH_MAGIC {
-        return None;
-    }
-    if cur.u32()? != SKETCH_VERSION {
-        return None;
-    }
-    let fp = (cur.u64()?, cur.u64()?, cur.u32()?);
-    let name = cur.str()?;
-    let source = cur.str()?;
-    let approx_bytes = cur.u64()? as usize;
-    let nrows = cur.u64()? as usize;
-    let ncols = cur.u32()? as usize;
+    let fp = read_fingerprint(&mut cur)?;
+    let name = cur.str().ok()?;
+    let source = cur.str().ok()?;
+    let approx_bytes = cur.u64().ok()? as usize;
+    let nrows = cur.u64().ok()? as usize;
+    let ncols = cur.u32().ok()? as usize;
     // Every column costs at least SKETCH_SLOTS*8 bytes of slots alone; a
     // count exceeding the remaining payload is corrupt — reject before
     // trusting it as an allocation size.
-    if ncols > (body.len() - cur.pos) / (SKETCH_SLOTS * 8) {
+    if ncols > cur.remaining() / (SKETCH_SLOTS * 8) {
         return None;
     }
     let mut columns = Vec::with_capacity(ncols);
     let mut minhashes = Vec::with_capacity(ncols);
     for _ in 0..ncols {
-        let col_name = if cur.u8()? != 0 {
-            Some(cur.str()?)
+        let col_name = if cur.u8().ok()? != 0 {
+            Some(cur.str().ok()?)
         } else {
             None
         };
-        let dtype = dtype_from_tag(cur.u8()?)?;
-        let null_count = cur.u64()? as usize;
-        let distinct_count = cur.u64()? as usize;
+        let dtype = dtype_from_tag(cur.u8().ok()?)?;
+        let null_count = cur.u64().ok()? as usize;
+        let distinct_count = cur.u64().ok()? as usize;
         let mut slots = [0u64; SKETCH_SLOTS];
         columns.push(ColumnStats {
             name: col_name,
             dtype,
             null_count,
             distinct_count,
-            min: cur.opt_f64()?,
-            max: cur.opt_f64()?,
-            mean: cur.opt_f64()?,
-            std: cur.opt_f64()?,
+            min: read_opt_f64(&mut cur)?,
+            max: read_opt_f64(&mut cur)?,
+            mean: read_opt_f64(&mut cur)?,
+            std: read_opt_f64(&mut cur)?,
         });
         for slot in slots.iter_mut() {
-            *slot = cur.u64()?;
+            *slot = cur.u64().ok()?;
         }
         minhashes.push(MinHash::from_parts(slots, distinct_count));
     }
-    if cur.pos != body.len() {
+    if cur.remaining() != 0 {
         return None;
     }
     Some((
@@ -345,6 +272,7 @@ pub fn load(root: &Path, file_name: &str, fp: Fingerprint) -> Option<TableSketch
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metam_table::colbin::fnv1a;
     use metam_table::Column;
 
     fn tmp_root(tag: &str) -> PathBuf {
@@ -375,6 +303,59 @@ mod tests {
         .unwrap();
         t.source = "lake".into();
         t
+    }
+
+    /// A fixed table with every column type, nulls and an unnamed column.
+    fn pinned_table() -> Table {
+        let mut t = Table::from_columns(
+            "pinned",
+            vec![
+                Column::from_strings(
+                    Some("zip".into()),
+                    (0..24)
+                        .map(|i| (i % 9 != 4).then(|| format!("z{}", i % 17)))
+                        .collect(),
+                ),
+                Column::from_floats(
+                    Some("rate".into()),
+                    (0..24)
+                        .map(|i| (i % 5 != 0).then_some(i as f64 / 3.0 - 2.5))
+                        .collect(),
+                ),
+                Column::from_ints(
+                    None,
+                    (0..24)
+                        .map(|i| (i % 6 != 1).then_some(i * i - 40))
+                        .collect(),
+                ),
+                Column::from_bools(
+                    Some("flag".into()),
+                    (0..24)
+                        .map(|i| (i % 4 != 2).then_some(i % 3 == 0))
+                        .collect(),
+                ),
+            ],
+        )
+        .unwrap();
+        t.source = "lake".into();
+        t
+    }
+
+    #[test]
+    fn record_bytes_keep_their_layout() {
+        // Recorded before the `.mtc` and `.mks` codecs shared their
+        // helpers: existing `.metam/` files must keep loading.
+        let t = pinned_table();
+        let fp = (4096, 1_700_000_000, 123_456_789);
+        assert_eq!(
+            fnv1a(&metam_table::colbin::to_bytes(&t)),
+            0x636137ea284bc613
+        );
+        assert_eq!(
+            fnv1a(&encode(fp, &TableSketch::from_table(&t))),
+            0xcd0bb2b5ade1584c
+        );
+        assert_eq!(fnv1a(&crate::cache::encode(fp, &t)), 0x1574b56ab32b4305);
     }
 
     #[test]

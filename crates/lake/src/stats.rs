@@ -51,7 +51,7 @@ impl ColumnStats {
 
     /// Display name (anonymous columns render as `_colN`).
     pub fn display_name(&self, index: usize) -> String {
-        self.name.clone().unwrap_or_else(|| format!("_col{index}"))
+        metam_table::schema::display_name(self.name.as_deref(), index)
     }
 }
 

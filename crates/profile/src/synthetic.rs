@@ -57,12 +57,7 @@ impl FixedProfile {
 }
 
 fn next_unit(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^= z >> 31;
-    z as f64 / u64::MAX as f64
+    metam_table::sample::splitmix64(state) as f64 / u64::MAX as f64
 }
 
 impl Profile for FixedProfile {

@@ -25,9 +25,14 @@
 //! The trailing checksum makes truncation and corruption detectable:
 //! [`read_table`] verifies it before parsing, so a damaged cache file
 //! fails loudly (callers fall back to the CSV source and heal the cache).
+//!
+//! The record codec is shared with the lake's `.mks` sketch records:
+//! [`put_str`], the dtype tags ([`dtype_tag`]), the checksum trailer
+//! ([`seal`]) and the bounds-checked [`Reader`] that verifies it.
 
 use crate::column::{Column, ColumnData};
 use crate::error::TableError;
+use crate::schema::DataType;
 use crate::table::Table;
 use crate::Result;
 
@@ -46,9 +51,40 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+/// Append `s` as its `u32` byte length and its UTF-8 bytes.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
+}
+
+/// The one-byte tag of a column type: 0 = int, 1 = float, 2 = str,
+/// 3 = bool.
+pub fn dtype_tag(dtype: DataType) -> u8 {
+    match dtype {
+        DataType::Int => 0,
+        DataType::Float => 1,
+        DataType::Str => 2,
+        DataType::Bool => 3,
+    }
+}
+
+/// The column type a [`dtype_tag`] stands for.
+#[inline]
+pub fn dtype_from_tag(tag: u8) -> Option<DataType> {
+    match tag {
+        0 => Some(DataType::Int),
+        1 => Some(DataType::Float),
+        2 => Some(DataType::Str),
+        3 => Some(DataType::Bool),
+        _ => None,
+    }
+}
+
+/// Seal a record: append the FNV-1a checksum of everything in `out`, the
+/// trailer that [`Reader::open`] verifies.
+pub fn seal(out: &mut Vec<u8>) {
+    let checksum = fnv1a(out);
+    out.extend_from_slice(&checksum.to_le_bytes());
 }
 
 fn put_bitmap<T>(out: &mut Vec<u8>, data: &[Option<T>]) {
@@ -77,30 +113,27 @@ pub fn to_bytes(table: &Table) -> Vec<u8> {
             }
             None => out.push(0),
         }
+        out.push(dtype_tag(column.dtype()));
         match column.data() {
             ColumnData::Int(v) => {
-                out.push(0);
                 put_bitmap(&mut out, v);
                 for x in v.iter().flatten() {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
             }
             ColumnData::Float(v) => {
-                out.push(1);
                 put_bitmap(&mut out, v);
                 for x in v.iter().flatten() {
                     out.extend_from_slice(&x.to_le_bytes());
                 }
             }
             ColumnData::Str(v) => {
-                out.push(2);
                 put_bitmap(&mut out, v);
                 for s in v.iter().flatten() {
                     put_str(&mut out, s);
                 }
             }
             ColumnData::Bool(v) => {
-                out.push(3);
                 put_bitmap(&mut out, v);
                 for &b in v.iter().flatten() {
                     out.push(b as u8);
@@ -108,8 +141,7 @@ pub fn to_bytes(table: &Table) -> Vec<u8> {
             }
         }
     }
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    seal(&mut out);
     out
 }
 
@@ -120,14 +152,44 @@ pub fn write_table<W: std::io::Write>(table: &Table, mut writer: W) -> Result<()
         .map_err(|e| TableError::ColBin(e.to_string()))
 }
 
-/// Bounds-checked reader over an `.mtc` byte slice.
-struct Cursor<'a> {
+/// Bounds-checked little-endian reader over a record's bytes. Every read
+/// past the end is a typed error, never a panic.
+pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+impl<'a> Reader<'a> {
+    /// Reader from the start of `bytes`.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// Reader over the body of a [`seal`]ed record, after its `magic`:
+    /// verifies the trailing checksum first, then the magic.
+    pub fn open(bytes: &'a [u8], magic: &[u8; 4]) -> Result<Reader<'a>> {
+        if bytes.len() < magic.len() + 8 {
+            return Err(TableError::ColBin("payload too short".into()));
+        }
+        let (body, tail) = bytes.split_at(bytes.len() - 8);
+        let stored = u64::from_le_bytes(
+            tail.try_into()
+                .map_err(|_| TableError::ColBin("truncated checksum".into()))?,
+        );
+        if fnv1a(body) != stored {
+            return Err(TableError::ColBin("checksum mismatch".into()));
+        }
+        let mut reader = Reader::new(body);
+        if reader.take(magic.len())? != magic {
+            return Err(TableError::ColBin("bad magic".into()));
+        }
+        Ok(reader)
+    }
+
+    /// The next `n` bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
@@ -140,28 +202,47 @@ impl<'a> Cursor<'a> {
 
     /// Fixed-width read; `take` bounds-checks, so the conversion can
     /// only fail on a truncated payload and degrades to a typed error.
+    #[inline]
     fn arr<const N: usize>(&mut self) -> Result<[u8; N]> {
         self.take(N)?
             .try_into()
             .map_err(|_| TableError::ColBin("truncated payload".into()))
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    /// The next byte.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    /// The next little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.arr()?))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    /// The next little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.arr()?))
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// The next string written by [`put_str`].
+    pub fn str(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|e| TableError::ColBin(e.to_string()))
+    }
+
+    /// Bytes not read yet.
+    #[inline]
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The bytes not read yet, consuming the reader.
+    pub fn rest(self) -> &'a [u8] {
+        &self.bytes[self.pos..]
     }
 
     fn bitmap(&mut self, nrows: usize) -> Result<Vec<bool>> {
@@ -174,24 +255,7 @@ impl<'a> Cursor<'a> {
 
 /// Deserialize a table from `.mtc` bytes, verifying the checksum first.
 pub fn read_table(bytes: &[u8]) -> Result<Table> {
-    if bytes.len() < MAGIC.len() + 8 {
-        return Err(TableError::ColBin("payload too short".into()));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(
-        tail.try_into()
-            .map_err(|_| TableError::ColBin("truncated checksum".into()))?,
-    );
-    if fnv1a(body) != stored {
-        return Err(TableError::ColBin("checksum mismatch".into()));
-    }
-    let mut cur = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    if cur.take(4)? != MAGIC {
-        return Err(TableError::ColBin("bad magic".into()));
-    }
+    let mut cur = Reader::open(bytes, MAGIC)?;
     let name = cur.str()?;
     let source = cur.str()?;
     let nrows = cur.u64()? as usize;
@@ -200,7 +264,7 @@ pub fn read_table(bytes: &[u8]) -> Result<Table> {
     // count exceeding the remaining payload is corrupt — reject it before
     // trusting it as an allocation size. (nrows needs no such guard: the
     // bitmap read bounds it against the payload before any row allocation.)
-    if ncols > (body.len() - cur.pos) / 2 {
+    if ncols > cur.remaining() / 2 {
         return Err(TableError::ColBin(format!(
             "column count {ncols} exceeds payload"
         )));
@@ -212,10 +276,12 @@ pub fn read_table(bytes: &[u8]) -> Result<Table> {
         } else {
             None
         };
-        let dtype = cur.u8()?;
+        let tag = cur.u8()?;
+        let dtype = dtype_from_tag(tag)
+            .ok_or_else(|| TableError::ColBin(format!("unknown dtype tag {tag}")))?;
         let present = cur.bitmap(nrows)?;
         let column = match dtype {
-            0 => {
+            DataType::Int => {
                 let mut data = Vec::with_capacity(nrows);
                 for &p in &present {
                     data.push(if p {
@@ -226,7 +292,7 @@ pub fn read_table(bytes: &[u8]) -> Result<Table> {
                 }
                 Column::from_ints(col_name, data)
             }
-            1 => {
+            DataType::Float => {
                 let mut data = Vec::with_capacity(nrows);
                 for &p in &present {
                     data.push(if p {
@@ -239,25 +305,24 @@ pub fn read_table(bytes: &[u8]) -> Result<Table> {
                 // hand-edited payload back to null.
                 Column::from_floats(col_name, data)
             }
-            2 => {
+            DataType::Str => {
                 let mut data = Vec::with_capacity(nrows);
                 for &p in &present {
                     data.push(if p { Some(cur.str()?) } else { None });
                 }
                 Column::from_strings(col_name, data)
             }
-            3 => {
+            DataType::Bool => {
                 let mut data = Vec::with_capacity(nrows);
                 for &p in &present {
                     data.push(if p { Some(cur.u8()? != 0) } else { None });
                 }
                 Column::from_bools(col_name, data)
             }
-            other => return Err(TableError::ColBin(format!("unknown dtype tag {other}"))),
         };
         columns.push(column);
     }
-    if cur.pos != body.len() {
+    if cur.remaining() != 0 {
         return Err(TableError::ColBin(
             "trailing bytes after last column".into(),
         ));

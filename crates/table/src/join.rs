@@ -1,35 +1,33 @@
-//! Hash joins used to materialize join paths.
+//! The first-match left join that materializes join paths.
 //!
 //! Join-path materialization (paper Definition 3/4) always keeps the input
-//! dataset's rows intact, so everything here is a *left* join: each left row
-//! picks up the first matching right row, or nulls when no match exists.
-//! First-match semantics keeps the augmented table row-aligned with `Din`,
-//! which the paper's `Γ(Din, P[j])` projection requires.
+//! dataset's rows intact, so the one join here is a *left* join: each left
+//! row picks up the first matching right row, or nothing when no match
+//! exists. First-match semantics keeps the augmented table row-aligned
+//! with `Din`, which the paper's `Γ(Din, P[j])` projection requires.
+//!
+//! One lookup loop serves every hop: [`KeyIndex::map_rows`] maps probe
+//! rows through an index of the right key column. [`match_rows`] is that
+//! loop over every left row, and [`left_join_column`] projects one right
+//! column through its result with [`Column::gather`]. The discovery
+//! crate's materializer chains the same loop along multi-hop paths.
 
 use crate::column::Column;
 use crate::error::TableError;
 use crate::table::Table;
-use crate::value::Value;
 use crate::Result;
 
-/// A single equi-join hop: `left.left_key == right.right_key`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinSpec {
-    /// Key column index on the left side.
-    pub left_key: usize,
-    /// Key column index on the right side.
-    pub right_key: usize,
-}
-
-/// A first-match lookup from normalized join key ([`Value::join_key`]) to
-/// the first row holding it, stored compactly: the distinct keys' bytes in
-/// one buffer and an open-addressing table over them, with no allocation
-/// per key. Built and probed through [`Column::write_join_key`], so
-/// neither side allocates a key. Rows and key bytes count in `u32`: an
-/// indexed column holds fewer than 2^32 rows and key bytes.
+/// A first-match lookup from normalized join key
+/// ([`Value::join_key`](crate::Value::join_key)) to the first row holding
+/// it, stored compactly: the distinct keys' bytes in one buffer and an
+/// open-addressing table over them, with no allocation per key. Built
+/// and probed through [`Column::write_join_key`], so neither side
+/// allocates a key. Rows and key bytes count in `u32`: an indexed column
+/// holds fewer than 2^32 rows and key bytes.
 ///
-/// Exposed because multi-hop materialization in the discovery crate chains
-/// row mappings through intermediate tables.
+/// Exposed because multi-hop materialization in the discovery crate maps
+/// row mappings through the indexes of intermediate tables
+/// ([`KeyIndex::map_rows`]).
 #[derive(Debug, Clone)]
 pub struct KeyIndex {
     /// The distinct keys, concatenated in first-seen order.
@@ -101,14 +99,31 @@ impl KeyIndex {
         Some(self.entries[entry].1 as usize)
     }
 
-    /// The first row whose join key is `column`'s at `row` (none for a
-    /// row without one); `key` is scratch.
-    pub fn find_row(&self, column: &Column, row: usize, key: &mut String) -> Option<usize> {
-        if column.write_join_key(row, key) {
-            self.get(key)
-        } else {
-            None
+    /// Map probe rows through the index: per entry of `rows`, the first
+    /// indexed row whose join key is `probe`'s at that row, or `None` for
+    /// a `None` entry, a row without a key and a key without a match.
+    /// Fails with [`TableError::EmptyJoinKey`] when the indexed column
+    /// holds no join key.
+    pub fn map_rows(
+        &self,
+        probe: &Column,
+        rows: impl IntoIterator<Item = Option<usize>>,
+    ) -> Result<Vec<Option<usize>>> {
+        if self.is_empty() {
+            return Err(TableError::EmptyJoinKey);
         }
+        let mut key = String::new();
+        Ok(rows
+            .into_iter()
+            .map(|row| {
+                let row = row?;
+                if probe.write_join_key(row, &mut key) {
+                    self.get(&key)
+                } else {
+                    None
+                }
+            })
+            .collect())
     }
 
     /// `true` when the column holds no join key.
@@ -119,35 +134,16 @@ impl KeyIndex {
 
 /// For each left row, the matching right row (first match), if any.
 pub fn match_rows(left_key: &Column, right_key: &Column) -> Result<Vec<Option<usize>>> {
-    let index = KeyIndex::new(right_key);
-    if index.is_empty() {
-        return Err(TableError::EmptyJoinKey);
-    }
-    let mut key = String::new();
-    Ok((0..left_key.len())
-        .map(|row| index.find_row(left_key, row, &mut key))
-        .collect())
-}
-
-/// Fraction of left keys that find a match on the right; the *dataset
-/// overlap* statistic used by the overlap profile and the Overlap baseline.
-pub fn match_ratio(left_key: &Column, right_key: &Column) -> f64 {
-    let index = KeyIndex::new(right_key);
-    if left_key.is_empty() || index.is_empty() {
-        return 0.0;
-    }
-    let mut key = String::new();
-    let hits = (0..left_key.len())
-        .filter(|&row| index.find_row(left_key, row, &mut key).is_some())
-        .count();
-    hits as f64 / left_key.len() as f64
+    KeyIndex::new(right_key).map_rows(left_key, (0..left_key.len()).map(Some))
 }
 
 /// Left-join a single value column: for every left row, the value of
 /// `right[value_col]` on the first matching right row (null on no match).
+/// The column is what [`Column::from_values`] builds from those values
+/// (see [`Column::gather`]).
 ///
-/// This is the workhorse of augmentation materialization: a candidate
-/// augmentation is exactly one such projected column.
+/// This is a candidate augmentation along a one-hop path: exactly one such
+/// projected column.
 pub fn left_join_column(
     left: &Table,
     left_key: usize,
@@ -155,47 +151,14 @@ pub fn left_join_column(
     right_key: usize,
     value_col: usize,
 ) -> Result<Column> {
-    let lk = left.column(left_key)?;
-    let rk = right.column(right_key)?;
-    let vc = right.column(value_col)?;
-    let matches = match_rows(lk, rk)?;
-    let values: Vec<Value> = matches
-        .into_iter()
-        .map(|m| m.map_or(Value::Null, |row| vc.get(row)))
-        .collect();
-    Ok(Column::from_values(vc.name.clone(), values))
-}
-
-/// Left-join whole tables: the result keeps all left columns and appends all
-/// right columns except the join key, with name-collision suffixing.
-pub fn join_tables(left: &Table, right: &Table, spec: &JoinSpec) -> Result<Table> {
-    let lk = left.column(spec.left_key)?;
-    let rk = right.column(spec.right_key)?;
-    let matches = match_rows(lk, rk)?;
-
-    let mut out = left.clone();
-    for (ci, col) in right.columns().iter().enumerate() {
-        if ci == spec.right_key {
-            continue;
-        }
-        let values: Vec<Value> = matches
-            .iter()
-            .map(|m| m.map_or(Value::Null, |row| col.get(row)))
-            .collect();
-        let mut new_col = Column::from_values(col.name.clone(), values);
-        if let Some(name) = &new_col.name {
-            if out.column_index(name).is_ok() {
-                new_col.name = Some(format!("{}_{}", name, right.name));
-            }
-        }
-        out.add_column(new_col)?;
-    }
-    Ok(out)
+    let rows = match_rows(left.column(left_key)?, right.column(right_key)?);
+    Ok(right.column(value_col)?.gather(rows?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     #[test]
     fn key_index_finds_what_the_first_match_map_finds() {
@@ -300,56 +263,6 @@ mod tests {
         assert_eq!(c.get(1), Value::Float(10.0));
         assert_eq!(c.get(2), Value::Null, "unmatched key");
         assert_eq!(c.get(3), Value::Null, "null key never matches");
-    }
-
-    #[test]
-    fn match_ratio_counts_hits() {
-        // 2 of 4 left rows (60614, 60615) match.
-        assert!(
-            (match_ratio(left().column(0).unwrap(), right().column(0).unwrap()) - 0.5).abs()
-                < 1e-12
-        );
-    }
-
-    #[test]
-    fn join_tables_appends_non_key_columns() {
-        let j = join_tables(
-            &left(),
-            &right(),
-            &JoinSpec {
-                left_key: 0,
-                right_key: 0,
-            },
-        )
-        .unwrap();
-        assert_eq!(j.ncols(), 3);
-        assert_eq!(j.nrows(), 4);
-        assert_eq!(
-            j.column_by_name("crimes").unwrap().get(1),
-            Value::Float(10.0)
-        );
-    }
-
-    #[test]
-    fn join_tables_suffixes_collisions() {
-        let r = Table::from_columns(
-            "other",
-            vec![
-                Column::from_strings(Some("zipcode".into()), vec![Some("60614".into())]),
-                Column::from_floats(Some("price".into()), vec![Some(7.0)]),
-            ],
-        )
-        .unwrap();
-        let j = join_tables(
-            &left(),
-            &r,
-            &JoinSpec {
-                left_key: 0,
-                right_key: 0,
-            },
-        )
-        .unwrap();
-        assert!(j.column_by_name("price_other").is_ok());
     }
 
     #[test]

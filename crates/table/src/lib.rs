@@ -11,7 +11,7 @@
 //!
 //! * typed, nullable columns ([`Column`]) with cheap numeric views,
 //! * schemas with possibly-absent attribute names ([`Schema`]),
-//! * hash (left) joins used to materialize join paths ([`join`]),
+//! * the first-match left join that materializes join paths ([`join`]),
 //! * unions for record-addition augmentations ([`union`]),
 //! * seeded row sampling for cheap profile estimation ([`sample`]),
 //! * a minimal CSV reader/writer for interop ([`csv`]),
@@ -36,7 +36,7 @@ pub mod value;
 
 pub use column::Column;
 pub use error::TableError;
-pub use join::{join_tables, left_join_column, JoinSpec};
+pub use join::left_join_column;
 pub use schema::{DataType, Field, Schema};
 pub use table::Table;
 pub use value::Value;

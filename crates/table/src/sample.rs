@@ -4,10 +4,13 @@
 //! (§VI "Settings"); this module provides the deterministic sampler used
 //! for that.
 
-/// Deterministic xorshift-style index shuffle. We avoid pulling `rand` into
-/// this leaf crate; sampling only needs a reproducible pseudo-random
-/// permutation, not statistical quality.
-fn splitmix64(state: &mut u64) -> u64 {
+/// splitmix64: advance `state` and return the next pseudo-random value.
+/// The one seeded generator for draws that need reproducibility, not
+/// statistical quality: row sampling here, k-means seeding, synthetic
+/// fixtures and randomized tests. We avoid pulling `rand` into this leaf
+/// crate.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);

@@ -57,11 +57,13 @@ impl Field {
     pub fn anonymous(dtype: DataType) -> Self {
         Field { name: None, dtype }
     }
+}
 
-    /// Display name; anonymous fields render as `_colN` given their index.
-    pub fn display_name(&self, index: usize) -> String {
-        self.name.clone().unwrap_or_else(|| format!("_col{index}"))
-    }
+/// Display name of the column at `index` named `name`: anonymous columns
+/// render as `_colN`. The one naming rule for tables, descriptors and
+/// catalog statistics.
+pub fn display_name(name: Option<&str>, index: usize) -> String {
+    name.map_or_else(|| format!("_col{index}"), String::from)
 }
 
 /// An ordered list of fields.
@@ -122,8 +124,8 @@ mod tests {
 
     #[test]
     fn display_name_falls_back_to_index() {
-        assert_eq!(Field::anonymous(DataType::Int).display_name(3), "_col3");
-        assert_eq!(Field::new("x", DataType::Int).display_name(3), "x");
+        assert_eq!(display_name(None, 3), "_col3");
+        assert_eq!(display_name(Some("x"), 3), "x");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::TableError;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{display_name, DataType, Field, Schema};
 use crate::value::Value;
 use crate::Result;
 
@@ -103,10 +103,7 @@ impl Table {
 
     /// Display name of column `i` (anonymous columns render as `_colN`).
     pub fn column_display_name(&self, i: usize) -> String {
-        self.columns
-            .get(i)
-            .map(|c| c.name.clone().unwrap_or_else(|| format!("_col{i}")))
-            .unwrap_or_else(|| format!("_col{i}"))
+        display_name(self.columns.get(i).and_then(|c| c.name.as_deref()), i)
     }
 
     /// Append a column; must match the row count (any length is accepted

@@ -2,7 +2,7 @@
 
 use metam_table::colbin;
 use metam_table::csv::{read_csv_str, to_csv_string};
-use metam_table::join::{left_join_column, match_ratio};
+use metam_table::join::left_join_column;
 use metam_table::sample::sample_indices;
 use metam_table::union::union_tables;
 use metam_table::{Column, Table, Value};
@@ -194,17 +194,6 @@ proptest! {
                 prop_assert!(!right_keys.contains(&left_keys[r]));
             }
         }
-    }
-
-    #[test]
-    fn match_ratio_bounded(
-        left_keys in prop::collection::vec("[a-d]", 1..40),
-        right_keys in prop::collection::vec("[a-d]", 1..40),
-    ) {
-        let lk = Column::from_strings(None, left_keys.into_iter().map(Some).collect());
-        let rk = Column::from_strings(None, right_keys.into_iter().map(Some).collect());
-        let ratio = match_ratio(&lk, &rk);
-        prop_assert!((0.0..=1.0).contains(&ratio));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! a category-aligned augmentation lifts utility and noise does not.
 
 use metam_core::Task;
+use metam_table::sample::splitmix64;
 use metam_table::Table;
 
 use crate::util::numeric_columns;
@@ -35,14 +36,6 @@ impl ClusteringTask {
 
 fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// k-means with several seeded restarts; keeps the assignment with the
@@ -100,14 +93,14 @@ fn kmeans_once(points: &[Vec<f64>], k: usize, seed: u64, iters: usize) -> Vec<us
     let k = k.min(n);
     let mut state = seed ^ 0xC0FFEE;
     // k-means++: first center random, next ∝ squared distance.
-    let mut centers: Vec<Vec<f64>> = vec![points[(splitmix(&mut state) as usize) % n].clone()];
+    let mut centers: Vec<Vec<f64>> = vec![points[(splitmix64(&mut state) as usize) % n].clone()];
     let mut d2: Vec<f64> = points.iter().map(|p| sq_dist(p, &centers[0])).collect();
     while centers.len() < k {
         let total: f64 = d2.iter().sum();
         let next = if total <= 0.0 {
-            (splitmix(&mut state) as usize) % n
+            (splitmix64(&mut state) as usize) % n
         } else {
-            let mut draw = (splitmix(&mut state) as f64 / u64::MAX as f64) * total;
+            let mut draw = (splitmix64(&mut state) as f64 / u64::MAX as f64) * total;
             let mut idx = 0;
             for (i, &d) in d2.iter().enumerate() {
                 if draw < d {

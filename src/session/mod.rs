@@ -289,7 +289,6 @@ impl Session {
             task,
             &profile_set,
             &AssembleOptions {
-                max_candidates,
                 profile_sample,
                 seed,
             },

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use metam_core::{Repository, Task};
 use metam_datagen::{GroundTruth, Scenario};
 use metam_discovery::path::PathConfig;
+use metam_discovery::Materializer;
 use metam_lake::catalog::read_table_file;
 use metam_lake::{LakeCatalog, LakeError};
 use metam_table::Table;
@@ -35,9 +36,9 @@ pub struct SourceRequest {
     /// The requested input dataset, when the user named one (`.din(...)`).
     /// Sources that own exactly one input (scenarios) may ignore it.
     pub input: Option<String>,
-    /// Cap on enumerated candidates, for sources that enumerate their own
-    /// candidates ([`Repository::Enumerated`]) under the default
-    /// join-path limits ([`PathConfig::default`]).
+    /// Cap on the candidates a source enumerates into its
+    /// [`Repository`], under the default join-path limits
+    /// ([`PathConfig::default`]).
     pub max_candidates: usize,
 }
 
@@ -46,10 +47,10 @@ pub struct SourceRequest {
 pub struct SourceData {
     /// The input dataset `Din`.
     pub din: Table,
-    /// The repository candidates are discovered in: eager in-memory
-    /// tables (scenarios), or candidates the source enumerated plus a
-    /// lazy provider (sketch-backed lakes, which enumerate once per input
-    /// and snapshot, and where only candidate-winning tables ever load).
+    /// The candidates the source enumerated and a materializer over its
+    /// tables: in memory for scenarios, lazy for sketch-backed lakes
+    /// (which enumerate once per input and snapshot, and where only
+    /// candidate-winning tables ever load).
     pub repository: Repository,
     /// A default downstream task, when the source can build one (synthetic
     /// scenarios carry a task spec; real lakes return `None`).
@@ -95,9 +96,12 @@ impl DataSource for ScenarioSource {
     }
 
     fn load(&self, request: &SourceRequest) -> Result<SourceData, SessionError> {
+        let din = self.scenario.din.clone();
+        let repository =
+            Repository::eager(&din, self.scenario.tables.clone(), request.max_candidates);
         Ok(SourceData {
-            din: self.scenario.din.clone(),
-            repository: self.scenario.tables.clone().into(),
+            din,
+            repository,
             task: Some(build_task(&self.scenario, request.seed)),
             target: self.scenario.spec.target_name().map(String::from),
             ground_truth: Some(self.scenario.ground_truth.clone()),
@@ -189,18 +193,11 @@ impl DataSource for LakeSource {
             &PathConfig::default(),
             request.max_candidates,
         )?;
-        // Surface the .mtc-vs-CSV load split in the metrics registry.
-        // Drained as a delta (not a lifetime snapshot) so N concurrent
-        // prepares sharing one catalog flush each load exactly once — the
-        // registry total equals the catalog's lifetime total, never more.
-        let (hits, misses) = catalog.load_counters().take_unflushed();
-        metam_obs::counter_add("lake.load.mtc_hits", hits as u64);
-        metam_obs::counter_add("lake.load.csv_fallbacks", misses as u64);
         Ok(SourceData {
             din,
-            repository: Repository::Enumerated {
+            repository: Repository {
                 candidates,
-                provider: Box::new(provider),
+                materializer: Materializer::lazy(Box::new(provider)),
             },
             task: None,
             target: None,

@@ -23,9 +23,9 @@ use metam::{MetamConfig, Method};
 use metam_datagen::supervised::{build_supervised, SupervisedConfig};
 use metam_datagen::Scenario;
 
-/// Tests that run real sessions (and therefore flush the process-global
-/// `lake.load.*` metrics registry) serialize on this lock so the counter
-/// regression test sees only its own deltas.
+/// Tests that run real sessions (and therefore count table loads into the
+/// process-global `lake.load.*` metrics registry) serialize on this lock
+/// so the counter regression tests see only their own deltas.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn lock_serial() -> std::sync::MutexGuard<'static, ()> {
@@ -581,8 +581,9 @@ fn idle_daemon_answers_new_connections_and_stops_promptly() {
 }
 
 // ---------------------------------------------------------------------------
-// Satellite 6 regression: concurrent sessions over one shared catalog
-// flush each load into the metrics registry exactly once.
+// Load counters: every table load reaches the metrics registry exactly
+// once, from concurrent sessions over one shared catalog and from a
+// one-shot discover's lazy loads during its search.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -620,16 +621,44 @@ fn shared_catalog_sessions_flush_each_load_exactly_once() {
 
     let lifetime_delta = load.hits() + load.misses() - lifetime_before;
     assert!(lifetime_delta >= 8, "each session loads at least the din");
-    // Loads after the last prepare-time flush (search-time lazy
-    // materialization) are still pending; account for them explicitly.
-    let (pending_hits, pending_misses) = load.take_unflushed();
     let registry_delta = (registry_before("lake.load.mtc_hits") - before_hits)
         + (registry_before("lake.load.csv_fallbacks") - before_misses);
     assert_eq!(
-        registry_delta + pending_hits as u64 + pending_misses as u64,
-        lifetime_delta as u64,
+        registry_delta, lifetime_delta as u64,
         "every load is flushed to the registry exactly once, even with \
          8 sessions sharing one catalog"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_shot_discover_report_counts_every_table_load() {
+    let _serial = lock_serial();
+    let dir = demo_lake("report-loads", 6);
+    let catalog = LakeCatalog::scan(&dir).expect("scan");
+    let load = catalog.load_counters();
+    let registry_loads = |metrics: &metam::obs::MetricsSnapshot| {
+        metrics.counter("lake.load.mtc_hits").unwrap_or(0)
+            + metrics.counter("lake.load.csv_fallbacks").unwrap_or(0)
+    };
+    let registry_before = registry_loads(&metam::obs::metrics_snapshot());
+    let lifetime_before = load.hits() + load.misses();
+
+    let report = Session::from_catalog(catalog)
+        .din("din")
+        .task_spec("classification:label")
+        .seed(6)
+        .budget(10)
+        .run(Method::Metam(MetamConfig::default()))
+        .expect("one-shot discover");
+
+    let loads = load.hits() + load.misses() - lifetime_before;
+    assert!(loads > 1, "the search loads repository tables past the din");
+    let metrics = report.metrics.expect("the report carries metrics");
+    assert_eq!(
+        registry_loads(&metrics) - registry_before,
+        loads as u64,
+        "the report's load counters include the search's lazy loads"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use metam::core::{assemble, AssembleOptions, Repository};
 use metam::discovery::path::PathConfig;
-use metam::discovery::{generate_candidates, Candidate, DiscoveryIndex, TableProvider};
+use metam::discovery::{
+    generate_candidates, Candidate, DiscoveryIndex, Materializer, TableProvider,
+};
 use metam::lake::prepare::{repository_candidates, repository_descriptors};
 use metam::lake::{export_scenario, parse_task, sketch, LakeCatalog};
 use metam::profile::default_profiles;
@@ -195,9 +197,11 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
         .iter()
         .map(|name| Arc::new(catalog.load_table(name).expect("tables")))
         .collect();
+    let max_candidates = 100_000;
+    let repository = Repository::eager(&din, tables, max_candidates);
     let eager = assemble(
         din,
-        tables,
+        repository,
         target_column,
         task().task,
         &default_profiles(),
@@ -205,19 +209,14 @@ fn sketch_backed_candidates_match_in_memory_build_on_howto_fixture() {
     );
 
     let din = catalog.load_table("din").expect("din");
-    let (candidates, provider) = repository_candidates(
-        &catalog,
-        &din,
-        None,
-        &PathConfig::default(),
-        options.max_candidates,
-    )
-    .expect("sketches");
+    let (candidates, provider) =
+        repository_candidates(&catalog, &din, None, &PathConfig::default(), max_candidates)
+            .expect("sketches");
     let lazy = assemble(
         din,
-        Repository::Enumerated {
+        Repository {
             candidates,
-            provider: Box::new(provider),
+            materializer: Materializer::lazy(Box::new(provider)),
         },
         target_column,
         task().task,
