@@ -63,6 +63,14 @@ for FIELD in first_hops next_indexes; do
     grep '"span":"prepare.profiles"' "$TRACE_DIR/run.jsonl" | grep -q "\"$FIELD\":" || {
         echo "trace smoke: the prepare.profiles span has no $FIELD field"; exit 1; }
 done
+# The join search reports what it scored beside its probes; on the seed-7
+# demo lake it makes 213 probes and finds 840 candidates, exact
+# enumeration invariants that no change to how it searches may move.
+CANDIDATES_SPAN=$(grep '"span":"prepare.candidates"' "$TRACE_DIR/run.jsonl")
+for FIELD in '"scored":' '"probes":213[,}]' '"candidates":840[,}]'; do
+    echo "$CANDIDATES_SPAN" | grep -Eq "$FIELD" || {
+        echo "trace smoke: the prepare.candidates span lacks $FIELD: $CANDIDATES_SPAN"; exit 1; }
+done
 # The catalog is one record per file: .metam/ holds the columnar cache and
 # the sketch records, nothing else (no catalog*.tsv manifest).
 META_LISTING=$(ls -A "$TRACE_DIR/lake/.metam" | tr '\n' ' ')

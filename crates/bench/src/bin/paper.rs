@@ -653,16 +653,19 @@ fn fig6(args: &Args) -> io::Result<()> {
 
 /// Queries Metam needs to reach 70 % of the planted ground-truth
 /// augmentation's utility lift (probed with a separate engine, so the
-/// probe is not billed).
-fn queries_to_ground_truth(scenario: &Scenario, seed: u64, budget: usize) -> usize {
+/// probe is not billed). `Err` carries the candidate count when no
+/// candidate has a positive planted relevance: the planted candidate is
+/// not among them, so there is no ground truth to find.
+fn queries_to_ground_truth(scenario: &Scenario, seed: u64, budget: usize) -> Result<usize, usize> {
     let prepared = prepare(scenario, Profiles::Default, seed);
     let relevance = prepared.relevance.clone().expect("scenarios carry truth");
     let gt = relevance
         .iter()
         .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+        .filter(|(_, &r)| r > 0.0)
+        .max_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
-        .expect("one planted candidate");
+        .ok_or(relevance.len())?;
     let inputs = prepared.inputs();
     let mut probe = QueryEngine::new(&inputs, usize::MAX);
     let base = probe.base_utility().expect("unbounded budget");
@@ -683,11 +686,11 @@ fn queries_to_ground_truth(scenario: &Scenario, seed: u64, budget: usize) -> usi
         ..Default::default()
     })
     .run(&inputs, &mut NoopObserver);
-    if result.stop_reason == StopReason::ThetaReached {
+    Ok(if result.stop_reason == StopReason::ThetaReached {
         result.queries
     } else {
         budget
-    }
+    })
 }
 
 /// Fig. 8: queries to identify the single planted ground-truth
@@ -717,9 +720,11 @@ fn fig8(args: &Args) -> io::Result<()> {
         ..Default::default()
     };
     let sweep = |id: &str, title: &str, x_label: &str, vary: fn(usize) -> (usize, usize)| {
+        // A point whose planted candidate is absent measures nothing and
+        // is left out of the panel.
         let points = counts
             .iter()
-            .map(|&count| {
+            .filter_map(|&count| {
                 let (irrelevant, erroneous) = vary(count);
                 let cfg = SupervisedConfig {
                     n_irrelevant_tables: irrelevant,
@@ -727,9 +732,18 @@ fn fig8(args: &Args) -> io::Result<()> {
                     name: format!("{id}_{count}"),
                     ..base.clone()
                 };
-                let q = queries_to_ground_truth(&build_supervised(&cfg), args.seed, budget);
-                eprintln!("[{id}] {x_label}={count}: {q} queries");
-                (count, q as f64)
+                match queries_to_ground_truth(&build_supervised(&cfg), args.seed, budget) {
+                    Ok(q) => {
+                        eprintln!("[{id}] {x_label}={count}: {q} queries");
+                        Some((count, q as f64))
+                    }
+                    Err(candidates) => {
+                        eprintln!(
+                            "[{id}] {x_label}={count}: planted candidate absent from {candidates} candidates"
+                        );
+                        None
+                    }
+                }
             })
             .collect();
         let mut panel = Panel::new(id, title);

@@ -68,10 +68,11 @@ impl Repository {
 /// Enumerate the candidate augmentations of `din` over `index`: its join
 /// paths (Definition 3) from `probes` (`din`'s [`din_probes`]), then one
 /// candidate per projected column (Definition 4), capped at
-/// `max_candidates`. The search's cost (`probes`, `postings_hops`) and the
-/// candidate count go on `span`, the caller's `prepare.candidates`. This
-/// is the one enumeration routine: [`Repository::eager`] runs it over
-/// in-memory tables, and a lake snapshot runs it when its memo misses.
+/// `max_candidates`. The search's cost (`probes`, `postings_hops`,
+/// `scored`) and the candidate count go on `span`, the caller's
+/// `prepare.candidates`. This is the one enumeration routine:
+/// [`Repository::eager`] runs it over in-memory tables, and a lake
+/// snapshot runs it when its memo misses.
 pub fn enumerate_candidates(
     din: &Table,
     probes: &[(usize, MinHash)],
@@ -84,6 +85,7 @@ pub fn enumerate_candidates(
     let candidates = candidates_on_paths(din, index, &search.paths, max_candidates);
     span.field("probes", search.probes as f64);
     span.field("postings_hops", search.postings_hops as f64);
+    span.field("scored", search.scored as f64);
     span.field("candidates", candidates.len() as f64);
     candidates
 }

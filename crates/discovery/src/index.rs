@@ -6,6 +6,17 @@
 //! persisted sketches ([`DiscoveryIndex::from_catalog`]) without touching
 //! raw data — candidate generation becomes set algebra over sketches, and
 //! payloads load lazily only when a candidate materializes.
+//!
+//! A join search ([`DiscoveryIndex::joinable_columns`]) either scans, one
+//! sketch comparison per keyish column, or reads the index's exact slot
+//! postings: for each of the probe's slot values, the run of keyish
+//! columns holding the same value in that slot. A column appears once per
+//! value it shares, so the postings alone give its match count, and its
+//! containment comes from that count by the formula
+//! [`MinHash::containment_in`] uses, without reading its sketch. A probe
+//! that is itself a keyish indexed column ([`Probe::Column`], every
+//! second-hop probe) finds each run at its own posting's recorded
+//! position; any other probe binary-searches the slot for it.
 
 use std::sync::{Arc, OnceLock};
 
@@ -112,15 +123,43 @@ pub enum JoinSearch {
     /// probe costs one full sketch comparison per entry.
     Scan,
     /// Look the probe's slot values up in the index's slot postings and
-    /// compare it only with the entries sharing at least one value. The
-    /// postings are built on first use and kept for the index's lifetime.
+    /// score only the entries sharing at least one value, from the number
+    /// of values they share. The postings are built on first use and kept
+    /// for the index's lifetime.
     Postings,
 }
 
+/// What [`DiscoveryIndex::joinable_columns`] probes with.
+#[derive(Debug, Clone, Copy)]
+pub enum Probe<'a> {
+    /// A sketch from outside the index, such as a column of `din`.
+    Sketch(&'a MinHash),
+    /// An indexed column, probed with its own sketch. A postings search
+    /// finds a keyish column's postings by position instead of searching
+    /// for them.
+    Column(ColumnRef),
+}
+
+/// The columns one probe joins into, and what finding them cost.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Joinable {
+    /// Joinable columns with their containment, sorted by containment
+    /// descending (ties by column ref).
+    pub columns: Vec<(ColumnRef, f64)>,
+    /// Containments computed: the keyish entries outside the excluded
+    /// table for a scan, only those sharing a slot value with the probe
+    /// for a postings search.
+    pub scored: usize,
+}
+
 /// Exact slot postings over the keyish entries: for every MinHash slot,
-/// the (min value, entry) pairs of that slot, sorted. Flat arrays, 12
-/// bytes per posting; empty slots (`u64::MAX`) are not posted, matching
-/// [`MinHash::jaccard`], which never counts them as matches.
+/// the (min value, entry) pairs of that slot, sorted, and where each
+/// entry's value sits among them. Flat arrays, 12 bytes per posting and
+/// 512 bytes of positions per entry; empty slots (`u64::MAX`) are not
+/// posted, matching [`MinHash::jaccard`], which never counts them as
+/// matches. Each entry is posted at most once per slot, so the number of
+/// a probe's slot values an entry holds is exactly the match count a
+/// sketch comparison would recount.
 #[derive(Clone)]
 struct Postings {
     /// Slot `s`'s postings are `keys[offsets[s]..offsets[s + 1]]`.
@@ -129,6 +168,9 @@ struct Postings {
     keys: Vec<u64>,
     /// The entry holding each posted value.
     entries: Vec<u32>,
+    /// `positions[e * SKETCH_SLOTS + s]` is where entry `e`'s slot `s`
+    /// value is posted in `keys` (`u32::MAX` when it is not posted).
+    positions: Vec<u32>,
 }
 
 impl std::fmt::Debug for Postings {
@@ -140,8 +182,9 @@ impl std::fmt::Debug for Postings {
 }
 
 impl Postings {
-    /// Post every keyish entry of `index`. `None` when the entry count
-    /// does not fit the `u32` entry ids; such an index always scans.
+    /// Post every keyish entry of `index`. `None` when the entry ids or
+    /// the positions of the postings do not fit `u32`; such an index
+    /// always scans.
     fn build(index: &DiscoveryIndex) -> Option<Postings> {
         u32::try_from(index.entries.len()).ok()?;
         let keyish: Vec<(u32, &[u64; SKETCH_SLOTS])> = index
@@ -151,9 +194,15 @@ impl Postings {
             .filter(|(_, e)| e.keyish)
             .map(|(i, e)| (i as u32, index.sketch(e.column).slots()))
             .collect();
+        let n_postings: usize = keyish
+            .iter()
+            .map(|(_, slots)| slots.iter().filter(|&&v| v != u64::MAX).count())
+            .sum();
+        u32::try_from(n_postings).ok()?;
         let mut offsets = Vec::with_capacity(SKETCH_SLOTS + 1);
-        let mut keys = Vec::with_capacity(keyish.len() * SKETCH_SLOTS);
-        let mut ids = Vec::with_capacity(keyish.len() * SKETCH_SLOTS);
+        let mut keys = Vec::with_capacity(n_postings);
+        let mut ids = Vec::with_capacity(n_postings);
+        let mut positions = vec![u32::MAX; index.entries.len() * SKETCH_SLOTS];
         let mut slot_pairs: Vec<(u64, u32)> = Vec::with_capacity(keyish.len());
         for slot in 0..SKETCH_SLOTS {
             offsets.push(keys.len());
@@ -165,35 +214,47 @@ impl Postings {
                     .filter(|&(v, _)| v != u64::MAX),
             );
             slot_pairs.sort_unstable();
-            keys.extend(slot_pairs.iter().map(|&(v, _)| v));
-            ids.extend(slot_pairs.iter().map(|&(_, i)| i));
+            for &(v, i) in &slot_pairs {
+                positions[i as usize * SKETCH_SLOTS + slot] = keys.len() as u32;
+                keys.push(v);
+                ids.push(i);
+            }
         }
         offsets.push(keys.len());
         Some(Postings {
             offsets,
             keys,
             entries: ids,
+            positions,
         })
     }
 
-    /// Ids of the entries sharing at least one slot value with `probe`,
-    /// ascending and distinct.
-    fn sharing(&self, probe: &MinHash) -> Vec<u32> {
+    /// The entries sharing at least one slot value with `probe`, each
+    /// with the number of slot values it shares, ascending by entry.
+    /// `posted` is the probe's own entry when it is posted: each slot's
+    /// run of equal values is then found at that entry's position,
+    /// otherwise by a binary search of the slot's postings.
+    fn sharing(&self, probe: &MinHash, posted: Option<usize>) -> Vec<(u32, usize)> {
         let mut hits = Vec::new();
         for (slot, &value) in probe.slots().iter().enumerate() {
             if value == u64::MAX {
                 continue;
             }
-            let range = self.offsets[slot]..self.offsets[slot + 1];
-            let keys = &self.keys[range.clone()];
-            let first = keys.partition_point(|&k| k < value);
-            let run = keys[first..].iter().take_while(|&&k| k == value).count();
-            let base = range.start + first;
-            hits.extend_from_slice(&self.entries[base..base + run]);
+            let lo = self.offsets[slot];
+            let keys = &self.keys[lo..self.offsets[slot + 1]];
+            // A position in `keys` where the run of `value` starts or lies.
+            let at = match posted {
+                Some(e) => self.positions[e * SKETCH_SLOTS + slot] as usize - lo,
+                None => keys.partition_point(|&k| k < value),
+            };
+            let start = at - keys[..at].iter().rev().take_while(|&&k| k == value).count();
+            let end = at + keys[at..].iter().take_while(|&&k| k == value).count();
+            hits.extend_from_slice(&self.entries[lo + start..lo + end]);
         }
         hits.sort_unstable();
-        hits.dedup();
-        hits
+        hits.chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect()
     }
 }
 
@@ -294,47 +355,63 @@ impl DiscoveryIndex {
     /// (ties by column ref) and restricted to `keyish` columns.
     ///
     /// `search` picks how the candidates are found, never which: a
-    /// [`JoinSearch::Scan`] scores every keyish entry, a
-    /// [`JoinSearch::Postings`] only the entries sharing a slot value with
-    /// the probe. An entry sharing none has containment 0, so for
-    /// `threshold > 0` the two return the same list, bit for bit; a
-    /// threshold `<= 0` admits every keyish entry and always scans.
-    /// [`search_for`](Self::search_for) picks the cheaper one for a hop.
+    /// [`JoinSearch::Scan`] compares the probe's sketch with every keyish
+    /// entry's, a [`JoinSearch::Postings`] scores only the entries sharing
+    /// a slot value with the probe, from the count of values they share in
+    /// the postings, with [`MinHash::containment_from_matches`] (the
+    /// formula [`MinHash::containment_in`] uses). A [`Probe::Column`] of a
+    /// keyish column finds its postings by position. An entry sharing no
+    /// value has containment 0, so for `threshold > 0` the two return the
+    /// same list, bit for bit; a threshold `<= 0` admits every keyish
+    /// entry and always scans. [`search_for`](Self::search_for) picks the
+    /// cheaper one for a hop.
     pub fn joinable_columns(
         &self,
-        probe: &MinHash,
+        probe: Probe<'_>,
         threshold: f64,
         exclude_table: Option<usize>,
         search: JoinSearch,
-    ) -> Vec<(ColumnRef, f64)> {
-        let score = |e: &ColumnEntry| {
-            if Some(e.column.table) == exclude_table {
-                return None;
+    ) -> Joinable {
+        // A keyish column probe is posted itself: its entry locates its runs.
+        let (sketch, posted) = match probe {
+            Probe::Sketch(sketch) => (sketch, None),
+            Probe::Column(column) => {
+                let e = self.entry_offsets[column.table] + column.column;
+                (self.sketch(column), self.entries[e].keyish.then_some(e))
             }
-            let c = probe.containment_in(self.sketch(e.column));
-            (c >= threshold).then_some((e.column, c))
         };
+        let outside = |e: &ColumnEntry| Some(e.column.table) != exclude_table;
         let postings = match search {
             JoinSearch::Postings if threshold > 0.0 => {
                 self.postings.get_or_init(|| Postings::build(self)).as_ref()
             }
             _ => None,
         };
-        let mut out: Vec<(ColumnRef, f64)> = match postings {
+        let mut scored = 0;
+        let mut keep = |column: ColumnRef, c: f64| {
+            scored += 1;
+            (c >= threshold).then_some((column, c))
+        };
+        let mut columns: Vec<(ColumnRef, f64)> = match postings {
             Some(postings) => postings
-                .sharing(probe)
+                .sharing(sketch, posted)
                 .into_iter()
-                .filter_map(|i| score(&self.entries[i as usize]))
+                .map(|(i, matches)| (&self.entries[i as usize], matches))
+                .filter(|(e, _)| outside(e))
+                .filter_map(|(e, matches)| {
+                    let other = self.sketch(e.column).cardinality;
+                    keep(e.column, sketch.containment_from_matches(other, matches))
+                })
                 .collect(),
             None => self
                 .entries
                 .iter()
-                .filter(|e| e.keyish)
-                .filter_map(score)
+                .filter(|e| e.keyish && outside(e))
+                .filter_map(|e| keep(e.column, sketch.containment_in(self.sketch(e.column))))
                 .collect(),
         };
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
+        columns.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        Joinable { columns, scored }
     }
 
     /// The cheaper search for a hop that makes `probes` probes at
@@ -425,7 +502,9 @@ pub(crate) mod tests {
         let idx = DiscoveryIndex::build(repo());
         let probe_keys: Vec<String> = (0..50).map(|i| format!("z{i}")).collect();
         let probe = MinHash::from_keys(&probe_keys);
-        let hits = idx.joinable_columns(&probe, 0.5, None, JoinSearch::Scan);
+        let hits = idx
+            .joinable_columns(Probe::Sketch(&probe), 0.5, None, JoinSearch::Scan)
+            .columns;
         assert_eq!(hits.len(), 1);
         assert_eq!(
             hits[0].0,
@@ -444,7 +523,8 @@ pub(crate) mod tests {
         let probe = MinHash::from_keys(&probe_keys);
         for search in [JoinSearch::Scan, JoinSearch::Postings] {
             assert!(idx
-                .joinable_columns(&probe, 0.5, Some(0), search)
+                .joinable_columns(Probe::Sketch(&probe), 0.5, Some(0), search)
+                .columns
                 .is_empty());
         }
     }
@@ -513,18 +593,31 @@ pub(crate) mod tests {
         }
     }
 
+    /// Random tables of random columns. A third of the columns repeat an
+    /// earlier column's sketch, so equal slot values form runs of several
+    /// postings.
     fn random_descriptors(state: &mut u64) -> Vec<TableDescriptor> {
         let n_tables = 1 + next(state) % 8;
+        let mut sketches: Vec<MinHash> = Vec::new();
         (0..n_tables as usize)
             .map(|t| TableDescriptor {
                 name: format!("t{t}"),
                 source: String::new(),
                 approx_bytes: 0,
                 columns: (0..1 + next(state) % 4)
-                    .map(|c| ColumnDescriptor {
-                        name: Some(format!("c{c}")),
-                        sketch: MinHash::from_keys(&random_keys(state, t * 10 + c as usize)),
-                        keyish: !next(state).is_multiple_of(4),
+                    .map(|c| {
+                        let sketch = match next(state) % 3 {
+                            0 if !sketches.is_empty() => {
+                                sketches[(next(state) % sketches.len() as u64) as usize].clone()
+                            }
+                            _ => MinHash::from_keys(&random_keys(state, t * 10 + c as usize)),
+                        };
+                        sketches.push(sketch.clone());
+                        ColumnDescriptor {
+                            name: Some(format!("c{c}")),
+                            sketch,
+                            keyish: !next(state).is_multiple_of(4),
+                        }
                     })
                     .collect(),
             })
@@ -540,6 +633,10 @@ pub(crate) mod tests {
     fn postings_and_scan_return_identical_lists() {
         let mut state = 0x5EED;
         let mut found = [0usize; 3];
+        // Runs of two or more equal values at a slot's first and at its
+        // last position: the edges a run walk must reach.
+        let mut edge_runs = [0usize; 2];
+        let mut column_hits = 0;
         for case in 0..300 {
             let descriptors = random_descriptors(&mut state);
             let n_tables = descriptors.len() as u64;
@@ -550,20 +647,60 @@ pub(crate) mod tests {
                 _ => Some((next(&mut state) % n_tables) as usize),
             };
             for (t, threshold) in [0.0, 0.6, 1.0].into_iter().enumerate() {
-                let scan = index.joinable_columns(&probe, threshold, exclude, JoinSearch::Scan);
-                let postings =
-                    index.joinable_columns(&probe, threshold, exclude, JoinSearch::Postings);
+                let search = |search| {
+                    index.joinable_columns(Probe::Sketch(&probe), threshold, exclude, search)
+                };
+                let (scan, postings) = (search(JoinSearch::Scan), search(JoinSearch::Postings));
                 assert_eq!(
-                    bits(&scan),
-                    bits(&postings),
+                    bits(&scan.columns),
+                    bits(&postings.columns),
                     "case {case}, threshold {threshold}, exclude {exclude:?}"
                 );
-                found[t] += scan.len();
+                assert!(postings.scored <= scan.scored);
+                found[t] += scan.columns.len();
+            }
+            // Every keyish column probed by reference, through its
+            // postings' positions, against a scan of its sketch.
+            for entry in index.entries().iter().filter(|e| e.keyish) {
+                let column = entry.column;
+                for exclude in [None, Some(column.table)] {
+                    for threshold in [f64::MIN_POSITIVE, 0.6] {
+                        let sketch = Probe::Sketch(index.sketch(column));
+                        let scan =
+                            index.joinable_columns(sketch, threshold, exclude, JoinSearch::Scan);
+                        let by_position = index.joinable_columns(
+                            Probe::Column(column),
+                            threshold,
+                            exclude,
+                            JoinSearch::Postings,
+                        );
+                        assert_eq!(
+                            bits(&scan.columns),
+                            bits(&by_position.columns),
+                            "case {case}, column {column:?}, threshold {threshold:e}, exclude {exclude:?}"
+                        );
+                        column_hits += scan.columns.len();
+                    }
+                }
+            }
+            if let Some(Some(postings)) = index.postings.get() {
+                for slot in postings.offsets.windows(2) {
+                    let keys = &postings.keys[slot[0]..slot[1]];
+                    if keys.len() > 2 {
+                        edge_runs[0] += usize::from(keys[0] == keys[1]);
+                        edge_runs[1] += usize::from(keys[keys.len() - 1] == keys[keys.len() - 2]);
+                    }
+                }
             }
         }
         assert!(
             found.iter().all(|&n| n > 0),
             "every threshold admits some columns: {found:?}"
+        );
+        assert!(column_hits > 0, "column probes find columns");
+        assert!(
+            edge_runs.iter().all(|&n| n > 0),
+            "runs start at a slot's first and end at its last posting: {edge_runs:?}"
         );
     }
 

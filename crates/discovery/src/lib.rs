@@ -30,7 +30,9 @@ pub mod path;
 pub use candidate::{
     candidates_on_paths, first_hop_groups, generate_candidates, path_runs, Candidate, CandidateId,
 };
-pub use index::{ColumnDescriptor, ColumnRef, DiscoveryIndex, JoinSearch, TableDescriptor};
+pub use index::{
+    ColumnDescriptor, ColumnRef, DiscoveryIndex, JoinSearch, Joinable, Probe, TableDescriptor,
+};
 pub use materialize::{Materializer, NextIndexes, TableProvider};
 pub use minhash::{MinHash, SKETCH_SLOTS};
 pub use path::{din_probes, enumerate_paths, enumerate_paths_from, Hop, JoinPath, PathEnumeration};

@@ -90,27 +90,37 @@ impl MinHash {
         if self.cardinality == 0 || other.cardinality == 0 {
             return 0.0;
         }
-        let matches = self
-            .mins
+        self.matches(other) as f64 / SKETCH_SLOTS as f64
+    }
+
+    /// The slots where both sketches hold the same value other than
+    /// `u64::MAX` (an empty slot never matches).
+    fn matches(&self, other: &MinHash) -> usize {
+        self.mins
             .iter()
             .zip(other.mins.iter())
             .filter(|(a, b)| a == b && **a != u64::MAX)
-            .count();
-        matches as f64 / SKETCH_SLOTS as f64
+            .count()
     }
 
     /// Estimated containment of `self`'s set in `other`'s set
     /// (`|A ∩ B| / |A|`), derived from the Jaccard estimate and exact
     /// cardinalities — the Lazo-style coupled estimation \[17\].
     pub fn containment_in(&self, other: &MinHash) -> f64 {
-        if self.cardinality == 0 {
+        self.containment_from_matches(other.cardinality, self.matches(other))
+    }
+
+    /// [`containment_in`](Self::containment_in) of `self` in a sketch of
+    /// `other_cardinality` distinct values that `matches` of `self`'s
+    /// slots match, counted elsewhere (the index's slot postings count
+    /// them without reading the other sketch). The one containment
+    /// formula: `containment_in` counts its matches and comes here.
+    pub fn containment_from_matches(&self, other_cardinality: usize, matches: usize) -> f64 {
+        if self.cardinality == 0 || other_cardinality == 0 || matches == 0 {
             return 0.0;
         }
-        let j = self.jaccard(other);
-        if j <= 0.0 {
-            return 0.0;
-        }
-        let union_est = (self.cardinality + other.cardinality) as f64 / (1.0 + j);
+        let j = matches as f64 / SKETCH_SLOTS as f64;
+        let union_est = (self.cardinality + other_cardinality) as f64 / (1.0 + j);
         let intersection = j * union_est;
         (intersection / self.cardinality as f64).clamp(0.0, 1.0)
     }
@@ -184,6 +194,74 @@ mod tests {
     #[cfg(debug_assertions)]
     fn duplicated_input_trips_the_debug_guard() {
         let _ = MinHash::from_keys(&["a", "b", "a"]);
+    }
+
+    /// The coupled estimate written out from the Jaccard estimate: the
+    /// reference the counted and the direct containment must match bit
+    /// for bit.
+    fn reference_containment(a: &MinHash, b: &MinHash) -> f64 {
+        if a.cardinality == 0 {
+            return 0.0;
+        }
+        let j = a.jaccard(b);
+        if j <= 0.0 {
+            return 0.0;
+        }
+        let union_est = (a.cardinality + b.cardinality) as f64 / (1.0 + j);
+        ((j * union_est) / a.cardinality as f64).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn containment_from_counted_matches_equals_containment_in() {
+        use metam_table::sample::splitmix64 as next;
+        let mut state = 0xC0A7;
+        // A random sketch: an overlapping range of a shared pool, a range
+        // of its own (disjoint from all others), no keys, or a persisted
+        // record pairing slots with a cardinality they disagree with.
+        let sketch = |state: &mut u64, own: usize| -> MinHash {
+            let lo = (next(state) % 50) as usize;
+            let len = (next(state) % 80) as usize;
+            match next(state) % 5 {
+                0 => MinHash::from_keys::<&str>(&[]),
+                1 => MinHash::from_keys(
+                    &(0..len)
+                        .map(|i| format!("own{own}_{i}"))
+                        .collect::<Vec<_>>(),
+                ),
+                2 => {
+                    let slots = *MinHash::from_keys(&keys(lo..lo + len)).slots();
+                    MinHash::from_parts(slots, (next(state) % 200) as usize)
+                }
+                _ => MinHash::from_keys(&keys(lo..lo + len)),
+            }
+        };
+        let mut seen = [0usize; 3];
+        for case in 0..2000 {
+            let a = sketch(&mut state, 2 * case);
+            let b = if case % 7 == 0 {
+                a.clone()
+            } else {
+                sketch(&mut state, 2 * case + 1)
+            };
+            // Counted the way the slot postings count them: one posting
+            // per non-empty slot of `b`, hit when `a` holds its value.
+            let matches = (0..SKETCH_SLOTS)
+                .filter(|&s| b.slots()[s] != u64::MAX && a.slots()[s] == b.slots()[s])
+                .count();
+            let counted = a.containment_from_matches(b.cardinality, matches);
+            let direct = a.containment_in(&b);
+            assert_eq!(counted.to_bits(), direct.to_bits(), "case {case}");
+            assert_eq!(direct.to_bits(), reference_containment(&a, &b).to_bits());
+            seen[match direct {
+                0.0 => 0,
+                1.0 => 2,
+                _ => 1,
+            }] += 1;
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "zero, partial and full containments all occur: {seen:?}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use metam_table::Table;
 
-use crate::index::{ColumnRef, DiscoveryIndex, JoinSearch};
+use crate::index::{ColumnRef, DiscoveryIndex, JoinSearch, Probe};
 use crate::minhash::MinHash;
 
 /// One equi-join hop in a chain.
@@ -92,6 +92,10 @@ pub struct PathEnumeration {
     /// Hops whose probes searched the index's slot postings
     /// ([`JoinSearch::Postings`]) instead of scanning it.
     pub postings_hops: usize,
+    /// (probe, column) containments computed over every probe
+    /// ([`Joinable::scored`](crate::index::Joinable::scored)): beside the
+    /// paths found, the join search's wasted work.
+    pub scored: usize,
 }
 
 /// The probes the first hop makes: each `keyish` column of `din` (at
@@ -149,12 +153,18 @@ fn enumerate_with(
     choose: impl Fn(usize) -> JoinSearch,
 ) -> PathEnumeration {
     let first_search = choose(din_probes.len());
+    let mut scored = 0;
     let first_hops: Vec<(usize, Vec<_>)> = din_probes
         .iter()
         .map(|(ci, probe)| {
-            let targets =
-                index.joinable_columns(probe, config.containment_threshold, None, first_search);
-            (*ci, targets)
+            let found = index.joinable_columns(
+                Probe::Sketch(probe),
+                config.containment_threshold,
+                None,
+                first_search,
+            );
+            scored += found.scored;
+            (*ci, found.columns)
         })
         .collect();
     let second_search = (config.max_hops >= 2).then(|| {
@@ -172,6 +182,7 @@ fn enumerate_with(
             .iter()
             .filter(|&&s| s == Some(JoinSearch::Postings))
             .count(),
+        scored,
     };
 
     for (ci, targets) in first_hops {
@@ -203,11 +214,13 @@ fn bridge_columns(
 
 /// Add 2nd-hop extensions of `path`.
 ///
-/// The bridge column of the joined table is probed with the sketch the
-/// index already holds for it — identical to re-sketching the column's
-/// distinct values (both derive from the same `distinct_keys`), but
-/// payload-free, so transitive enumeration works over a catalog-backed
-/// index without loading the bridge table.
+/// The bridge column of the joined table is probed by reference
+/// ([`Probe::Column`]), with the sketch the index already holds for it —
+/// identical to re-sketching the column's distinct values (both derive
+/// from the same `distinct_keys`), but payload-free, so transitive
+/// enumeration works over a catalog-backed index without loading the
+/// bridge table; and a postings search finds the column's postings by
+/// position.
 fn extend_path(
     path: &JoinPath,
     first_containment: f64,
@@ -219,13 +232,13 @@ fn extend_path(
     let last = path.last_table();
     for ci in bridge_columns(index, last, path.last_hop().key_column) {
         out.probes += 1;
-        let probe = index.sketch(ColumnRef {
+        let probe = Probe::Column(ColumnRef {
             table: last,
             column: ci,
         });
-        for (target, _containment) in
-            index.joinable_columns(probe, config.containment_threshold, Some(last), search)
-        {
+        let found = index.joinable_columns(probe, config.containment_threshold, Some(last), search);
+        out.scored += found.scored;
+        for (target, _containment) in found.columns {
             if out.paths.len() >= config.max_paths {
                 return;
             }
